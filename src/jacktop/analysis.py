@@ -132,7 +132,7 @@ def fit_row_polynomial(f: Evaluator, m: int, degree_bound: int) -> RowPolynomial
     nodes = list(_sorted_tuples(m, degree_bound + m))
     rows = [[Fraction(_mono_value(e, node)) for e in monomials] for node in nodes]
     rhs = [sym_eval(f, node) for node in nodes]
-    solution = _solve_laurent_system(rows, rhs, len(monomials))
+    solution = _solve_rational_system(rows, rhs, len(monomials))
     poly = RowPolynomial(dict(zip(monomials, solution)))
     for node in _extra_nodes(m, degree_bound + m):
         if poly.evaluate(node) != sym_eval(f, node):
@@ -160,42 +160,14 @@ def _extra_nodes(m: int, grid_max: int) -> list[tuple]:
     return sorted(set(out), reverse=True)
 
 
-def _solve_laurent_system(rows: list[list[Fraction]], rhs: list[Laurent],
-                          unknowns: int) -> list[Laurent]:
-    """Gaussian elimination over Q with Laurent right-hand sides.
+def _solve_rational_system(rows: list[list[Fraction]], rhs: list,
+                           unknowns: int) -> list:
+    """Gaussian elimination over Q; unique solution required.
 
-    Requires full column rank and consistency of the overdetermined rows.
+    The right-hand sides may be rationals or Laurent polynomials (anything
+    closed under scaling by a rational).  Requires full column rank and
+    consistency of the overdetermined rows.
     """
-    m = [row[:] for row in rows]
-    b = [v for v in rhs]
-    nrows = len(m)
-    pivots = []
-    r = 0
-    for col in range(unknowns):
-        piv = next((i for i in range(r, nrows) if m[i][col]), None)
-        if piv is None:
-            raise RankDeficient(f"rank-deficient at column {col}")
-        m[r], m[piv] = m[piv], m[r]
-        b[r], b[piv] = b[piv], b[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        b[r] = b[r].scale(inv)
-        for i in range(nrows):
-            if i != r and m[i][col]:
-                factor = m[i][col]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-                b[i] = b[i] - b[r].scale(factor)
-        pivots.append(col)
-        r += 1
-    for i in range(r, nrows):
-        if not b[i].is_zero():
-            raise RankDeficient(f"inconsistent row {i}")
-    return b[:unknowns]
-
-
-def _solve_rational_system(rows: list[list[Fraction]], rhs: list[Fraction],
-                           unknowns: int) -> list[Fraction]:
-    """Gaussian elimination over Q; unique solution required."""
     m = [row[:] for row in rows]
     b = rhs[:]
     nrows = len(m)

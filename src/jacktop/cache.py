@@ -1,8 +1,8 @@
 """File cache: one JSON document per artifact, with a schema version.
 
 Artifacts are the per-diagram power-sum expansions of the oracle and the
-per-index g/R expansions of the top-degree part.  Stale schema versions are
-ignored, which forces a recompute.
+per-index g/R expansions of the top-degree part.  Stale schema versions and
+documents of the wrong shape are ignored, which forces a recompute.
 """
 
 from __future__ import annotations
@@ -26,7 +26,10 @@ class Cache:
     def _path(self, name: str) -> str:
         return os.path.join(self.directory, name)
 
-    def _read(self, name: str) -> dict | None:
+    def _read(self, name: str, decode):
+        """decode(doc) for the named document, or None (a miss, so the
+        artifact is recomputed and rewritten) when the file is absent,
+        unreadable, of another schema version or of the wrong shape."""
         path = self._path(name)
         if not os.path.exists(path):
             return None
@@ -35,9 +38,13 @@ class Cache:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError):
             return None
-        if doc.get("schema") != SCHEMA_VERSION:
+        if not isinstance(doc, dict) or doc.get("schema") != SCHEMA_VERSION:
             return None
-        return doc
+        try:
+            return decode(doc)
+        except (KeyError, TypeError, AttributeError, ValueError,
+                ZeroDivisionError):
+            return None
 
     def _write(self, name: str, doc: dict) -> None:
         doc = {"schema": SCHEMA_VERSION, **doc}
@@ -51,11 +58,9 @@ class Cache:
         return "jack_" + format_partition(lam).replace(",", "-") + ".json"
 
     def load_jack(self, lam: Partition) -> dict[Partition, RatFunc] | None:
-        doc = self._read(self._jack_name(lam))
-        if doc is None:
-            return None
-        return {parse_partition(k): RatFunc.parse(v)
-                for k, v in doc["coeffs"].items()}
+        return self._read(self._jack_name(lam), lambda doc: {
+            parse_partition(k): RatFunc.parse(v)
+            for k, v in doc["coeffs"].items()})
 
     def store_jack(self, lam: Partition, coeffs: dict[Partition, RatFunc]) -> None:
         doc = {"lambda": format_partition(lam),
@@ -64,10 +69,8 @@ class Cache:
         self._write(self._jack_name(lam), doc)
 
     def load_kl_top(self, n: int) -> KLPoly | None:
-        doc = self._read(f"kltop_{n}.json")
-        if doc is None:
-            return None
-        return KLPoly.from_json(doc["terms"])
+        return self._read(f"kltop_{n}.json",
+                          lambda doc: KLPoly.from_json(doc["terms"]))
 
     def store_kl_top(self, n: int, poly: KLPoly) -> None:
         self._write(f"kltop_{n}.json", {"n": n, "terms": poly.to_json()})

@@ -292,7 +292,7 @@ def subst_gamma(p: GammaPoly) -> Laurent:
     """Image of p under g -> -A + 1/A."""
     out = Laurent.zero()
     for e, v in p.items():
-        out = out + (GAMMA_A ** e).scale(v)
+        out = out + gamma_power_A(e).scale(v)
     return out
 
 

@@ -5,8 +5,10 @@ S_n is its smooth counterpart, the integral of the same power over the
 diagram as a plane region, computed from the per-box closed form.  The two
 families generate the same algebra, related by triangular conversions with
 polynomial coefficients in g.  Free cumulants R_k are signed sums of
-normalized embedding counts over two-factorizations of a full cycle, and
-KLPoly elements are evaluated on diagrams through them.
+normalized embedding counts over the graph classes of the minimal
+two-factorizations of a full cycle (the same graph-class census the
+top-degree routes read, taken over tree pairs), and KLPoly elements are
+evaluated on diagrams through them.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from itertools import permutations as _itperms
 
 from .exact import (GammaPoly, KLPoly, Laurent, gamma_power_A,
                     gamma_recover)
-from .maps import compose, cycles, full_cycle, inverse, normalized_embeddings
+from .maps import (compose, cycles, full_cycle, graph_classes, inverse,
+                   normalized_embeddings_graph)
 from .young import Partition, binom, boxes, content
 
 
@@ -106,7 +109,8 @@ def conversion_Q(n: int) -> dict[int, GammaPoly]:
 
 @lru_cache(maxsize=None)
 def _cumulant_pairs(k: int) -> tuple:
-    """Pairs (s1, s2) in S_{k-1} with s1*s2 the full cycle and k cycles total."""
+    """Graph classes of the tree pairs: (s1, s2) in S_{k-1} with s1*s2 the
+    full cycle and k cycles in total, grouped by spanned graph."""
     m = k - 1
     cyc = full_cycle(m)
     found = []
@@ -115,14 +119,15 @@ def _cumulant_pairs(k: int) -> tuple:
         s2 = compose(inverse(s1), cyc)
         if len(cycles(s1)) + len(cycles(s2)) == k:
             found.append((s1, s2))
-    return tuple(found)
+    return tuple(graph_classes(found))
 
 
 _FREE_CUMULANT_CACHE: dict[tuple[int, Partition], Laurent] = {}
 
 
 def free_cumulant(k: int, lam: Partition) -> Laurent:
-    """R_k: minus the sum of normalized embeddings over the tree pairs."""
+    """R_k: minus the sum of normalized embeddings over the tree pairs,
+    one term per graph class times its number of pairs."""
     if k < 2:
         raise BadIndex(f"free_cumulant needs k >= 2, got {k}")
     key = (k, lam)
@@ -130,15 +135,15 @@ def free_cumulant(k: int, lam: Partition) -> Laurent:
     if hit is not None:
         return hit
     total = Laurent.zero()
-    for s1, s2 in _cumulant_pairs(k):
-        total = total + normalized_embeddings(s1, s2, lam)
+    for g, count in _cumulant_pairs(k):
+        total = total + normalized_embeddings_graph(g, lam).scale(count)
     result = -total
     _FREE_CUMULANT_CACHE[key] = result
     return result
 
 
 def free_cumulant_pair_count(k: int) -> int:
-    return len(_cumulant_pairs(k))
+    return sum(count for _, count in _cumulant_pairs(k))
 
 
 def kl_evaluate(p: KLPoly, lam: Partition) -> Laurent:

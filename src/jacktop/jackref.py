@@ -303,29 +303,6 @@ def _invert_rational(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[k:] for row in m]
 
 
-def _solve_rational(matrix: list[list[Fraction]], rhs: list[RatFunc]) -> list[RatFunc]:
-    """Solve a square rational system with rational-function right-hand side."""
-    k = len(matrix)
-    m = [row[:] for row in matrix]
-    b = rhs[:]
-    perm = list(range(k))
-    for col in range(k):
-        piv = next(r for r in range(col, k) if m[r][col])
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            b[col], b[piv] = b[piv], b[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        b[col] = b[col] * inv
-        for r in range(k):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-                b[r] = b[r] - f * b[col]
-    del perm
-    return b
-
-
 def _jack_m_vector(lam: Partition) -> dict[Partition, RatFunc]:
     """J-normalized Jack polynomial of lam in the monomial basis."""
     n = size(lam)
@@ -425,18 +402,9 @@ def jack_m_expansion_gram_schmidt(lam: Partition) -> dict[Partition, RatFunc]:
     basis = _basis(n)
     parts = basis.parts
     k = len(parts)
-    # m_mu in the p basis: invert the p->m rows over Q.
-    ident = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
-    p_rows = [[Fraction(x) for x in row] for row in basis.p_in_m]
-    # Solve P^T X = I columnwise: column j of X is m-to-p of basis vector j.
-    m_in_p: list[list[Fraction]] = [[Fraction(0)] * k for _ in range(k)]
-    for j in range(k):
-        rhs = [RatFunc(ident[r][j]) for r in range(k)]
-        matrix = [[p_rows[c][r] for c in range(k)] for r in range(k)]
-        col = _solve_rational(matrix, rhs)
-        for r in range(k):
-            assert col[r].den == (Fraction(1),)
-            m_in_p[j][r] = col[r].num[0] if col[r].num else Fraction(0)
+    # m_mu in the p basis: row mu of the inverse of the p->m rows over Q.
+    m_in_p = _invert_rational([[Fraction(x) for x in row]
+                               for row in basis.p_in_m])
 
     def inner(u: list[RatFunc], v: list[RatFunc]) -> RatFunc:
         acc = RatFunc(0)

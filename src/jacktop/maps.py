@@ -7,13 +7,15 @@ the group it generates acts transitively on the ground set; such pairs are
 connected labeled bicolored oriented maps with n edges, and the orbits of
 simultaneous conjugation by the stabilizer of the last point are the
 unlabeled rooted maps.  Every such orbit has exactly (n-1)! elements.
+graph_classes groups pairs by the isomorphism class of the bicolored graph
+they span, which is all that the embedding sums depend on.
 """
 
 from __future__ import annotations
 
 from itertools import permutations as _itperms
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exact import Laurent
 from .young import Partition
@@ -419,15 +421,25 @@ def count_embeddings_naive(g: BicoloredGraph, lam: Partition) -> int:
     return count
 
 
+def graph_classes(pairs: Iterable[tuple[Perm, Perm]]
+                  ) -> list[tuple[BicoloredGraph, int]]:
+    """The bicolored graphs spanned by the pairs, up to isomorphism, as
+    (first graph seen, number of pairs), in canonical-key order."""
+    classes: dict[tuple, list] = {}
+    for a, b in pairs:
+        g = graph_of_pair(a, b)
+        entry = classes.setdefault(g.canonical_key(), [g, 0])
+        entry[1] += 1
+    return [(g, count) for _, (g, count) in sorted(classes.items())]
+
+
 def normalized_embeddings(a: Perm, b: Perm, lam: Partition) -> Laurent:
-    """A**|whites| * (-1/A)**|blacks| * N_G(lam) for G = graph_of_pair(a, b)."""
-    g = graph_of_pair(a, b)
-    n = count_embeddings(g, lam)
-    sign = -1 if g.blacks % 2 else 1
-    return Laurent({g.whites - g.blacks: sign * n})
+    """Normalized embeddings of G = graph_of_pair(a, b)."""
+    return normalized_embeddings_graph(graph_of_pair(a, b), lam)
 
 
 def normalized_embeddings_graph(g: BicoloredGraph, lam: Partition) -> Laurent:
+    """A**|whites| * (-1/A)**|blacks| * N_G(lam)."""
     n = count_embeddings(g, lam)
     sign = -1 if g.blacks % 2 else 1
     return Laurent({g.whites - g.blacks: sign * n})

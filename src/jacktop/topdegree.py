@@ -1,23 +1,26 @@
 """Top-degree part of the one-row character, via map enumeration.
 
-Two equivalent routes are implemented: direct evaluation on a diagram as a
-signed, g-weighted sum of normalized embedding counts over transitive
-permutation pairs (summed over conjugation-orbit representatives, which
-cancels the (n-1)! division exactly), and the symbolic expansion in the
-g/R ring obtained by enumerating expander weights on each orbit.  The
-moment and cumulant functions over permutations, related by the
-set-partition formula, live here as well.
+Both top-degree routes read one graph-class census, map_formula_collection:
+the bicolored graphs spanned by the conjugation-orbit representatives of
+transitive permutation pairs, grouped up to isomorphism, each with a
+g-weighted multiplicity (summing over orbit representatives cancels the
+(n-1)! division exactly).  Direct evaluation on a diagram sums the
+normalized embedding counts of the classes; the symbolic expansion in the
+g/R ring enumerates the expander weights of each class.  The labeled pair
+sum is kept as an oracle.  The moment and cumulant functions over
+permutations, related by the set-partition formula, live here as well.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations as _itperms
 from typing import Iterable, Iterator, Sequence
 
-from .exact import GammaPoly, KLPoly, Laurent, gamma_power_A
-from .maps import (BicoloredGraph, Perm, compose, cycles, graph_of_pair,
+from .exact import GammaPoly, KLPoly, Laurent, gamma_power_A, subst_gamma
+from .maps import (BicoloredGraph, Perm, compose, cycles, graph_classes,
                    inverse, is_transitive_pair, normalized_embeddings,
-                   orbit_reps)
+                   normalized_embeddings_graph, orbit_reps)
 from .young import Partition
 
 DEFAULT_BUDGET = 6
@@ -36,29 +39,22 @@ class Disconnected(ValueError):
 
 
 def _check_budget(n: int, budget: int | None) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     limit = DEFAULT_BUDGET if budget is None else budget
     if n > limit:
         raise BudgetExceeded(f"n = {n} exceeds budget {limit}")
-    if n < 1:
-        raise BudgetExceeded(f"n must be >= 1, got {n}")
 
 
 def ch_top_eval(n: int, lam: Partition, budget: int | None = None) -> Laurent:
-    """Evaluate the top-degree character part on a diagram.
-
-    Minus the sum, over orbit representatives, of
-    g**(n+1-|C1|-|C2|) * (normalized embedding count); the orbit sum already
-    absorbs the 1/(n-1)! of the labeled formula.
-    """
-    _check_budget(n, budget)
+    """Evaluate the top-degree character part on a diagram: the sum of
+    m_G(g) * (normalized embeddings of G) over map_formula_collection(n)."""
     total = Laurent.zero()
-    for s1, s2 in orbit_reps(n):
-        c1 = len(cycles(s1))
-        c2 = len(cycles(s2))
-        emb = normalized_embeddings(s1, s2, lam)
+    for g, mult in map_formula_collection(n, budget):
+        emb = normalized_embeddings_graph(g, lam)
         if emb:
-            total = total + gamma_power_A(n + 1 - c1 - c2) * emb
-    return -total
+            total = total + subst_gamma(mult) * emb
+    return total
 
 
 def ch_top_eval_labeled(n: int, lam: Partition) -> Laurent:
@@ -139,11 +135,10 @@ def set_disk_cache(cache) -> None:
 
 
 def kl_top(n: int, budget: int | None = None) -> KLPoly:
-    """The g/R expansion of the top-degree character part.
-
-    One summand per orbit representative and expander weight: the g power
-    records the genus-like defect, the R indices are the weights.
-    """
+    """The g/R expansion of the top-degree character part: kl_from_graphs
+    of map_formula_collection(n), one summand per graph class and expander
+    weight; the g power records the genus-like defect, the R indices are
+    the weights."""
     _check_budget(n, budget)
     hit = _KL_TOP_CACHE.get(n)
     if hit is not None:
@@ -154,14 +149,7 @@ def kl_top(n: int, budget: int | None = None) -> KLPoly:
             _KL_TOP_CACHE[n] = stored
             return stored
 
-    total = KLPoly.zero()
-    for s1, s2 in orbit_reps(n):
-        g = graph_of_pair(s1, s2)
-        gexp = n + 1 - g.whites - g.blacks
-        for weight in expander_weights(g):
-            mu = tuple(sorted(weight.values(), reverse=True))
-            total = total + KLPoly.term(gexp, mu)
-
+    total = kl_from_graphs(map_formula_collection(n, budget))
     _KL_TOP_CACHE[n] = total
     if _DISK_CACHE is not None:
         _DISK_CACHE.store_kl_top(n, total)
@@ -186,16 +174,20 @@ def kl_from_graphs(collection: Iterable[tuple[BicoloredGraph, GammaPoly]]) -> KL
 
 
 def map_formula_collection(n: int, budget: int | None = None
-                           ) -> list[tuple[BicoloredGraph, GammaPoly]]:
-    """The orbit-representative collection whose embedding sum evaluates the
-    top-degree part: multiplicity -g**(n+1-|C1|-|C2|) per representative."""
+                           ) -> tuple[tuple[BicoloredGraph, GammaPoly], ...]:
+    """The graph-class census whose embedding sum evaluates the top-degree
+    part: each class of graph_classes(orbit_reps(n)) with multiplicity
+    -count * g**(n+1-|whites|-|blacks|).  Summing over orbit representatives
+    already absorbs the 1/(n-1)! of the labeled formula.  Both top-degree
+    routes read this one collection."""
     _check_budget(n, budget)
-    out = []
-    for s1, s2 in orbit_reps(n):
-        g = graph_of_pair(s1, s2)
-        gexp = n + 1 - g.whites - g.blacks
-        out.append((g, GammaPoly({gexp: -1})))
-    return out
+    return _map_formula_collection(n)
+
+
+@lru_cache(maxsize=None)
+def _map_formula_collection(n: int) -> tuple[tuple[BicoloredGraph, GammaPoly], ...]:
+    return tuple((g, GammaPoly({n + 1 - g.whites - g.blacks: -count}))
+                 for g, count in graph_classes(orbit_reps(n)))
 
 
 def moment_M(perm: Perm, lam: Partition) -> Laurent:

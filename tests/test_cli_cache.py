@@ -119,3 +119,43 @@ def test_jobs_do_not_change_output(capsys):
         maps.set_jobs(1)
         maps._CENSUS_CACHE.clear()
     assert out1 == out2
+
+
+def test_n_below_one_is_usage_error(capsys):
+    code, out = run_cli(capsys, "kl-top", "0")
+    assert code == 1 and out == ""
+    code, out = run_cli(capsys, "eval", "chtop", "0", "2,1")
+    assert code == 1 and out == ""
+
+
+@pytest.mark.parametrize("bad", ['{"schema": 1}', "[1, 2]"])
+def test_wrong_shape_kl_top_file_is_a_miss(tmp_path, capsys, bad):
+    path = tmp_path / "kltop_3.json"
+    path.write_text(bad)
+    topdegree._KL_TOP_CACHE.pop(3, None)
+    code, out = run_cli(capsys, "--cache-dir", str(tmp_path),
+                        "kl-top", "3", "--format", "text")
+    assert code == 0
+    assert out.strip() == "R4 + 3*R3*g + 2*R2*g^2"
+    assert json.loads(path.read_text())["terms"] == kl_top(3).to_json()
+
+
+@pytest.mark.parametrize("bad", ['{"schema": 1}', "[1, 2]"])
+def test_wrong_shape_jack_file_is_a_miss(tmp_path, capsys, bad):
+    def run_cold():
+        jackref._POWERSUM_CACHE.clear()
+        jackref._CHARACTER_CACHE.clear()
+        return run_cli(capsys, "--cache-dir", str(tmp_path),
+                       "eval", "ch", "2", "3,1")
+
+    code, expected = run_cold()
+    assert code == 0
+    files = sorted(tmp_path.glob("jack_*.json"))
+    assert files
+    for path in files:
+        path.write_text(bad)
+    code, out = run_cold()
+    assert code == 0
+    assert out == expected
+    for path in files:
+        assert "coeffs" in json.loads(path.read_text())
