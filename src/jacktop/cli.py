@@ -20,7 +20,8 @@ from .exact import KLPoly, Laurent
 from .functionals import free_cumulant, s_functional, t_functional
 from .jackref import BoundExceeded, jack_character
 from .maps import format_perm, orbit_census, perm_from_cycle_type, set_jobs
-from .topdegree import BudgetExceeded, ch_top_eval, cumulant_K, kl_top, moment_M
+from .topdegree import (BudgetExceeded, ch_top_eval, check_budget, cumulant_K,
+                        kl_top, moment_M)
 from .verify import SUITES, run_suite
 from .young import NotDecreasing, parse_partition
 
@@ -40,7 +41,8 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         default=d(topdegree.DEFAULT_BUDGET),
                         help="size budget for map enumeration")
     parser.add_argument("--jobs", type=int, metavar="K", default=d(1),
-                        help="worker processes for enumeration scans")
+                        help="worker processes for the pair flood of census"
+                             " and verify orbits")
     parser.add_argument("--format", choices=("json", "text"),
                         default=d("json"), help="output format")
 
@@ -119,8 +121,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    if args.n > args.budget:
-        raise BudgetExceeded(f"n = {args.n} exceeds budget {args.budget}")
+    check_budget(args.n, args.budget)
     census = orbit_census(args.n)
     if args.format == "json":
         print(json.dumps([{"sigma1": format_perm(a), "sigma2": format_perm(b),

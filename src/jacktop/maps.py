@@ -9,6 +9,11 @@ simultaneous conjugation by the stabilizer of the last point are the
 unlabeled rooted maps.  Every such orbit has exactly (n-1)! elements.
 graph_classes groups pairs by the isomorphism class of the bicolored graph
 they span, which is all that the embedding sums depend on.
+
+graph_census counts the orbits of each graph class by cycle type: s1 is
+fixed to one permutation per cycle type, weighted by the size of its
+conjugacy class, and only s2 is scanned.  The flood (orbit_census,
+orbit_reps, enumerate_transitive_pairs) is kept as its oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 from .exact import Laurent
-from .young import Partition
+from .young import Partition, partitions_of, z_factor
 
 Perm = tuple  # tuple[int, ...], images of 0..n-1
 
@@ -243,7 +248,7 @@ def orbit_reps(n: int) -> list[tuple[Perm, Perm]]:
 class BicoloredGraph:
     """Bipartite graph with colored sides, as white -> {black} adjacency."""
 
-    __slots__ = ("whites", "blacks", "adjacency")
+    __slots__ = ("whites", "blacks", "adjacency", "_key")
 
     def __init__(self, whites: int, blacks: int,
                  adjacency: Sequence[frozenset | set]):
@@ -252,6 +257,7 @@ class BicoloredGraph:
         self.whites = whites
         self.blacks = blacks
         self.adjacency = tuple(frozenset(s) for s in adjacency)
+        self._key = None
         for s in self.adjacency:
             for v in s:
                 if not 0 <= v < blacks:
@@ -291,14 +297,16 @@ class BicoloredGraph:
     def canonical_key(self) -> tuple:
         """Complete isomorphism invariant: minimal white-mask multiset over
         all relabelings of the black side.  Sides this small (<= 8) make the
-        brute-force minimum affordable."""
-        best = None
-        for pi in _itperms(range(self.blacks)):
-            masks = sorted(sum(1 << pi[b] for b in s) for s in self.adjacency)
-            key = tuple(masks)
-            if best is None or key < best:
-                best = key
-        return (self.whites, self.blacks, best)
+        brute-force minimum affordable; it is computed once per graph."""
+        if self._key is None:
+            best = None
+            for pi in _itperms(range(self.blacks)):
+                masks = sorted(sum(1 << pi[b] for b in s) for s in self.adjacency)
+                key = tuple(masks)
+                if best is None or key < best:
+                    best = key
+            self._key = (self.whites, self.blacks, best)
+        return self._key
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BicoloredGraph):
@@ -421,16 +429,92 @@ def count_embeddings_naive(g: BicoloredGraph, lam: Partition) -> int:
     return count
 
 
+def _by_class(weighted: Iterable[tuple[BicoloredGraph, int]]
+              ) -> list[tuple[BicoloredGraph, int]]:
+    """(first graph seen, summed weight) per isomorphism class, in
+    canonical-key order."""
+    classes: dict[tuple, list] = {}
+    for g, weight in weighted:
+        entry = classes.setdefault(g.canonical_key(), [g, 0])
+        entry[1] += weight
+    return [(g, total) for _, (g, total) in sorted(classes.items())]
+
+
 def graph_classes(pairs: Iterable[tuple[Perm, Perm]]
                   ) -> list[tuple[BicoloredGraph, int]]:
     """The bicolored graphs spanned by the pairs, up to isomorphism, as
     (first graph seen, number of pairs), in canonical-key order."""
-    classes: dict[tuple, list] = {}
-    for a, b in pairs:
-        g = graph_of_pair(a, b)
-        entry = classes.setdefault(g.canonical_key(), [g, 0])
-        entry[1] += 1
-    return [(g, count) for _, (g, count) in sorted(classes.items())]
+    return _by_class((graph_of_pair(a, b), 1) for a, b in pairs)
+
+
+def _spans(masks: list[int]) -> bool:
+    """Whether the blacks, given as white bitmasks that together cover all
+    whites, form a connected bicolored graph."""
+    reach, rest = masks[0], masks[1:]
+    while rest:
+        left = []
+        for m in rest:
+            if m & reach:
+                reach |= m
+            else:
+                left.append(m)
+        if len(left) == len(rest):
+            return False
+        rest = left
+    return True
+
+
+def graph_census(n: int) -> list[tuple[BicoloredGraph, int]]:
+    """graph_classes(orbit_reps(n)) without the pair flood: each graph class
+    of transitive pairs with its number of orbits, in canonical-key order.
+
+    The graph of a pair only depends on the pair up to conjugation, so s1 is
+    one permutation per cycle type lam, weighted by its class size n!/z_lam,
+    and only s2 runs over S_n.  A labeled graph is the white count (the
+    cycles of s1) and the sorted white masks of the cycles of s2.  Each class
+    total counts labeled pairs; it must divide exactly by the orbit size
+    (n-1)!, and a remainder raises.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    labeled: dict[tuple, int] = {}
+    for lam in partitions_of(n):
+        white_bit = [0] * n
+        for w, cyc in enumerate(cycles(perm_from_cycle_type(lam))):
+            for x in cyc:
+                white_bit[x] = 1 << w
+        weight = factorial(n) // z_factor(lam)
+        for s2 in _itperms(range(n)):
+            seen = 0
+            masks = []
+            for start in range(n):
+                if seen >> start & 1:
+                    continue
+                mask = 0
+                x = start
+                while not seen >> x & 1:
+                    seen |= 1 << x
+                    mask |= white_bit[x]
+                    x = s2[x]
+                masks.append(mask)
+            if _spans(masks):
+                key = (len(lam), tuple(sorted(masks)))
+                labeled[key] = labeled.get(key, 0) + weight
+
+    graphs = ((BicoloredGraph(whites, len(masks),
+                              [[b for b, m in enumerate(masks) if m >> w & 1]
+                               for w in range(whites)]), pairs)
+              for (whites, masks), pairs in labeled.items())
+    orbit = factorial(n - 1)
+    out = []
+    for g, pairs in _by_class(graphs):
+        count, rest = divmod(pairs, orbit)
+        if rest:
+            raise AssertionError(
+                f"{g!r}: {pairs} labeled pairs is not a whole number of "
+                f"orbits of size {orbit}")
+        out.append((g, count))
+    return out
 
 
 def normalized_embeddings(a: Perm, b: Perm, lam: Partition) -> Laurent:

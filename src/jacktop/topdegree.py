@@ -1,12 +1,14 @@
 """Top-degree part of the one-row character, via map enumeration.
 
 Both top-degree routes read one graph-class census, map_formula_collection:
-the bicolored graphs spanned by the conjugation-orbit representatives of
-transitive permutation pairs, grouped up to isomorphism, each with a
-g-weighted multiplicity (summing over orbit representatives cancels the
-(n-1)! division exactly).  Direct evaluation on a diagram sums the
-normalized embedding counts of the classes; the symbolic expansion in the
-g/R ring enumerates the expander weights of each class.  The labeled pair
+the bicolored graphs spanned by the conjugation orbits of transitive
+permutation pairs, grouped up to isomorphism, each with a g-weighted
+multiplicity (counting orbits cancels the (n-1)! division exactly).  The
+census is taken by cycle type (maps.graph_census): one first permutation
+per cycle type, weighted by its class size, and a scan of the second.
+Direct evaluation on a diagram sums the normalized embedding counts of the
+classes; the symbolic expansion in the g/R ring enumerates the expander
+weights of each class.  The labeled pair
 sum is kept as an oracle.  The moment and cumulant functions over
 permutations, related by the set-partition formula, live here as well.
 """
@@ -18,9 +20,9 @@ from itertools import permutations as _itperms
 from typing import Iterable, Iterator, Sequence
 
 from .exact import GammaPoly, KLPoly, Laurent, gamma_power_A, subst_gamma
-from .maps import (BicoloredGraph, Perm, compose, cycles, graph_classes,
+from .maps import (BicoloredGraph, Perm, compose, cycles, graph_census,
                    inverse, is_transitive_pair, normalized_embeddings,
-                   normalized_embeddings_graph, orbit_reps)
+                   normalized_embeddings_graph)
 from .young import Partition
 
 DEFAULT_BUDGET = 6
@@ -38,7 +40,7 @@ class Disconnected(ValueError):
     """Graph collection requires connected graphs."""
 
 
-def _check_budget(n: int, budget: int | None) -> None:
+def check_budget(n: int, budget: int | None) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     limit = DEFAULT_BUDGET if budget is None else budget
@@ -139,7 +141,7 @@ def kl_top(n: int, budget: int | None = None) -> KLPoly:
     of map_formula_collection(n), one summand per graph class and expander
     weight; the g power records the genus-like defect, the R indices are
     the weights."""
-    _check_budget(n, budget)
+    check_budget(n, budget)
     hit = _KL_TOP_CACHE.get(n)
     if hit is not None:
         return hit
@@ -176,18 +178,18 @@ def kl_from_graphs(collection: Iterable[tuple[BicoloredGraph, GammaPoly]]) -> KL
 def map_formula_collection(n: int, budget: int | None = None
                            ) -> tuple[tuple[BicoloredGraph, GammaPoly], ...]:
     """The graph-class census whose embedding sum evaluates the top-degree
-    part: each class of graph_classes(orbit_reps(n)) with multiplicity
-    -count * g**(n+1-|whites|-|blacks|).  Summing over orbit representatives
-    already absorbs the 1/(n-1)! of the labeled formula.  Both top-degree
-    routes read this one collection."""
-    _check_budget(n, budget)
+    part: each class of graph_census(n) with multiplicity
+    -count * g**(n+1-|whites|-|blacks|), where count is its number of orbits.
+    Counting orbits already absorbs the 1/(n-1)! of the labeled formula.
+    Both top-degree routes read this one collection."""
+    check_budget(n, budget)
     return _map_formula_collection(n)
 
 
 @lru_cache(maxsize=None)
 def _map_formula_collection(n: int) -> tuple[tuple[BicoloredGraph, GammaPoly], ...]:
     return tuple((g, GammaPoly({n + 1 - g.whites - g.blacks: -count}))
-                 for g, count in graph_classes(orbit_reps(n)))
+                 for g, count in graph_census(n))
 
 
 def moment_M(perm: Perm, lam: Partition) -> Laurent:

@@ -128,6 +128,14 @@ def test_n_below_one_is_usage_error(capsys):
     assert code == 1 and out == ""
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_census_n_below_one_is_usage_error(capsys, n):
+    code = cli.main(["census", n])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: n must be >= 1")
+
+
 @pytest.mark.parametrize("bad", ['{"schema": 1}', "[1, 2]"])
 def test_wrong_shape_kl_top_file_is_a_miss(tmp_path, capsys, bad):
     path = tmp_path / "kltop_3.json"

@@ -1,16 +1,21 @@
-"""The graph-class census against the per-orbit and per-pair sums it
-replaced, which are kept here as oracles."""
+"""The graph-class census against the orbit flood and the per-orbit and
+per-pair sums it replaced, which are kept here as oracles."""
 
 from itertools import permutations
+from math import factorial
 
+import pytest
+
+from jacktop import maps
 from jacktop.exact import KLPoly, Laurent, gamma_power_A
 from jacktop.functionals import (_cumulant_pairs, free_cumulant,
-                                 free_cumulant_pair_count)
-from jacktop.maps import (compose, cycles, full_cycle, graph_classes,
-                          graph_of_pair, inverse, normalized_embeddings,
-                          orbit_reps)
+                                 free_cumulant_pair_count, kl_evaluate)
+from jacktop.maps import (compose, cycles, full_cycle, graph_census,
+                          graph_classes, graph_of_pair, inverse,
+                          normalized_embeddings, orbit_reps)
 from jacktop.topdegree import (ch_top_eval, expander_weights, kl_top,
                                map_formula_collection)
+from jacktop.young import z_factor
 
 
 def kl_top_per_orbit(n):
@@ -85,3 +90,43 @@ def test_free_cumulant_matches_per_pair_sum():
 def test_free_cumulant_classes():
     assert free_cumulant_pair_count(7) == 132
     assert len(_cumulant_pairs(7)) == 22
+
+
+def indecomposable_permutations(m):
+    """OEIS A003319: a(m) = m! - sum_{k<m} k! a(m-k)."""
+    a = [1]
+    for j in range(1, m + 1):
+        a.append(factorial(j) - sum(factorial(k) * a[j - k]
+                                    for k in range(1, j)))
+    return a[m]
+
+
+def test_graph_census_matches_flood():
+    for n in range(1, 7):
+        census = [(g.canonical_key(), count) for g, count in graph_census(n)]
+        flood = [(g.canonical_key(), count)
+                 for g, count in graph_classes(orbit_reps(n))]
+        assert census == flood, n
+        assert sum(count for _, count in census) == \
+            indecomposable_permutations(n + 1)
+
+
+def test_graph_census_rejects_partial_orbits(monkeypatch):
+    # Half the class size of the 3-cycles leaves 3/2 orbits of the graph
+    # with one white and two blacks.
+    monkeypatch.setattr(maps, "z_factor",
+                        lambda lam: z_factor(lam) * (2 if lam == (3,) else 1))
+    with pytest.raises(AssertionError):
+        graph_census(3)
+
+
+def test_kl_top_7():
+    census = graph_census(7)
+    assert len(census) == 124
+    assert sum(count for _, count in census) == \
+        indecomposable_permutations(8) == 29093
+    table = kl_top(7, budget=7)
+    for _, coeff in table.items():
+        assert coeff.denominator == 1 and coeff >= 0
+    for lam in [(1,), (3, 1), (2, 2, 2), (4, 2, 1), (5, 3, 1)]:
+        assert ch_top_eval(7, lam, budget=7) == kl_evaluate(table, lam), lam
