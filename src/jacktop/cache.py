@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 
 from .exact import KLPoly, RatFunc
 from .young import Partition, format_partition, parse_partition
@@ -47,11 +48,17 @@ class Cache:
             return None
 
     def _write(self, name: str, doc: dict) -> None:
+        """Store the document; a write that fails (say, a directory in the
+        way) is reported on stderr and skipped, since the value is already
+        computed and the next run only recomputes it."""
         doc = {"schema": SCHEMA_VERSION, **doc}
         tmp = self._path(name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-        os.replace(tmp, self._path(name))
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=1, sort_keys=True)
+            os.replace(tmp, self._path(name))
+        except OSError as exc:
+            print(f"warning: cache write skipped: {exc}", file=sys.stderr)
 
     @staticmethod
     def _jack_name(lam: Partition) -> str:

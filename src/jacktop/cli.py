@@ -77,14 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_laurent(value: Laurent, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(value.to_json()))
-    else:
-        print(value.text())
-
-
-def _print_kl(value: KLPoly, fmt: str) -> None:
+def _print(value: Laurent | KLPoly, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(value.to_json()))
     else:
@@ -116,7 +109,7 @@ def _cmd_eval(args) -> int:
         if len(perm) > args.budget:
             raise BudgetExceeded(f"|pi| = {len(perm)} exceeds budget")
         value = moment_M(perm, lam) if kind == "M" else cumulant_K(perm, lam)
-    _print_laurent(value, args.format)
+    _print(value, args.format)
     return EXIT_OK
 
 
@@ -139,16 +132,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
 
-    if args.jobs > 1:
-        set_jobs(args.jobs)
     if args.cache_dir:
-        cache = Cache(args.cache_dir)
+        try:
+            cache = Cache(args.cache_dir)
+        except OSError as exc:
+            print(f"error: cannot use --cache-dir: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         jackref.set_disk_cache(cache)
         topdegree.set_disk_cache(cache)
+    if args.jobs > 1:
+        set_jobs(args.jobs)
 
     try:
         if args.command == "kl-top":
-            _print_kl(kl_top(args.n, budget=args.budget), args.format)
+            _print(kl_top(args.n, budget=args.budget), args.format)
             return EXIT_OK
         if args.command == "eval":
             return _cmd_eval(args)
@@ -168,9 +165,7 @@ def main(argv=None) -> int:
 
 
 def _json_default(obj):
-    if isinstance(obj, Laurent):
-        return obj.to_json()
-    if isinstance(obj, KLPoly):
+    if isinstance(obj, (Laurent, KLPoly)):
         return obj.to_json()
     if isinstance(obj, tuple):
         return list(obj)

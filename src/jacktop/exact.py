@@ -9,6 +9,11 @@ zero coefficients (the empty map is the canonical zero):
   * ``KLPoly``    -- elements of the graded ring Q[g; R2, R3, ...] with
                     deg g = 1 and deg R_k = k.
 
+``Laurent``, ``GammaPoly`` and ``KLPoly`` share one sparse core: ``_Sparse``
+(key -> nonzero Fraction, with add, neg, sub, scale, eq and hash) and, for the
+first two, ``_Univariate`` (mul, pow, degree, coeff).  One printer,
+``_signed_sum``, writes all four text forms, ``RatFunc`` via ``p_text``.
+
 Plus the substitution calculus between them: g -> -A + 1/A, its inverse on
 (A <-> -1/A)-invariant Laurent polynomials, and alpha -> A**2.
 """
@@ -35,83 +40,137 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-class Laurent:
-    """Sparse Laurent polynomial in A with Fraction coefficients."""
+def _power(name: str, e: int) -> list[str]:
+    """The factors of name**e as printed: none for e = 0."""
+    if e == 0:
+        return []
+    return [name if e == 1 else f"{name}^{e}"]
+
+
+def _signed_sum(terms: Iterable[tuple[Fraction, list[str]]]) -> str:
+    """Print nonzero (coefficient, factors) terms in the given order as
+    "c*x^2*y + x - c": a unit coefficient is left out before factors, a term
+    without factors is a constant, and no terms print as 0."""
+    out = ""
+    for v, factors in terms:
+        a = abs(v)
+        mon = "*".join(factors)
+        if not mon:
+            mon = str(a)
+        elif a != 1:
+            mon = f"{a}*{mon}"
+        if out:
+            out += (" - " if v < 0 else " + ") + mon
+        else:
+            out = "-" + mon if v < 0 else mon
+    return out or "0"
+
+
+class _Sparse:
+    """Map from key to nonzero Fraction, with its additive group and scaling.
+
+    Subclasses define ``_key``, which validates and normalizes each key given
+    to the public constructor, and ``_order``, the sort key of ``items``.
+    Arithmetic builds its results with ``_of``, which takes a dict of valid
+    keys and nonzero values as it is.
+    """
 
     __slots__ = ("_c",)
 
-    def __init__(self, coeffs: Mapping[int, object] | None = None):
+    def __init__(self, coeffs: Mapping | None = None):
         c = {}
         if coeffs:
-            for e, v in coeffs.items():
+            for k, v in coeffs.items():
+                k = self._key(k)
                 v = _frac(v)
                 if v:
-                    c[int(e)] = v
+                    c[k] = v
         self._c = c
 
-    @staticmethod
-    def zero() -> "Laurent":
-        return Laurent()
+    @classmethod
+    def _of(cls, c: dict):
+        r = cls.__new__(cls)
+        r._c = c
+        return r
 
-    @staticmethod
-    def const(v) -> "Laurent":
-        return Laurent({0: v})
+    @classmethod
+    def zero(cls):
+        return cls._of({})
 
-    @staticmethod
-    def monomial(exp: int, coeff=1) -> "Laurent":
-        return Laurent({exp: coeff})
-
-    @staticmethod
-    def var() -> "Laurent":
-        """The indeterminate A itself."""
-        return Laurent({1: 1})
-
-    def items(self) -> Iterator[tuple[int, Fraction]]:
-        return iter(sorted(self._c.items()))
-
-    def coeff(self, d: int) -> Fraction:
-        """Coefficient of A**d (zero if absent)."""
-        return self._c.get(d, Fraction(0))
+    def items(self) -> Iterator[tuple]:
+        return iter(sorted(self._c.items(), key=self._order))
 
     def is_zero(self) -> bool:
         return not self._c
-
-    def degree(self) -> int | None:
-        """Largest stored exponent, or None for the zero polynomial."""
-        return max(self._c) if self._c else None
 
     def __bool__(self) -> bool:
         return bool(self._c)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Laurent):
+        if type(other) is not type(self):
             return NotImplemented
         return self._c == other._c
 
     def __hash__(self) -> int:
         return hash(frozenset(self._c.items()))
 
-    def __add__(self, other: "Laurent") -> "Laurent":
+    def __add__(self, other):
         out = dict(self._c)
-        for e, v in other._c.items():
-            s = out.get(e, 0) + v
+        for k, v in other._c.items():
+            s = out.get(k, 0) + v
             if s:
-                out[e] = s
+                out[k] = s
             else:
-                out.pop(e, None)
-        r = Laurent.__new__(Laurent)
-        r._c = out
-        return r
+                del out[k]
+        return self._of(out)
 
-    def __neg__(self) -> "Laurent":
-        r = Laurent.__new__(Laurent)
-        r._c = {e: -v for e, v in self._c.items()}
-        return r
+    def __neg__(self):
+        return self._of({k: -v for k, v in self._c.items()})
 
-    def __sub__(self, other: "Laurent") -> "Laurent":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other) -> "Laurent":
+    def scale(self, v):
+        v = _frac(v)
+        return self._of({k: c * v for k, c in self._c.items()} if v else {})
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.text()})"
+
+
+class _Univariate(_Sparse):
+    """Sparse polynomial in the one variable named by ``_VAR``, keyed by
+    exponent."""
+
+    __slots__ = ()
+    _order = None
+
+    @staticmethod
+    def _key(e) -> int:
+        return int(e)
+
+    @classmethod
+    def const(cls, v):
+        return cls({0: v})
+
+    @classmethod
+    def monomial(cls, exp: int, coeff=1):
+        return cls({exp: coeff})
+
+    @classmethod
+    def var(cls):
+        """The indeterminate itself."""
+        return cls({1: 1})
+
+    def coeff(self, d: int) -> Fraction:
+        """Coefficient of the d-th power (zero if absent)."""
+        return self._c.get(d, Fraction(0))
+
+    def degree(self) -> int | None:
+        """Largest stored exponent, or None for the zero polynomial."""
+        return max(self._c) if self._c else None
+
+    def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         out: dict[int, Fraction] = {}
@@ -122,23 +181,15 @@ class Laurent:
                 if s:
                     out[e] = s
                 else:
-                    out.pop(e, None)
-        r = Laurent.__new__(Laurent)
-        r._c = out
-        return r
+                    del out[e]
+        return self._of(out)
 
     __rmul__ = __mul__
 
-    def scale(self, v) -> "Laurent":
-        v = _frac(v)
-        r = Laurent.__new__(Laurent)
-        r._c = {e: c * v for e, c in self._c.items()} if v else {}
-        return r
-
-    def __pow__(self, n: int) -> "Laurent":
+    def __pow__(self, n: int):
         if n < 0:
-            raise ValueError("negative power of a Laurent polynomial")
-        result = Laurent.const(1)
+            raise ValueError(f"negative power of a {type(self).__name__}")
+        result = self.const(1)
         base = self
         while n:
             if n & 1:
@@ -147,11 +198,30 @@ class Laurent:
             n >>= 1
         return result
 
+    def text(self) -> str:
+        return _signed_sum((v, _power(self._VAR, e))
+                           for e, v in sorted(self._c.items(), reverse=True))
+
+
+class Laurent(_Univariate):
+    """Sparse Laurent polynomial in A with Fraction coefficients."""
+
+    __slots__ = ()
+    _VAR = "A"
+
+    # Own-namespace aliases: the benchmark's tracer wraps each arithmetic
+    # method through the class's own __dict__.
+    __add__ = _Sparse.__add__
+    __neg__ = _Sparse.__neg__
+    __sub__ = _Sparse.__sub__
+    __mul__ = _Univariate.__mul__
+    __rmul__ = _Univariate.__rmul__
+    scale = _Sparse.scale
+    __pow__ = _Univariate.__pow__
+
     def s_involution(self) -> "Laurent":
         """Substitute A := -1/A, mapping c*A**k to c*(-A)**(-k)."""
-        r = Laurent.__new__(Laurent)
-        r._c = {-e: (v if e % 2 == 0 else -v) for e, v in self._c.items()}
-        return r
+        return self._of({-e: (v if e % 2 == 0 else -v) for e, v in self._c.items()})
 
     def to_json(self) -> dict[str, str]:
         return {str(e): str(v) for e, v in sorted(self._c.items())}
@@ -160,132 +230,23 @@ class Laurent:
     def from_json(obj: Mapping[str, str]) -> "Laurent":
         return Laurent({int(e): Fraction(v) for e, v in obj.items()})
 
-    def text(self) -> str:
-        if not self._c:
-            return "0"
-        parts = []
-        for e, v in sorted(self._c.items(), reverse=True):
-            if e == 0:
-                mon = str(abs(v))
-            else:
-                a = "A" if e == 1 else f"A^{e}"
-                mon = a if abs(v) == 1 else f"{abs(v)}*{a}"
-            parts.append(("- " if v < 0 else "+ ") + mon)
-        head = parts[0][2:] if parts[0][0] == "+" else "-" + parts[0][2:]
-        return " ".join([head] + parts[1:])
-
-    def __repr__(self) -> str:
-        return f"Laurent({self.text()})"
-
 
 #: The substitution image of g, i.e. -A + 1/A.
 GAMMA_A = Laurent({1: -1, -1: 1})
 
 
-class GammaPoly:
+class GammaPoly(_Univariate):
     """Sparse polynomial in g (nonnegative exponents only)."""
 
-    __slots__ = ("_c",)
-
-    def __init__(self, coeffs: Mapping[int, object] | None = None):
-        c = {}
-        if coeffs:
-            for e, v in coeffs.items():
-                e = int(e)
-                if e < 0:
-                    raise ValueError("negative exponent of g")
-                v = _frac(v)
-                if v:
-                    c[e] = v
-        self._c = c
+    __slots__ = ()
+    _VAR = "g"
 
     @staticmethod
-    def zero() -> "GammaPoly":
-        return GammaPoly()
-
-    @staticmethod
-    def const(v) -> "GammaPoly":
-        return GammaPoly({0: v})
-
-    @staticmethod
-    def var() -> "GammaPoly":
-        return GammaPoly({1: 1})
-
-    def items(self) -> Iterator[tuple[int, Fraction]]:
-        return iter(sorted(self._c.items()))
-
-    def coeff(self, d: int) -> Fraction:
-        return self._c.get(d, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def degree(self) -> int | None:
-        return max(self._c) if self._c else None
-
-    def __bool__(self) -> bool:
-        return bool(self._c)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GammaPoly):
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._c.items()))
-
-    def __add__(self, other: "GammaPoly") -> "GammaPoly":
-        out = dict(self._c)
-        for e, v in other._c.items():
-            s = out.get(e, 0) + v
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return GammaPoly(out)
-
-    def __neg__(self) -> "GammaPoly":
-        return GammaPoly({e: -v for e, v in self._c.items()})
-
-    def __sub__(self, other: "GammaPoly") -> "GammaPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "GammaPoly":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        out: dict[int, Fraction] = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                e = e1 + e2
-                s = out.get(e, 0) + v1 * v2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return GammaPoly(out)
-
-    __rmul__ = __mul__
-
-    def scale(self, v) -> "GammaPoly":
-        v = _frac(v)
-        return GammaPoly({e: c * v for e, c in self._c.items()}) if v else GammaPoly()
-
-    def text(self) -> str:
-        if not self._c:
-            return "0"
-        parts = []
-        for e, v in sorted(self._c.items(), reverse=True):
-            if e == 0:
-                mon = str(abs(v))
-            else:
-                gp = "g" if e == 1 else f"g^{e}"
-                mon = gp if abs(v) == 1 else f"{abs(v)}*{gp}"
-            parts.append(("- " if v < 0 else "+ ") + mon)
-        head = parts[0][2:] if parts[0][0] == "+" else "-" + parts[0][2:]
-        return " ".join([head] + parts[1:])
-
-    def __repr__(self) -> str:
-        return f"GammaPoly({self.text()})"
+    def _key(e) -> int:
+        e = int(e)
+        if e < 0:
+            raise ValueError("negative exponent of g")
+        return e
 
 
 def subst_gamma(p: GammaPoly) -> Laurent:
@@ -355,10 +316,6 @@ def p_neg(a: Poly) -> Poly:
     return tuple(-x for x in a)
 
 
-def p_sub(a: Poly, b: Poly) -> Poly:
-    return p_add(a, p_neg(b))
-
-
 def p_mul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return P_ZERO
@@ -399,21 +356,8 @@ def p_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def p_text(a: Poly, name: str = "a") -> str:
-    if not a:
-        return "0"
-    parts = []
-    for e in range(len(a) - 1, -1, -1):
-        v = a[e]
-        if not v:
-            continue
-        if e == 0:
-            mon = str(abs(v))
-        else:
-            x = name if e == 1 else f"{name}^{e}"
-            mon = x if abs(v) == 1 else f"{abs(v)}*{x}"
-        parts.append(("- " if v < 0 else "+ ") + mon)
-    head = parts[0][2:] if parts[0][0] == "+" else "-" + parts[0][2:]
-    return " ".join([head] + parts[1:])
+    return _signed_sum((a[e], _power(name, e))
+                       for e in range(len(a) - 1, -1, -1) if a[e])
 
 
 def p_parse(s: str, name: str = "a") -> Poly:
@@ -585,91 +529,47 @@ def alpha_to_A(r: RatFunc) -> Laurent:
 KLKey = tuple[int, tuple[int, ...]]  # (gamma exponent, mu weakly decreasing)
 
 
-def _kl_key(g: int, mu: Iterable[int]) -> KLKey:
-    mu = tuple(sorted(mu, reverse=True))
-    if any(m < 2 for m in mu):
-        raise ValueError(f"mu parts must be >= 2: {mu}")
-    if g < 0:
-        raise ValueError("negative gamma exponent")
-    return (g, mu)
-
-
-class KLPoly:
+class KLPoly(_Sparse):
     """Element of Q[g; R2, R3, ...], stored as a map (g, mu) -> coefficient."""
 
-    __slots__ = ("_t",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[KLKey, object] | None = None):
-        t = {}
-        if terms:
-            for (g, mu), v in terms.items():
-                v = _frac(v)
-                if v:
-                    t[_kl_key(g, mu)] = v
-        self._t = t
+    # Own-namespace aliases, as in Laurent.
+    __add__ = _Sparse.__add__
+    __neg__ = _Sparse.__neg__
+    __sub__ = _Sparse.__sub__
+    scale = _Sparse.scale
 
     @staticmethod
-    def zero() -> "KLPoly":
-        return KLPoly()
+    def _key(key) -> KLKey:
+        g, mu = key
+        mu = tuple(sorted(mu, reverse=True))
+        if any(m < 2 for m in mu):
+            raise ValueError(f"mu parts must be >= 2: {mu}")
+        if g < 0:
+            raise ValueError("negative gamma exponent")
+        return (g, mu)
+
+    @staticmethod
+    def _order(item):
+        """Graded order: by g + |mu|, then by g, then by mu decreasing."""
+        (g, mu), _ = item
+        return (g + sum(mu), g, tuple(-m for m in mu))
 
     @staticmethod
     def term(g: int, mu: Iterable[int], coeff=1) -> "KLPoly":
         return KLPoly({(g, tuple(mu)): coeff})
 
-    def items(self) -> Iterator[tuple[KLKey, Fraction]]:
-        return iter(sorted(self._t.items(), key=_kl_sort_key))
-
     def coeff(self, g: int, mu: Iterable[int]) -> Fraction:
-        return self._t.get(_kl_key(g, mu), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self._t
-
-    def __bool__(self) -> bool:
-        return bool(self._t)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, KLPoly):
-            return NotImplemented
-        return self._t == other._t
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._t.items()))
-
-    def __add__(self, other: "KLPoly") -> "KLPoly":
-        out = dict(self._t)
-        for k, v in other._t.items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        r = KLPoly.__new__(KLPoly)
-        r._t = out
-        return r
-
-    def __neg__(self) -> "KLPoly":
-        r = KLPoly.__new__(KLPoly)
-        r._t = {k: -v for k, v in self._t.items()}
-        return r
-
-    def __sub__(self, other: "KLPoly") -> "KLPoly":
-        return self + (-other)
-
-    def scale(self, v) -> "KLPoly":
-        v = _frac(v)
-        r = KLPoly.__new__(KLPoly)
-        r._t = {k: c * v for k, c in self._t.items()} if v else {}
-        return r
+        return self._c.get(self._key((g, mu)), Fraction(0))
 
     def graded_part(self, d: int) -> "KLPoly":
         """Keep exactly the keys with g + |mu| = d."""
-        r = KLPoly.__new__(KLPoly)
-        r._t = {(g, mu): v for (g, mu), v in self._t.items() if g + sum(mu) == d}
-        return r
+        return self._of({(g, mu): v for (g, mu), v in self._c.items()
+                         if g + sum(mu) == d})
 
     def gradings(self) -> set[int]:
-        return {g + sum(mu) for (g, mu) in self._t}
+        return {g + sum(mu) for (g, mu) in self._c}
 
     def to_json(self) -> list[dict]:
         return [{"gamma": g, "mu": list(mu), "coeff": str(v)}
@@ -681,26 +581,6 @@ class KLPoly:
                        Fraction(o["coeff"]) for o in arr})
 
     def text(self) -> str:
-        if not self._t:
-            return "0"
-        parts = []
-        for (g, mu), v in self.items():
-            factors = [f"R{m}" for m in mu]
-            if g == 1:
-                factors.append("g")
-            elif g > 1:
-                factors.append(f"g^{g}")
-            mon = "*".join(factors) if factors else "1"
-            if abs(v) != 1 or not factors:
-                mon = f"{abs(v)}*{mon}" if factors else str(abs(v))
-            parts.append(("- " if v < 0 else "+ ") + mon)
-        head = parts[0][2:] if parts[0][0] == "+" else "-" + parts[0][2:]
-        return " ".join([head] + parts[1:])
-
-    def __repr__(self) -> str:
-        return f"KLPoly({self.text()})"
-
-
-def _kl_sort_key(item):
-    (g, mu), _ = item
-    return (g + sum(mu), g, tuple(-m for m in mu))
+        """Terms in graded order, each as R-factors then the g power."""
+        return _signed_sum((v, [f"R{m}" for m in mu] + _power("g", g))
+                           for (g, mu), v in self.items())

@@ -167,3 +167,27 @@ def test_wrong_shape_jack_file_is_a_miss(tmp_path, capsys, bad):
     assert out == expected
     for path in files:
         assert "coeffs" in json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_unusable_cache_dir_is_usage_error(tmp_path, capsys, sub):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    path = blocker / sub if sub else blocker
+    code = cli.main(["--cache-dir", str(path), "kl-top", "2"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: cannot use --cache-dir")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("blocked", ["kltop_2.json.tmp", "kltop_2.json"])
+def test_failed_cache_write_is_skipped(tmp_path, capsys, blocked):
+    (tmp_path / blocked).mkdir()
+    topdegree._KL_TOP_CACHE.pop(2, None)
+    code = cli.main(["--cache-dir", str(tmp_path), "kl-top", "2",
+                     "--format", "text"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out == "R3 + R2*g\n"
+    assert captured.err.startswith("warning: cache write skipped")
+    assert captured.err.count("\n") == 1

@@ -178,3 +178,79 @@ def test_kl_scale():
 def test_gamma_images_are_involution_invariant(p):
     image = subst_gamma(p)
     assert image.s_involution() == image
+
+
+# Text forms: one printer serves all four value spaces, and RatFunc.text is
+# what the disk cache stores, so these strings must not drift.
+@pytest.mark.parametrize("value, text", [
+    (L({1: 1, -1: -1}), "A - A^-1"),
+    (L({0: 3}), "3"),
+    (L({2: -1, 0: Fraction(1, 2)}), "-A^2 + 1/2"),
+    (L({-2: Fraction(-3, 2)}), "-3/2*A^-2"),
+    (Laurent.zero(), "0"),
+    (GammaPoly({2: 1, 1: -2, 0: 1}), "g^2 - 2*g + 1"),
+    (GammaPoly({1: -1}), "-g"),
+    (GammaPoly({0: Fraction(-2, 3)}), "-2/3"),
+    (GammaPoly.zero(), "0"),
+    (KLPoly({(0, ()): 1}), "1"),
+    (KLPoly({(0, ()): Fraction(-7, 2), (0, (2,)): 1}), "-7/2 + R2"),
+    (KLPoly({(2, ()): 1, (1, ()): -3}), "-3*g + g^2"),
+    (KLPoly({(0, (2, 2)): Fraction(-5, 2), (2, (3,)): 1, (1, (3,)): 6}),
+     "-5/2*R2*R2 + 6*R3*g + R3*g^2"),
+    (KLPoly.zero(), "0"),
+    ((RatFunc.alpha() * 3 - RatFunc(Fraction(1, 2))) / (RatFunc.alpha() + 2),
+     "(3*a - 1/2)/(a + 2)"),
+    (RatFunc(-1), "-1"),
+    (RatFunc((Fraction(0), Fraction(0), Fraction(-1))), "-a^2"),
+    (RatFunc(1) / RatFunc.alpha(), "(1)/(a)"),
+    (RatFunc(0), "0"),
+])
+def test_text_goldens(value, text):
+    assert value.text() == text
+    assert repr(value) == f"{type(value).__name__}({text})"
+
+
+def test_equality_is_strict_on_type():
+    assert Laurent({0: 1}) != GammaPoly({0: 1})
+    assert GammaPoly({1: 2}) != KLPoly({(1, ()): 2})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GammaPoly({-1: 1}),
+    lambda: KLPoly({(0, (1,)): 1}),
+    lambda: KLPoly({(0, (3, 0)): 1}),
+    lambda: KLPoly({(-1, (2,)): 1}),
+    lambda: KLPoly.term(0, (2,)).coeff(0, (1,)),
+])
+def test_invalid_keys_raise(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+kl_keys = st.tuples(st.integers(0, 3),
+                    st.lists(st.integers(2, 5), max_size=3).map(tuple))
+kl_polys = st.dictionaries(kl_keys, small_fracs, max_size=4).map(KLPoly)
+sparse_triples = (st.tuples(gamma_polys, gamma_polys, gamma_polys)
+                  | st.tuples(kl_polys, kl_polys, kl_polys))
+
+
+@given(sparse_triples, small_fracs, small_fracs)
+def test_additive_group_and_scale_laws(abc, x, y):
+    a, b, c = abc
+    zero = type(a).zero()
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+    assert a + zero == a and (a - a) == zero and -(-a) == a
+    assert a - b == a + (-b)
+    assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+    assert a.scale(x).scale(y) == a.scale(x * y)
+    assert (a + b).scale(x) == a.scale(x) + b.scale(x)
+    assert a.scale(x + y) == a.scale(x) + a.scale(y)
+    assert a.scale(1) == a and a.scale(0) == zero
+
+
+@given(gamma_polys, gamma_polys, st.integers(0, 3))
+@settings(max_examples=40)
+def test_subst_gamma_is_multiplicative(p, q, k):
+    assert subst_gamma(p * q) == subst_gamma(p) * subst_gamma(q)
+    assert subst_gamma(p ** k) == subst_gamma(p) ** k
