@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as _itproduct
+from math import gcd, lcm
 from typing import Callable, Sequence
 
 from .exact import KLPoly, Laurent, gamma_power_A
@@ -162,35 +163,67 @@ def _extra_nodes(m: int, grid_max: int) -> list[tuple]:
 
 def _solve_rational_system(rows: list[list[Fraction]], rhs: list,
                            unknowns: int) -> list:
-    """Gaussian elimination over Q; unique solution required.
+    """Unique solution of an overdetermined system over Q, by select, solve
+    and verify.
 
-    The right-hand sides may be rationals or Laurent polynomials (anything
-    closed under scaling by a rational).  Requires full column rank and
-    consistency of the overdetermined rows.
+    Select: each row is scaled by the lcm of its denominators, its content
+    divided out, and reduced fraction-free against the integer echelon rows
+    picked so far; a row that does not reduce to zero is independent and is
+    picked, until `unknowns` rows are.  Solve: Gauss-Jordan on the picked
+    square subsystem, kept integral (each row operation cross-multiplies,
+    then divides out the row content; the right-hand side follows its row).
+    Verify: every row, picked or not, must hold exactly.  The right-hand
+    sides may be rationals or Laurent polynomials (anything closed under
+    scaling by a rational).  Raises RankDeficient when the rank is below
+    `unknowns` or a row does not hold.
     """
-    m = [row[:] for row in rows]
-    b = rhs[:]
-    nrows = len(m)
-    r = 0
+    m: list[list[int]] = []
+    b: list = []
+    echelon: list[tuple[int, list[int]]] = []
+    for row, value in zip(rows, rhs):
+        if len(m) == unknowns:
+            break
+        den = lcm(*(x.denominator for x in row))
+        ints, g = _primitive([int(x * den) for x in row])
+        r = ints
+        for col, e in echelon:
+            if r[col]:
+                r, _ = _primitive([e[col] * x - r[col] * y
+                                   for x, y in zip(r, e)])
+        piv = next((c for c, x in enumerate(r) if x), None)
+        if piv is not None:
+            echelon.append((piv, r))
+            m.append(ints)
+            b.append(value * Fraction(den, g))
+    if len(m) < unknowns:
+        raise RankDeficient(f"rank {len(m)} < {unknowns} unknowns")
+
     for col in range(unknowns):
-        piv = next((i for i in range(r, nrows) if m[i][col]), None)
-        if piv is None:
-            raise RankDeficient(f"rank-deficient at column {col}")
-        m[r], m[piv] = m[piv], m[r]
-        b[r], b[piv] = b[piv], b[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        b[r] = b[r] * inv
-        for i in range(nrows):
-            if i != r and m[i][col]:
-                factor = m[i][col]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-                b[i] = b[i] - factor * b[r]
-        r += 1
-    for i in range(r, nrows):
-        if b[i]:
+        piv = next(i for i in range(col, unknowns) if m[i][col])
+        m[col], m[piv] = m[piv], m[col]
+        b[col], b[piv] = b[piv], b[col]
+        p = m[col][col]
+        for i in range(unknowns):
+            c = m[i][col]
+            if i != col and c:
+                m[i], g = _primitive([p * x - c * y
+                                      for x, y in zip(m[i], m[col])])
+                b[i] = (b[i] * p - b[col] * c) * Fraction(1, g)
+    b = [v * Fraction(1, m[i][i]) for i, v in enumerate(b)]
+
+    for i, (row, value) in enumerate(zip(rows, rhs)):
+        for x, y in zip(row, b):
+            if x:
+                value = value - x * y
+        if value:
             raise RankDeficient(f"inconsistent row {i}")
-    return b[:unknowns]
+    return b
+
+
+def _primitive(row: list[int]) -> tuple[list[int], int]:
+    """row divided by its content, and the content (1 for a zero row)."""
+    g = gcd(*row) or 1
+    return ([x // g for x in row] if g > 1 else row), g
 
 
 # ---------------------------------------------------------------------------

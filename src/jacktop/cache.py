@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from contextlib import suppress
 
 from .exact import KLPoly, RatFunc
 from .young import Partition, format_partition, parse_partition
@@ -50,7 +51,8 @@ class Cache:
     def _write(self, name: str, doc: dict) -> None:
         """Store the document; a write that fails (say, a directory in the
         way) is reported on stderr and skipped, since the value is already
-        computed and the next run only recomputes it."""
+        computed and the next run only recomputes it.  A temporary file it
+        leaves is removed, best effort."""
         doc = {"schema": SCHEMA_VERSION, **doc}
         tmp = self._path(name + ".tmp")
         try:
@@ -59,6 +61,8 @@ class Cache:
             os.replace(tmp, self._path(name))
         except OSError as exc:
             print(f"warning: cache write skipped: {exc}", file=sys.stderr)
+            with suppress(OSError):
+                os.remove(tmp)
 
     @staticmethod
     def _jack_name(lam: Partition) -> str:

@@ -7,11 +7,17 @@ eigenvector of the deformed Laplace-Beltrami operator
 
 restricted to symmetric polynomials of degree n in n variables, where the
 operator matrix is dominance-triangular and the eigenvalues separate along
-dominance, so a back-substitution per diagram suffices.  The result is
-scaled to the J normalization (coefficient n! on the bottom monomial), then
-converted to the power-sum basis; the expansion coefficients are the
-unnormalized characters, which the normalized character wraps per the
-classical binomial/z-factor prescription with alpha = A**2.
+dominance, so a back-substitution per diagram suffices.  It runs in the J
+normalization from the start: the top entry is the known leading
+coefficient c_lambda(alpha) = prod over boxes of (alpha*arm + leg + 1), and
+by Knop-Sahi integrality every later entry is a polynomial in alpha, so
+each one is an exact polynomial division of its accumulator by the linear
+eigenvalue difference.  No step needs a rational function or a gcd; a
+nonzero remainder, or a bottom coefficient other than n!, raises.  The
+vector is then converted to the power-sum basis; the expansion
+coefficients are the unnormalized characters, which the normalized
+character wraps per the classical binomial/z-factor prescription with
+alpha = A**2.
 
 A Gram-Schmidt construction against the deformed power-sum inner product
 is provided as an independent cross-check of the same polynomials.
@@ -23,9 +29,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .exact import Laurent, RatFunc, alpha_to_A
+from .exact import (P_ONE, P_ZERO, Laurent, Poly, RatFunc, alpha_to_A, p_add,
+                    p_divmod, p_mul, p_neg, p_scale, p_trim)
 from .young import (Partition, binom, length, multiplicities, partition,
-                    partitions_of, size, z_factor)
+                    partitions_of, size, transpose, z_factor)
 
 DEFAULT_SIZE_BOUND = 8
 
@@ -259,24 +266,29 @@ class _Basis:
                        for pi in self.parts]
         self._theta_solver: list[list[Fraction]] | None = None
 
-    def eigenvalue(self, nu_idx: int) -> RatFunc:
-        return RatFunc((Fraction(self.u_cols[nu_idx].get(nu_idx, 0)),
-                        self.alpha_diag[nu_idx]))
+    def eigenvalue(self, nu_idx: int) -> Poly:
+        return p_trim([Fraction(self.u_cols[nu_idx].get(nu_idx, 0)),
+                       self.alpha_diag[nu_idx]])
 
     def theta_from_m(self, rhs: list[RatFunc]) -> list[RatFunc]:
-        """Convert a monomial-basis vector to power-sum coefficients."""
+        """Convert a monomial-basis vector of polynomials in alpha to
+        power-sum coefficients (a rational matrix times the vector)."""
         if self._theta_solver is None:
             self._theta_solver = _invert_rational(
                 [[Fraction(self.p_in_m[c][r]) for c in range(len(self.parts))]
                  for r in range(len(self.parts))])
-        inv = self._theta_solver
+        polys = []
+        for value in rhs:
+            if value.den != P_ONE:
+                raise ValueError(f"not a polynomial in alpha: {value.text()}")
+            polys.append(value.num)
         out = []
-        for row in inv:
-            acc = RatFunc(0)
-            for coeff, value in zip(row, rhs):
-                if coeff and value:
-                    acc = acc + coeff * value
-            out.append(acc)
+        for row in self._theta_solver:
+            acc = P_ZERO
+            for coeff, poly in zip(row, polys):
+                if coeff and poly:
+                    acc = p_add(acc, p_scale(poly, coeff))
+            out.append(RatFunc(acc, reduced=True))
         return out
 
 
@@ -303,40 +315,49 @@ def _invert_rational(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[k:] for row in m]
 
 
+def _j_leading(lam: Partition) -> Poly:
+    """c_lambda(alpha) = prod over boxes of (alpha*arm + leg + 1): the
+    coefficient of m_lambda in the J-normalized Jack polynomial."""
+    cols = transpose(lam)
+    out: Poly = (Fraction(1),)
+    for y, row in enumerate(lam):
+        for x in range(row):
+            arm, leg = row - x - 1, cols[x] - y - 1
+            out = p_mul(out, (Fraction(leg + 1), Fraction(arm)))
+    return out
+
+
 def _jack_m_vector(lam: Partition) -> dict[Partition, RatFunc]:
-    """J-normalized Jack polynomial of lam in the monomial basis."""
+    """J-normalized Jack polynomial of lam in the monomial basis, by
+    back-substitution in Q[alpha] with exact division."""
     n = size(lam)
     basis = _basis(n)
     li = basis.index[lam]
     e_lam = basis.eigenvalue(li)
     k = len(basis.parts)
-    v: list[RatFunc | None] = [None] * k
-    for idx in range(k):
-        if idx < li:
-            v[idx] = RatFunc(0)
-            continue
-        if idx == li:
-            v[idx] = RatFunc(1)
-            continue
-        acc = RatFunc(0)
+    v: list[Poly] = [P_ZERO] * k
+    v[li] = _j_leading(lam)
+    for idx in range(li + 1, k):
+        acc = P_ZERO
         for nu_idx in range(li, idx):
             c = basis.u_cols[nu_idx].get(idx, 0)
             if c and v[nu_idx]:
-                acc = acc + Fraction(c) * v[nu_idx]
-        if acc.is_zero():
-            v[idx] = RatFunc(0)
+                acc = p_add(acc, p_scale(v[nu_idx], c))
+        if not acc:
             continue
-        denom = e_lam - basis.eigenvalue(idx)
-        if denom.is_zero():
+        denom = p_add(e_lam, p_neg(basis.eigenvalue(idx)))
+        if not denom:
             raise AssertionError(
                 f"eigenvalue collision below {lam}: {basis.parts[idx]}")
-        v[idx] = acc / denom
-    bottom = v[basis.index[tuple([1] * n)]] if n else RatFunc(1)
-    if bottom.is_zero():
-        raise AssertionError(f"vanishing bottom coefficient for {lam}")
-    scale = RatFunc(factorial(n)) / bottom
-    return {mu: v[i] * scale for i, mu in enumerate(basis.parts)
-            if v[i] and not v[i].is_zero()}
+        v[idx], rem = p_divmod(acc, denom)
+        if rem:
+            raise AssertionError(
+                f"non-polynomial coefficient at {basis.parts[idx]} in {lam}")
+    bottom = v[basis.index[tuple([1] * n)]]
+    if bottom != (Fraction(factorial(n)),):
+        raise AssertionError(f"bottom coefficient of {lam} is not {n}!")
+    return {mu: RatFunc(v[i], reduced=True)
+            for i, mu in enumerate(basis.parts) if v[i]}
 
 
 _POWERSUM_CACHE: dict[Partition, dict[Partition, RatFunc]] = {}

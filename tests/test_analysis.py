@@ -1,9 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jacktop.analysis import (RankDeficient, check_K_conditions, check_p1top,
-                              check_T3, fit_row_polynomial, iterated_delta,
+from jacktop import analysis
+from jacktop.analysis import (RankDeficient, _solve_rational_system,
+                              check_K_conditions, check_p1top, check_T3,
+                              fit_row_polynomial, iterated_delta,
                               kl_expand_full, kl_expansion_keys, sym_eval,
                               t3_cases)
 from jacktop.exact import KLPoly, Laurent
@@ -100,10 +104,99 @@ def test_kl_expand_full_tables():
 
 
 def test_kl_expand_full_top_and_gap():
-    for n in range(1, 5):
+    for n in range(1, 8):
         full = kl_expand_full(n)
-        assert full.graded_part(n + 1) == kl_top(n), n
+        assert full.graded_part(n + 1) == kl_top(n, budget=7), n
         assert full.graded_part(n).is_zero(), n
+
+
+def gauss_jordan_all_rows(rows, rhs, unknowns):
+    """Reference solver: Gauss-Jordan over Q on every row at once, then the
+    rows left below the pivots must have zero right-hand sides."""
+    m = [row[:] for row in rows]
+    b = rhs[:]
+    nrows = len(m)
+    r = 0
+    for col in range(unknowns):
+        piv = next((i for i in range(r, nrows) if m[i][col]), None)
+        if piv is None:
+            raise RankDeficient(f"rank-deficient at column {col}")
+        m[r], m[piv] = m[piv], m[r]
+        b[r], b[piv] = b[piv], b[r]
+        inv = 1 / m[r][col]
+        m[r] = [x * inv for x in m[r]]
+        b[r] = b[r] * inv
+        for i in range(nrows):
+            if i != r and m[i][col]:
+                factor = m[i][col]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+                b[i] = b[i] - factor * b[r]
+        r += 1
+    for i in range(r, nrows):
+        if b[i]:
+            raise RankDeficient(f"inconsistent row {i}")
+    return b[:unknowns]
+
+
+def outcome(solver, rows, rhs, unknowns):
+    try:
+        return solver(rows, rhs, unknowns)
+    except RankDeficient:
+        return RankDeficient
+
+
+small_fracs = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+small_laurents = st.dictionaries(st.integers(-2, 2), small_fracs,
+                                 max_size=3).map(Laurent)
+
+
+@st.composite
+def linear_systems(draw):
+    """Small systems with Fraction or Laurent right-hand sides: either
+    consistent by construction (right-hand side = rows times a drawn
+    solution) or drawn freely (mostly inconsistent), over full-rank and
+    rank-deficient matrices alike."""
+    unknowns = draw(st.integers(1, 4))
+    nrows = draw(st.integers(0, unknowns + 3))
+    rows = draw(st.lists(st.lists(small_fracs, min_size=unknowns,
+                                  max_size=unknowns),
+                         min_size=nrows, max_size=nrows))
+    values = draw(st.sampled_from([small_fracs, small_laurents]))
+    if draw(st.booleans()):
+        x = draw(st.lists(values, min_size=unknowns, max_size=unknowns))
+        rhs = []
+        for row in rows:
+            total = x[0] * 0
+            for a, y in zip(row, x):
+                total = total + a * y
+            rhs.append(total)
+    else:
+        rhs = draw(st.lists(values, min_size=nrows, max_size=nrows))
+    return rows, rhs, unknowns
+
+
+@given(linear_systems())
+@settings(max_examples=300)
+def test_solver_matches_all_rows_gauss_jordan(system):
+    rows, rhs, unknowns = system
+    assert outcome(_solve_rational_system, rows, rhs, unknowns) == \
+        outcome(gauss_jordan_all_rows, rows, rhs, unknowns)
+
+
+def test_solver_matches_all_rows_gauss_jordan_on_kl_fits(monkeypatch):
+    systems = []
+
+    def record(rows, rhs, unknowns):
+        systems.append((rows, rhs, unknowns))
+        return _solve_rational_system(rows, rhs, unknowns)
+
+    monkeypatch.setattr(analysis, "_solve_rational_system", record)
+    for n in range(1, 6):
+        kl_expand_full(n)
+    assert len(systems) == 5
+    for rows, rhs, unknowns in systems:
+        assert _solve_rational_system(rows, rhs, unknowns) == \
+            gauss_jordan_all_rows(rows, rhs, unknowns)
 
 
 def test_check_k_conditions():

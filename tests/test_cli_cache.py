@@ -191,3 +191,5 @@ def test_failed_cache_write_is_skipped(tmp_path, capsys, blocked):
     assert code == 0 and captured.out == "R3 + R2*g\n"
     assert captured.err.startswith("warning: cache write skipped")
     assert captured.err.count("\n") == 1
+    if blocked == "kltop_2.json":
+        assert not (tmp_path / "kltop_2.json.tmp").exists()

@@ -1,13 +1,98 @@
+from fractions import Fraction
+from math import factorial
+
 import pytest
 
-from jacktop.exact import Laurent, RatFunc
+from jacktop import jackref
+from jacktop.exact import Laurent, RatFunc, p_scale
 from jacktop.jackref import (BoundExceeded, _apply_U, _basis, _collect_m,
-                             _count_assignments, _m_expand, jack_character,
+                             _count_assignments, _invert_rational,
+                             _j_leading, _m_expand, jack_character,
                              jack_m_expansion, jack_m_expansion_gram_schmidt,
                              jack_powersum)
 from jacktop.young import enumerate_partitions, partitions_of, size
 
 ALPHA = RatFunc.alpha()
+
+
+def ratfunc_m_vector(lam):
+    """Reference back-substitution in Q(alpha): P-normalized (coefficient 1
+    at m_lambda), every entry a reduced RatFunc quotient, then scaled so the
+    bottom monomial has coefficient n!."""
+    n = size(lam)
+    basis = _basis(n)
+    li = basis.index[lam]
+
+    def eigenvalue(i):
+        return RatFunc((Fraction(basis.u_cols[i].get(i, 0)),
+                        basis.alpha_diag[i]))
+
+    k = len(basis.parts)
+    v = [RatFunc(0)] * k
+    v[li] = RatFunc(1)
+    for idx in range(li + 1, k):
+        acc = RatFunc(0)
+        for nu_idx in range(li, idx):
+            c = basis.u_cols[nu_idx].get(idx, 0)
+            if c and v[nu_idx]:
+                acc = acc + Fraction(c) * v[nu_idx]
+        if acc:
+            v[idx] = acc / (eigenvalue(li) - eigenvalue(idx))
+    scale = RatFunc(factorial(n)) / v[basis.index[tuple([1] * n)]]
+    return {mu: v[i] * scale for i, mu in enumerate(basis.parts) if v[i]}
+
+
+def ratfunc_powersum(lam):
+    """Reference power-sum conversion: the inverse of the power-sum to
+    monomial matrix applied to the reference vector in RatFunc arithmetic."""
+    basis = _basis(size(lam))
+    k = len(basis.parts)
+    inv = _invert_rational([[Fraction(basis.p_in_m[c][r]) for c in range(k)]
+                            for r in range(k)])
+    mvec = ratfunc_m_vector(lam)
+    rhs = [mvec.get(mu, RatFunc(0)) for mu in basis.parts]
+    out = {}
+    for pi, row in zip(basis.parts, inv):
+        acc = RatFunc(0)
+        for coeff, value in zip(row, rhs):
+            if coeff and value:
+                acc = acc + coeff * value
+        if acc:
+            out[pi] = acc
+    return out
+
+
+def test_polynomial_oracle_matches_ratfunc_reference():
+    for lam in enumerate_partitions(8):
+        if lam == ():
+            continue
+        assert jack_m_expansion(lam) == ratfunc_m_vector(lam), lam
+        assert jack_powersum(lam) == ratfunc_powersum(lam), lam
+        assert all(c.den == (1,) for c in jack_powersum(lam).values()), lam
+
+
+def test_j_leading_hand_values():
+    one = Fraction(1)
+    assert _j_leading((2,)) == (one, one)
+    assert _j_leading((1, 1)) == (Fraction(2),)
+    assert _j_leading((3,)) == (one, Fraction(3), Fraction(2))
+    for lam in enumerate_partitions(6):
+        if lam:
+            assert jack_m_expansion(lam)[lam] == RatFunc(_j_leading(lam))
+
+
+def test_wrong_leading_coefficient_fails_bottom_check(monkeypatch):
+    leading = jackref._j_leading
+    monkeypatch.setattr(jackref, "_j_leading",
+                        lambda lam: p_scale(leading(lam), 2))
+    with pytest.raises(AssertionError, match="bottom coefficient"):
+        jack_m_expansion((2, 1))
+
+
+def test_theta_from_m_rejects_denominators():
+    basis = _basis(2)
+    with pytest.raises(ValueError):
+        basis.theta_from_m([RatFunc(1), RatFunc(1, (1, 1))])
 
 
 def test_u_matrix_matches_dense_oracle():
@@ -39,7 +124,6 @@ def test_small_jack_tables():
 
 
 def test_bottom_coefficients():
-    from math import factorial
     for n in range(1, 6):
         for lam in partitions_of(n):
             # the power-sum coefficient at 1^n is 1 ...
@@ -51,7 +135,7 @@ def test_bottom_coefficients():
 
 
 def test_gram_schmidt_cross_validation():
-    for lam in enumerate_partitions(4):
+    for lam in enumerate_partitions(5):
         if lam == ():
             continue
         assert jack_m_expansion(lam) == jack_m_expansion_gram_schmidt(lam), lam
