@@ -1,8 +1,9 @@
 """File cache: one JSON document per artifact, with a schema version.
 
 Artifacts are the per-diagram power-sum expansions of the oracle and the
-per-index g/R expansions of the top-degree part.  Stale schema versions and
-documents of the wrong shape are ignored, which forces a recompute.
+per-index g/R expansions of the top-degree part.  Stale schema versions,
+documents of the wrong shape and Jack documents that cannot belong to their
+diagram are ignored, which forces a recompute.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import os
 import sys
 from contextlib import suppress
 
-from .exact import KLPoly, RatFunc
-from .young import Partition, format_partition, parse_partition
+from .exact import P_ONE, KLPoly, RatFunc
+from .young import Partition, format_partition, parse_partition, size
 
 SCHEMA_VERSION = 1
 
@@ -69,9 +70,23 @@ class Cache:
         return "jack_" + format_partition(lam).replace(",", "-") + ".json"
 
     def load_jack(self, lam: Partition) -> dict[Partition, RatFunc] | None:
-        return self._read(self._jack_name(lam), lambda doc: {
-            parse_partition(k): RatFunc.parse(v)
-            for k, v in doc["coeffs"].items()})
+        """The stored expansion of lam, or None (a miss) when the document
+        names another diagram, a key is not a partition of |lam| in its
+        written form, or a value has a denominator."""
+        def decode(doc):
+            if doc["lambda"] != format_partition(lam):
+                raise ValueError("another diagram")
+            out = {}
+            for k, v in doc["coeffs"].items():
+                pi = parse_partition(k)
+                value = RatFunc.parse(v)
+                if (format_partition(pi) != k or size(pi) != size(lam)
+                        or value.den != P_ONE):
+                    raise ValueError(f"bad entry {k}: {v}")
+                out[pi] = value
+            return out
+
+        return self._read(self._jack_name(lam), decode)
 
     def store_jack(self, lam: Partition, coeffs: dict[Partition, RatFunc]) -> None:
         doc = {"lambda": format_partition(lam),

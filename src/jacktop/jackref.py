@@ -10,14 +10,17 @@ operator matrix is dominance-triangular and the eigenvalues separate along
 dominance, so a back-substitution per diagram suffices.  It runs in the J
 normalization from the start: the top entry is the known leading
 coefficient c_lambda(alpha) = prod over boxes of (alpha*arm + leg + 1), and
-by Knop-Sahi integrality every later entry is a polynomial in alpha, so
-each one is an exact polynomial division of its accumulator by the linear
-eigenvalue difference.  No step needs a rational function or a gcd; a
-nonzero remainder, or a bottom coefficient other than n!, raises.  The
-vector is then converted to the power-sum basis; the expansion
-coefficients are the unnormalized characters, which the normalized
-character wraps per the classical binomial/z-factor prescription with
-alpha = A**2.
+by Knop-Sahi integrality every later entry is a polynomial in alpha with
+integer coefficients, so each one is an exact division in Z[alpha] of its
+accumulator by the integer linear eigenvalue difference, done on Python
+ints.  No step needs a rational function or a gcd; a remainder, or a
+bottom coefficient other than n!, raises.  The vector is then converted to
+the power-sum basis by the inverse of the power-sum to monomial matrix,
+which is triangular and inverted once per degree; each of its columns is
+kept as integers over one common denominator, so the conversion too runs
+on ints and divides once per coefficient.  The expansion coefficients are
+the unnormalized characters, which the normalized character wraps per the
+classical binomial/z-factor prescription with alpha = A**2.
 
 A Gram-Schmidt construction against the deformed power-sum inner product
 is provided as an independent cross-check of the same polynomials.
@@ -27,10 +30,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
-from .exact import (P_ONE, P_ZERO, Laurent, Poly, RatFunc, alpha_to_A, p_add,
-                    p_divmod, p_mul, p_neg, p_scale, p_trim)
+from .exact import P_ONE, Laurent, RatFunc, alpha_to_A
 from .young import (Partition, binom, length, multiplicities, partition,
                     partitions_of, size, transpose, z_factor)
 
@@ -43,7 +45,7 @@ class BoundExceeded(ValueError):
 
 # ---------------------------------------------------------------------------
 # Dense-exponent machinery: a symmetric polynomial of degree n in n
-# variables is a dict {exponent tuple: int/Fraction}.  The coefficient of
+# variables is a dict {exponent tuple: int}.  The coefficient of
 # the monomial symmetric function m_mu is the entry at mu padded with zeros.
 
 def _distinct_perms(values: tuple):
@@ -258,38 +260,75 @@ class _Basis:
                 if c:
                     col[ri] = c
             self.u_cols.append(col)
-        # Diagonal alpha coefficient of (alpha/2) sum x**2 d**2 on m_nu.
-        self.alpha_diag = [Fraction(sum(x * (x - 1) for x in nu), 2)
+        # Diagonal alpha coefficient of (alpha/2) sum x**2 d**2 on m_nu; an
+        # integer, since sum x(x - 1) is even.
+        self.alpha_diag = [sum(x * (x - 1) for x in nu) // 2
                            for nu in self.parts]
-        # Power sums in the monomial basis: row pi of `p_in_m`.
+        # Power sums in the monomial basis: row pi of `p_in_m`, and its
+        # inverse: row mu of `m_in_p` is m_mu in the power-sum basis.
         self.p_in_m = [[_count_assignments(pi, mu) for mu in self.parts]
                        for pi in self.parts]
-        self._theta_solver: list[list[Fraction]] | None = None
+        self.m_in_p = _lower_inverse(self.p_in_m)
+        # Column pi of `m_in_p` as (row, integer numerator) pairs over one
+        # common denominator: the power-sum conversion runs on ints.
+        self._theta_solver: list[tuple[list[tuple[int, int]], int]] = []
+        for pi in range(k):
+            col = [(mu, self.m_in_p[mu][pi]) for mu in range(pi, k)
+                   if self.m_in_p[mu][pi]]
+            den = lcm(*(x.denominator for _, x in col))
+            self._theta_solver.append(
+                ([(mu, x.numerator * (den // x.denominator)) for mu, x in col],
+                 den))
 
-    def eigenvalue(self, nu_idx: int) -> Poly:
-        return p_trim([Fraction(self.u_cols[nu_idx].get(nu_idx, 0)),
-                       self.alpha_diag[nu_idx]])
+    def eigenvalue(self, nu_idx: int) -> tuple[int, int]:
+        """The eigenvalue on m_nu as the integer pair (d0, d1) of d0 + d1*alpha."""
+        return self.u_cols[nu_idx].get(nu_idx, 0), self.alpha_diag[nu_idx]
 
     def theta_from_m(self, rhs: list[RatFunc]) -> list[RatFunc]:
-        """Convert a monomial-basis vector of polynomials in alpha to
-        power-sum coefficients (a rational matrix times the vector)."""
-        if self._theta_solver is None:
-            self._theta_solver = _invert_rational(
-                [[Fraction(self.p_in_m[c][r]) for c in range(len(self.parts))]
-                 for r in range(len(self.parts))])
+        """Convert a monomial-basis vector of integer polynomials in alpha
+        to power-sum coefficients: theta_pi = sum over mu of
+        m_in_p[mu][pi] * rhs[mu], summed on ints and divided once."""
         polys = []
         for value in rhs:
-            if value.den != P_ONE:
-                raise ValueError(f"not a polynomial in alpha: {value.text()}")
-            polys.append(value.num)
+            if value.den != P_ONE or any(x.denominator != 1 for x in value.num):
+                raise ValueError(
+                    f"not an integer polynomial in alpha: {value.text()}")
+            polys.append([x.numerator for x in value.num])
         out = []
-        for row in self._theta_solver:
-            acc = P_ZERO
-            for coeff, poly in zip(row, polys):
-                if coeff and poly:
-                    acc = p_add(acc, p_scale(poly, coeff))
-            out.append(RatFunc(acc, reduced=True))
+        for entries, den in self._theta_solver:
+            acc: list[int] = []
+            for mu, c in entries:
+                _add_scaled(acc, c, polys[mu])
+            out.append(RatFunc(tuple(Fraction(x, den) for x in acc),
+                               reduced=True))
         return out
+
+
+def _lower_inverse(low: list[list[int]]) -> list[list[Fraction]]:
+    """Inverse of an integer lower-triangular matrix by substitution.
+
+    `p_in_m` is one: p_pi expands into the m_mu whose parts are unions of
+    parts of pi, which come no later in `parts` order, and its diagonal
+    entry is prod m_i(pi)!."""
+    k = len(low)
+    inv = [[Fraction(0)] * k for _ in range(k)]
+    for j in range(k):
+        inv[j][j] = Fraction(1, low[j][j])
+        for i in range(j + 1, k):
+            acc = sum(low[i][m] * inv[m][j] for m in range(j, i) if low[i][m])
+            if acc:
+                inv[i][j] = -acc / low[i][i]
+    return inv
+
+
+def _add_scaled(acc: list[int], c: int, poly: list[int]) -> None:
+    """acc += c * poly on integer coefficient lists; acc stays trimmed."""
+    if len(poly) > len(acc):
+        acc.extend([0] * (len(poly) - len(acc)))
+    for e, x in enumerate(poly):
+        acc[e] += c * x
+    while acc and not acc[-1]:
+        acc.pop()
 
 
 @lru_cache(maxsize=None)
@@ -297,66 +336,71 @@ def _basis(n: int) -> _Basis:
     return _Basis(n)
 
 
-def _invert_rational(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse of a rational matrix by Gauss-Jordan elimination."""
-    k = len(matrix)
-    m = [row[:] + [Fraction(int(i == j)) for j in range(k)]
-         for i, row in enumerate(matrix)]
-    for col in range(k):
-        piv = next(r for r in range(col, k) if m[r][col])
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(k):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[k:] for row in m]
-
-
-def _j_leading(lam: Partition) -> Poly:
+def _j_leading(lam: Partition) -> tuple[int, ...]:
     """c_lambda(alpha) = prod over boxes of (alpha*arm + leg + 1): the
-    coefficient of m_lambda in the J-normalized Jack polynomial."""
+    coefficient of m_lambda in the J-normalized Jack polynomial, as its
+    integer coefficients in increasing degree."""
     cols = transpose(lam)
-    out: Poly = (Fraction(1),)
+    out = [1]
     for y, row in enumerate(lam):
         for x in range(row):
             arm, leg = row - x - 1, cols[x] - y - 1
-            out = p_mul(out, (Fraction(leg + 1), Fraction(arm)))
-    return out
+            nxt = [0] * (len(out) + 1)
+            for e, c in enumerate(out):
+                nxt[e] += (leg + 1) * c
+                nxt[e + 1] += arm * c
+            out = nxt
+    while not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _div_exact(acc: list[int], div: list[int]) -> list[int] | None:
+    """acc / div in Z[alpha] by synthetic division from the top (div
+    trimmed), or None when some step leaves a remainder."""
+    top = len(div) - 1
+    rem = acc[:]
+    quo = [0] * (len(acc) - top)
+    for i in range(len(quo) - 1, -1, -1):
+        q, r = divmod(rem[i + top], div[top])
+        if r:
+            return None
+        quo[i] = q
+        for j in range(top):
+            rem[i + j] -= q * div[j]
+    return None if any(rem[:top]) else quo
 
 
 def _jack_m_vector(lam: Partition) -> dict[Partition, RatFunc]:
     """J-normalized Jack polynomial of lam in the monomial basis, by
-    back-substitution in Q[alpha] with exact division."""
+    back-substitution in Z[alpha] with exact division."""
     n = size(lam)
     basis = _basis(n)
     li = basis.index[lam]
-    e_lam = basis.eigenvalue(li)
+    e0, e1 = basis.eigenvalue(li)
     k = len(basis.parts)
-    v: list[Poly] = [P_ZERO] * k
-    v[li] = _j_leading(lam)
+    v: list[list[int]] = [[] for _ in range(k)]
+    v[li] = list(_j_leading(lam))
     for idx in range(li + 1, k):
-        acc = P_ZERO
+        acc: list[int] = []
         for nu_idx in range(li, idx):
             c = basis.u_cols[nu_idx].get(idx, 0)
             if c and v[nu_idx]:
-                acc = p_add(acc, p_scale(v[nu_idx], c))
+                _add_scaled(acc, c, v[nu_idx])
         if not acc:
             continue
-        denom = p_add(e_lam, p_neg(basis.eigenvalue(idx)))
-        if not denom:
+        f0, f1 = basis.eigenvalue(idx)
+        if e0 == f0 and e1 == f1:
             raise AssertionError(
                 f"eigenvalue collision below {lam}: {basis.parts[idx]}")
-        v[idx], rem = p_divmod(acc, denom)
-        if rem:
+        quo = _div_exact(acc, [e0 - f0, e1 - f1] if e1 != f1 else [e0 - f0])
+        if quo is None:
             raise AssertionError(
                 f"non-polynomial coefficient at {basis.parts[idx]} in {lam}")
-    bottom = v[basis.index[tuple([1] * n)]]
-    if bottom != (Fraction(factorial(n)),):
+        v[idx] = quo
+    if v[basis.index[tuple([1] * n)]] != [factorial(n)]:
         raise AssertionError(f"bottom coefficient of {lam} is not {n}!")
-    return {mu: RatFunc(v[i], reduced=True)
+    return {mu: RatFunc(tuple(Fraction(x) for x in v[i]), reduced=True)
             for i, mu in enumerate(basis.parts) if v[i]}
 
 
@@ -423,9 +467,6 @@ def jack_m_expansion_gram_schmidt(lam: Partition) -> dict[Partition, RatFunc]:
     basis = _basis(n)
     parts = basis.parts
     k = len(parts)
-    # m_mu in the p basis: row mu of the inverse of the p->m rows over Q.
-    m_in_p = _invert_rational([[Fraction(x) for x in row]
-                               for row in basis.p_in_m])
 
     def inner(u: list[RatFunc], v: list[RatFunc]) -> RatFunc:
         acc = RatFunc(0)
@@ -440,7 +481,7 @@ def jack_m_expansion_gram_schmidt(lam: Partition) -> dict[Partition, RatFunc]:
     order = list(range(k - 1, -1, -1))
     built: dict[int, list[RatFunc]] = {}
     for idx in order:
-        vec = [RatFunc(c) for c in m_in_p[idx]]
+        vec = [RatFunc(c) for c in basis.m_in_p[idx]]
         for prev in order:
             if prev == idx:
                 break

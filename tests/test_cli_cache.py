@@ -169,6 +169,24 @@ def test_wrong_shape_jack_file_is_a_miss(tmp_path, capsys, bad):
         assert "coeffs" in json.loads(path.read_text())
 
 
+@pytest.mark.parametrize("coeffs,lam", [
+    ({"1,1": "1", "2": "-1"}, "1,1"),        # the expansion of another diagram
+    ({"7": "1", "1,1": "1"}, "2"),           # a key that is not a partition of 2
+    ({"1,1": "1", "2": "(a)/(a + 1)"}, "2"),  # a value with a denominator
+])
+def test_implausible_jack_file_is_a_miss(tmp_path, capsys, coeffs, lam):
+    path = tmp_path / "jack_2.json"
+    path.write_text(json.dumps({"schema": 1, "lambda": lam, "coeffs": coeffs}))
+    jackref._POWERSUM_CACHE.clear()
+    jackref._CHARACTER_CACHE.clear()
+    code, out = run_cli(capsys, "--cache-dir", str(tmp_path),
+                        "eval", "ch", "2", "2")
+    assert code == 0 and json.loads(out) == {"1": "2"}
+    doc = json.loads(path.read_text())
+    assert doc["lambda"] == "2"
+    assert doc["coeffs"] == {"1,1": "1", "2": "a"}
+
+
 @pytest.mark.parametrize("sub", ["", "sub"])
 def test_unusable_cache_dir_is_usage_error(tmp_path, capsys, sub):
     blocker = tmp_path / "file"

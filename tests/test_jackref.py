@@ -6,13 +6,31 @@ import pytest
 from jacktop import jackref
 from jacktop.exact import Laurent, RatFunc, p_scale
 from jacktop.jackref import (BoundExceeded, _apply_U, _basis, _collect_m,
-                             _count_assignments, _invert_rational,
-                             _j_leading, _m_expand, jack_character,
-                             jack_m_expansion, jack_m_expansion_gram_schmidt,
-                             jack_powersum)
-from jacktop.young import enumerate_partitions, partitions_of, size
+                             _count_assignments, _j_leading, _m_expand,
+                             jack_character, jack_m_expansion,
+                             jack_m_expansion_gram_schmidt, jack_powersum)
+from jacktop.young import (enumerate_partitions, multiplicities,
+                           partitions_of, size)
 
 ALPHA = RatFunc.alpha()
+
+
+def invert_rational(matrix):
+    """Reference inverse of a rational matrix by Gauss-Jordan elimination."""
+    k = len(matrix)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(k)]
+         for i, row in enumerate(matrix)]
+    for col in range(k):
+        piv = next(r for r in range(col, k) if m[r][col])
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        for r in range(k):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return [row[k:] for row in m]
 
 
 def ratfunc_m_vector(lam):
@@ -47,8 +65,8 @@ def ratfunc_powersum(lam):
     monomial matrix applied to the reference vector in RatFunc arithmetic."""
     basis = _basis(size(lam))
     k = len(basis.parts)
-    inv = _invert_rational([[Fraction(basis.p_in_m[c][r]) for c in range(k)]
-                            for r in range(k)])
+    inv = invert_rational([[basis.p_in_m[c][r] for c in range(k)]
+                           for r in range(k)])
     mvec = ratfunc_m_vector(lam)
     rhs = [mvec.get(mu, RatFunc(0)) for mu in basis.parts]
     out = {}
@@ -89,10 +107,57 @@ def test_wrong_leading_coefficient_fails_bottom_check(monkeypatch):
         jack_m_expansion((2, 1))
 
 
+def test_remainder_fails_exact_division(monkeypatch):
+    # (4) -> (2,2) is 4 in U; 5 leaves a remainder at (2,2).
+    basis = _basis(4)
+    col = basis.u_cols[basis.index[(4,)]]
+    monkeypatch.setitem(col, basis.index[(2, 2)], 5)
+    with pytest.raises(AssertionError, match="non-polynomial coefficient"):
+        jack_m_expansion((4,))
+
+
+def test_p_in_m_is_lower_triangular_with_factorial_diagonal():
+    for n in range(1, 11):
+        basis = _basis(n)
+        for i, pi in enumerate(basis.parts):
+            row = basis.p_in_m[i]
+            assert not any(row[i + 1:]), (n, pi)
+            diag = 1
+            for m in multiplicities(pi).values():
+                diag *= factorial(m)
+            assert row[i] == diag, (n, pi)
+
+
+def test_triangular_inverse_matches_gauss_jordan():
+    for n in range(1, 11):
+        basis = _basis(n)
+        k = len(basis.parts)
+        inv = basis.m_in_p
+        for i in range(k):
+            for j in range(k):
+                assert sum(basis.p_in_m[i][m] * inv[m][j]
+                           for m in range(k)) == int(i == j), (n, i, j)
+        assert inv == invert_rational(basis.p_in_m), n
+
+
+def test_alpha_diagonal_is_integral():
+    for n in range(1, 11):
+        basis = _basis(n)
+        for nu, a in zip(basis.parts, basis.alpha_diag):
+            assert type(a) is int
+            assert 2 * a == sum(x * (x - 1) for x in nu), nu
+
+
 def test_theta_from_m_rejects_denominators():
     basis = _basis(2)
     with pytest.raises(ValueError):
         basis.theta_from_m([RatFunc(1), RatFunc(1, (1, 1))])
+
+
+def test_theta_from_m_rejects_fractional_coefficients():
+    basis = _basis(2)
+    with pytest.raises(ValueError):
+        basis.theta_from_m([RatFunc(1), RatFunc(Fraction(1, 2))])
 
 
 def test_u_matrix_matches_dense_oracle():
