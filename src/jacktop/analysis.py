@@ -14,7 +14,7 @@ from itertools import product as _itproduct
 from math import gcd, lcm
 from typing import Callable, Sequence
 
-from .exact import KLPoly, Laurent, gamma_power_A
+from .exact import KLPoly, Laurent, addmul_ints, gamma_power_A
 from .functionals import free_cumulant
 from .jackref import jack_character
 from .young import (Partition, enumerate_partitions, hooks_staircase,
@@ -243,12 +243,23 @@ def kl_expansion_keys(n: int) -> list[tuple[int, tuple[int, ...]]]:
     return keys
 
 
-def _kl_key_eval(key: tuple[int, tuple[int, ...]], lam: Partition) -> Laurent:
-    g, mu = key
-    value = gamma_power_A(g)
-    for m in mu:
-        value = value * free_cumulant(m, lam)
-    return value
+def _ints(p: Laurent) -> dict[int, int]:
+    """The exponent -> int dict of a Laurent polynomial with integer
+    coefficients."""
+    return {e: v.numerator for e, v in p.items()}
+
+
+def _kl_key_values(keys, lam: Partition, n: int) -> list[dict[int, int]]:
+    """Values of the g/R keys on lam as exponent -> int dicts.  Keys come in
+    graded order, so each (g, mu) is its prefix (g, mu[:-1]) times
+    R_{mu[-1]}; the first cumulant asked for is the largest, R_{n+1}, whose
+    pass fills all the others."""
+    cumulants = {m: _ints(free_cumulant(m, lam)) for m in range(n + 1, 1, -1)}
+    values: dict = {}
+    for g, mu in keys:
+        values[g, mu] = (addmul_ints({}, values[g, mu[:-1]], cumulants[mu[-1]])
+                         if mu else _ints(gamma_power_A(g)))
+    return [values[key] for key in keys]
 
 
 def kl_expand_full(n: int, max_retries: int = 3) -> KLPoly:
@@ -278,27 +289,28 @@ def kl_expand_full(n: int, max_retries: int = 3) -> KLPoly:
     result = KLPoly({k: c for k, c in zip(keys, coeffs) if c})
 
     for lam in list(partitions_of(n + 3))[:3]:
-        lhs = Laurent.zero()
-        for key, c in zip(keys, coeffs):
+        lhs: dict[int, Fraction] = {}
+        for value, c in zip(_kl_key_values(keys, lam, n), coeffs):
             if c:
-                lhs = lhs + _kl_key_eval(key, lam).scale(c)
-        if lhs != jack_character((n,), lam, bound=n + 3):
+                for e, v in value.items():
+                    lhs[e] = lhs.get(e, 0) + c * v
+        if Laurent(lhs) != jack_character((n,), lam, bound=n + 3):
             raise RankDeficient(f"held-out residual nonzero at {lam}")
     return result
 
 
 def _kl_fit(keys, diagrams, n: int, bound: int) -> list[Fraction]:
-    rows: list[list[Fraction]] = []
+    """One row per diagram and power of A: the integer key coefficients
+    against the oracle's coefficient."""
+    rows: list[list[int]] = []
     rhs: list[Fraction] = []
     for lam in diagrams:
-        lhs_values = [_kl_key_eval(key, lam) for key in keys]
+        lhs_values = _kl_key_values(keys, lam, n)
         target = jack_character((n,), lam, bound=bound)
-        exponents = set()
-        for v in lhs_values:
-            exponents.update(e for e, _ in v.items())
+        exponents = {e for v in lhs_values for e in v}
         exponents.update(e for e, _ in target.items())
         for d in sorted(exponents):
-            rows.append([v.coeff(d) for v in lhs_values])
+            rows.append([v.get(d, 0) for v in lhs_values])
             rhs.append(target.coeff(d))
     return _solve_rational_system(rows, rhs, len(keys))
 

@@ -2,8 +2,8 @@
 
 Artifacts are the per-diagram power-sum expansions of the oracle and the
 per-index g/R expansions of the top-degree part.  Stale schema versions,
-documents of the wrong shape and Jack documents that cannot belong to their
-diagram are ignored, which forces a recompute.
+documents of the wrong shape, and Jack and top-degree documents that cannot
+belong to their diagram or index are ignored, which forces a recompute.
 """
 
 from __future__ import annotations
@@ -95,8 +95,17 @@ class Cache:
         self._write(self._jack_name(lam), doc)
 
     def load_kl_top(self, n: int) -> KLPoly | None:
-        return self._read(f"kltop_{n}.json",
-                          lambda doc: KLPoly.from_json(doc["terms"]))
+        """The stored top-degree expansion of index n, or None (a miss) when
+        the document names another index or a term's grading is not n + 1."""
+        def decode(doc):
+            if doc["n"] != n:
+                raise ValueError("another index")
+            poly = KLPoly.from_json(doc["terms"])
+            if poly.gradings() - {n + 1}:
+                raise ValueError(f"a term of grading other than {n + 1}")
+            return poly
+
+        return self._read(f"kltop_{n}.json", decode)
 
     def store_kl_top(self, n: int, poly: KLPoly) -> None:
         self._write(f"kltop_{n}.json", {"n": n, "terms": poly.to_json()})

@@ -267,6 +267,22 @@ def gamma_power_A(e: int) -> Laurent:
     return _GAMMA_POWERS[e]
 
 
+def addmul_ints(acc: dict[int, int], a: dict[int, int], b: dict[int, int],
+                sign: int = 1) -> dict[int, int]:
+    """acc + sign * a * b for Laurent polynomials in A held as exponent ->
+    nonzero int dicts; acc is updated in place and returned."""
+    for e1, v1 in a.items():
+        v1 *= sign
+        for e2, v2 in b.items():
+            e = e1 + e2
+            v = acc.get(e, 0) + v1 * v2
+            if v:
+                acc[e] = v
+            else:
+                del acc[e]
+    return acc
+
+
 def gamma_recover(f: Laurent) -> GammaPoly:
     """The unique p with subst_gamma(p) = f, for s-involution-invariant f.
 

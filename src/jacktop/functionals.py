@@ -4,11 +4,14 @@ T_n is the discrete functional (n-1) * sum of content**(n-2) over boxes;
 S_n is its smooth counterpart, the integral of the same power over the
 diagram as a plane region, computed from the per-box closed form.  The two
 families generate the same algebra, related by triangular conversions with
-polynomial coefficients in g.  Free cumulants R_k are signed sums of
-normalized embedding counts over the graph classes of the minimal
-two-factorizations of a full cycle (the same graph-class census the
-top-degree routes read, taken over tree pairs), and KLPoly elements are
-evaluated on diagrams through them.
+polynomial coefficients in g.  Free cumulants R_k come in closed form from
+Kerov's transition measure of the anisotropic diagram (boxes A wide and 1/A
+tall): its moments are the power series of prod(1 - y w) / prod(1 - x w)
+over the minima x and maxima y of the profile, and R_2..R_k follow from the
+moment-cumulant recursion, all on integer Laurent coefficients.  KLPoly
+elements are evaluated on diagrams through them.  The tree pairs (minimal
+two-factorizations of a full cycle) remain for their Catalan counts; their
+signed embedding sum, the combinatorial form of R_k, is the test oracle.
 """
 
 from __future__ import annotations
@@ -17,10 +20,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _itperms
 
-from .exact import (GammaPoly, KLPoly, Laurent, gamma_power_A,
+from .exact import (GammaPoly, KLPoly, Laurent, addmul_ints, gamma_power_A,
                     gamma_recover)
-from .maps import (compose, cycles, full_cycle, graph_classes, inverse,
-                   normalized_embeddings_graph)
+from .maps import compose, cycles, full_cycle, graph_classes, inverse
 from .young import Partition, binom, boxes, content
 
 
@@ -122,24 +124,69 @@ def _cumulant_pairs(k: int) -> tuple:
     return tuple(graph_classes(found))
 
 
+def _profile(lam: Partition) -> tuple[list[dict], list[dict]]:
+    """Minima x = A(c-1) - (r-1)/A of the profile, one per addable box
+    (r, c), and maxima y = A*c - r/A, one per removable box, as
+    exponent -> int dicts."""
+    def linear(a: int, b: int) -> dict[int, int]:
+        return {e: v for e, v in ((1, a), (-1, b)) if v}
+
+    rows = tuple(lam) + (0,)
+    xs = [linear(part, 1 - r) for r, part in enumerate(rows, start=1)
+          if r == 1 or rows[r - 2] > part]
+    ys = [linear(part, -r) for r, part in enumerate(rows[:-1], start=1)
+          if part > rows[r]]
+    return xs, ys
+
+
+def _free_cumulants(k: int, lam: Partition) -> list[dict[int, int]]:
+    """R_2..R_k of lam as exponent -> int dicts.
+
+    The moments M_j are the coefficients of prod(1 - y w) / prod(1 - x w);
+    then M_n = sum_s R_s [w^(n-s)] M(w)**s is solved for R_n in increasing
+    s, subtracting R_s times the powers of M as soon as R_s is known.
+    """
+    moments = [{0: 1}] + [{} for _ in range(k)]
+    xs, ys = _profile(lam)
+    for x in xs:  # times 1/(1 - x w)
+        for j in range(1, k + 1):
+            addmul_ints(moments[j], x, moments[j - 1])
+    for y in ys:  # times 1 - y w
+        for j in range(k, 0, -1):
+            addmul_ints(moments[j], y, moments[j - 1], -1)
+    r = [{}] + [dict(m) for m in moments[1:]]
+    power = moments  # [w^j] M**s for j <= k - s
+    for s in range(1, k):
+        if r[s]:
+            for j in range(1, k - s + 1):
+                addmul_ints(r[s + j], r[s], power[j], -1)
+        power = [_coefficient(power, moments, j) for j in range(k - s)]
+    return r[2:]
+
+
+def _coefficient(p: list[dict], q: list[dict], j: int) -> dict[int, int]:
+    """[w^j] of the product of the series p and q."""
+    acc: dict[int, int] = {}
+    for i in range(j + 1):
+        if p[i] and q[j - i]:
+            addmul_ints(acc, p[i], q[j - i])
+    return acc
+
+
 _FREE_CUMULANT_CACHE: dict[tuple[int, Partition], Laurent] = {}
 
 
 def free_cumulant(k: int, lam: Partition) -> Laurent:
-    """R_k: minus the sum of normalized embeddings over the tree pairs,
-    one term per graph class times its number of pairs."""
+    """R_k of lam; a miss fills the cache for every R_j with j <= k."""
     if k < 2:
         raise BadIndex(f"free_cumulant needs k >= 2, got {k}")
     key = (k, lam)
     hit = _FREE_CUMULANT_CACHE.get(key)
     if hit is not None:
         return hit
-    total = Laurent.zero()
-    for g, count in _cumulant_pairs(k):
-        total = total + normalized_embeddings_graph(g, lam).scale(count)
-    result = -total
-    _FREE_CUMULANT_CACHE[key] = result
-    return result
+    for j, value in enumerate(_free_cumulants(k, lam), start=2):
+        _FREE_CUMULANT_CACHE.setdefault((j, lam), Laurent(value))
+    return _FREE_CUMULANT_CACHE[key]
 
 
 def free_cumulant_pair_count(k: int) -> int:
@@ -148,6 +195,9 @@ def free_cumulant_pair_count(k: int) -> int:
 
 def kl_evaluate(p: KLPoly, lam: Partition) -> Laurent:
     """Evaluate a g/R-polynomial on a diagram."""
+    top = max((m for (_, mu), _ in p.items() for m in mu), default=0)
+    if top:
+        free_cumulant(top, lam)  # one pass fills every lower R_j
     total = Laurent.zero()
     for (g, mu), coeff in p.items():
         term = gamma_power_A(g).scale(coeff)

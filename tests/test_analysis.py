@@ -110,9 +110,16 @@ def test_kl_expand_full_top_and_gap():
         assert full.graded_part(n).is_zero(), n
 
 
+def test_kl_expand_full_top_and_gap_8():
+    full = kl_expand_full(8)
+    assert full.graded_part(9) == kl_top(8, budget=8)
+    assert full.graded_part(8).is_zero()
+
+
 def gauss_jordan_all_rows(rows, rhs, unknowns):
     """Reference solver: Gauss-Jordan over Q on every row at once, then the
-    rows left below the pivots must have zero right-hand sides."""
+    rows left below the pivots must have zero right-hand sides.  Rows may
+    hold ints or Fractions."""
     m = [row[:] for row in rows]
     b = rhs[:]
     nrows = len(m)
@@ -123,7 +130,7 @@ def gauss_jordan_all_rows(rows, rhs, unknowns):
             raise RankDeficient(f"rank-deficient at column {col}")
         m[r], m[piv] = m[piv], m[r]
         b[r], b[piv] = b[piv], b[r]
-        inv = 1 / m[r][col]
+        inv = Fraction(1) / m[r][col]
         m[r] = [x * inv for x in m[r]]
         b[r] = b[r] * inv
         for i in range(nrows):
@@ -145,20 +152,23 @@ def outcome(solver, rows, rhs, unknowns):
         return RankDeficient
 
 
-small_fracs = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+small_ints = st.integers(-3, 3)
+small_fracs = st.builds(Fraction, small_ints, st.integers(1, 3))
 small_laurents = st.dictionaries(st.integers(-2, 2), small_fracs,
                                  max_size=3).map(Laurent)
 
 
 @st.composite
 def linear_systems(draw):
-    """Small systems with Fraction or Laurent right-hand sides: either
+    """Small systems with int or Fraction entries (the g/R fit passes
+    ints) and Fraction or Laurent right-hand sides: either
     consistent by construction (right-hand side = rows times a drawn
     solution) or drawn freely (mostly inconsistent), over full-rank and
     rank-deficient matrices alike."""
     unknowns = draw(st.integers(1, 4))
     nrows = draw(st.integers(0, unknowns + 3))
-    rows = draw(st.lists(st.lists(small_fracs, min_size=unknowns,
+    entries = draw(st.sampled_from([small_ints, small_fracs]))
+    rows = draw(st.lists(st.lists(entries, min_size=unknowns,
                                   max_size=unknowns),
                          min_size=nrows, max_size=nrows))
     values = draw(st.sampled_from([small_fracs, small_laurents]))
@@ -179,8 +189,11 @@ def linear_systems(draw):
 @settings(max_examples=300)
 def test_solver_matches_all_rows_gauss_jordan(system):
     rows, rhs, unknowns = system
-    assert outcome(_solve_rational_system, rows, rhs, unknowns) == \
-        outcome(gauss_jordan_all_rows, rows, rhs, unknowns)
+    expected = outcome(gauss_jordan_all_rows, rows, rhs, unknowns)
+    assert outcome(_solve_rational_system, rows, rhs, unknowns) == expected
+    as_fractions = [[Fraction(x) for x in row] for row in rows]
+    assert outcome(_solve_rational_system, as_fractions, rhs, unknowns) == \
+        expected
 
 
 def test_solver_matches_all_rows_gauss_jordan_on_kl_fits(monkeypatch):

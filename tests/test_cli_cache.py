@@ -148,6 +148,23 @@ def test_wrong_shape_kl_top_file_is_a_miss(tmp_path, capsys, bad):
     assert json.loads(path.read_text())["terms"] == kl_top(3).to_json()
 
 
+@pytest.mark.parametrize("n,terms", [
+    (5, [{"gamma": 0, "mu": [4], "coeff": "7"}]),  # the document of index 5
+    (3, [{"gamma": 0, "mu": [4], "coeff": "1"},    # a term of grading 3
+         {"gamma": 1, "mu": [2], "coeff": "1"}]),
+])
+def test_implausible_kl_top_file_is_a_miss(tmp_path, capsys, n, terms):
+    path = tmp_path / "kltop_3.json"
+    path.write_text(json.dumps({"schema": 1, "n": n, "terms": terms}))
+    topdegree._KL_TOP_CACHE.pop(3, None)
+    code, out = run_cli(capsys, "--cache-dir", str(tmp_path),
+                        "kl-top", "3", "--format", "text")
+    assert code == 0
+    assert out.strip() == "R4 + 3*R3*g + 2*R2*g^2"
+    doc = json.loads(path.read_text())
+    assert doc["n"] == 3 and doc["terms"] == kl_top(3).to_json()
+
+
 @pytest.mark.parametrize("bad", ['{"schema": 1}', "[1, 2]"])
 def test_wrong_shape_jack_file_is_a_miss(tmp_path, capsys, bad):
     def run_cold():

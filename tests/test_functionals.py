@@ -2,12 +2,16 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jacktop.exact import GammaPoly, KLPoly, Laurent, subst_gamma
-from jacktop.functionals import (BadIndex, conversion_P, conversion_Q,
-                                 free_cumulant, free_cumulant_pair_count,
-                                 kl_evaluate, s_functional, t_functional)
-from jacktop.young import enumerate_partitions, size
+from jacktop.functionals import (BadIndex, _cumulant_pairs, conversion_P,
+                                 conversion_Q, free_cumulant,
+                                 free_cumulant_pair_count, kl_evaluate,
+                                 s_functional, t_functional)
+from jacktop.maps import normalized_embeddings_graph
+from jacktop.young import enumerate_partitions, partitions_of, size, transpose
 
 GAMMA = subst_gamma(GammaPoly.var())
 A = Laurent.monomial(1)
@@ -114,9 +118,39 @@ def test_catalan_pair_counts():
         assert free_cumulant_pair_count(k) == catalan
 
 
+def free_cumulant_graph_sum(k, lam):
+    """Reference R_k: minus the normalized embedding counts of the tree
+    pairs, one term per graph class times its number of pairs."""
+    total = Laurent.zero()
+    for g, count in _cumulant_pairs(k):
+        total = total + normalized_embeddings_graph(g, lam).scale(count)
+    return -total
+
+
+def test_free_cumulant_matches_graph_sum():
+    for lam in enumerate_partitions(9):
+        for k in range(2, 9):
+            assert free_cumulant(k, lam) == free_cumulant_graph_sum(k, lam), \
+                (k, lam)
+
+
+diagrams_up_to_12 = st.integers(0, 12).flatmap(
+    lambda n: st.sampled_from(list(partitions_of(n))))
+
+
+@given(diagrams_up_to_12, st.integers(2, 10))
+@settings(max_examples=200, deadline=None)
+def test_free_cumulant_properties(lam, k):
+    value = free_cumulant(k, lam)
+    assert free_cumulant(k, transpose(lam)) == value.s_involution()
+    assert all(v.denominator == 1 for _, v in value.items())
+    if k == 2:
+        assert value == Laurent.const(size(lam))
+
+
 def test_free_cumulant_laurent_degree_bound():
-    for k in range(2, 7):
-        for lam in enumerate_partitions(5):
+    for k in range(2, 11):
+        for lam in enumerate_partitions(12):
             value = free_cumulant(k, lam)
             if not value.is_zero():
                 assert value.degree() <= k - 2
