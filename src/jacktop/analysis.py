@@ -10,7 +10,7 @@ so iterated differences make sense on arbitrary integer tuples.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as _itproduct
+from itertools import chain, product as _itproduct
 from math import gcd, lcm
 from typing import Callable, Sequence
 
@@ -163,67 +163,91 @@ def _extra_nodes(m: int, grid_max: int) -> list[tuple]:
 
 def _solve_rational_system(rows: list[list[Fraction]], rhs: list,
                            unknowns: int) -> list:
-    """Unique solution of an overdetermined system over Q, by select, solve
-    and verify.
+    """Unique solution of an overdetermined system over Q, by one
+    fraction-free elimination and an integer verify.
 
-    Select: each row is scaled by the lcm of its denominators, its content
-    divided out, and reduced fraction-free against the integer echelon rows
-    picked so far; a row that does not reduce to zero is independent and is
-    picked, until `unknowns` rows are.  Solve: Gauss-Jordan on the picked
-    square subsystem, kept integral (each row operation cross-multiplies,
-    then divides out the row content; the right-hand side follows its row).
-    Verify: every row, picked or not, must hold exactly.  The right-hand
-    sides may be rationals or Laurent polynomials (anything closed under
-    scaling by a rational).  Raises RankDeficient when the rank is below
-    `unknowns` or a row does not hold.
+    Each right-hand side becomes a vector of rational coordinates (one for
+    a rational, one per exponent of A for a Laurent polynomial), appended
+    to its row, and the row is scaled once to primitive integers.  Rows are
+    reduced in input order by Bareiss's integer-preserving elimination, and
+    a row whose coefficient part does not reduce to zero is picked, until
+    `unknowns` rows are.  The last pivot D is the determinant of the picked
+    system, so back-substitution gives integer numerators N = D * x.
+    Verify: every row, picked or not, must hold as the integer identity
+    sum_j a_ij * N_j == b_i * D.  Only the returned values are Fractions
+    (Laurent polynomials, for Laurent right-hand sides).  Raises
+    RankDeficient when the rank is below `unknowns` or a row does not hold
+    (the first such row, in input order).
     """
-    m: list[list[int]] = []
-    b: list = []
-    echelon: list[tuple[int, list[int]]] = []
-    for row, value in zip(rows, rhs):
-        if len(m) == unknowns:
-            break
-        den = lcm(*(x.denominator for x in row))
-        ints, g = _primitive([int(x * den) for x in row])
-        r = ints
-        for col, e in echelon:
-            if r[col]:
-                r, _ = _primitive([e[col] * x - r[col] * y
-                                   for x, y in zip(r, e)])
-        piv = next((c for c, x in enumerate(r) if x), None)
-        if piv is not None:
-            echelon.append((piv, r))
-            m.append(ints)
-            b.append(value * Fraction(den, g))
-    if len(m) < unknowns:
-        raise RankDeficient(f"rank {len(m)} < {unknowns} unknowns")
+    laurent = any(isinstance(v, Laurent) for v in rhs)
+    if laurent:
+        rhs = [v if isinstance(v, Laurent) else Laurent.const(v) for v in rhs]
+        exps = sorted({e for v in rhs for e, _ in v.items()})
 
-    for col in range(unknowns):
-        piv = next(i for i in range(col, unknowns) if m[i][col])
-        m[col], m[piv] = m[piv], m[col]
-        b[col], b[piv] = b[piv], b[col]
-        p = m[col][col]
-        for i in range(unknowns):
-            c = m[i][col]
-            if i != col and c:
-                m[i], g = _primitive([p * x - c * y
-                                      for x, y in zip(m[i], m[col])])
-                b[i] = (b[i] * p - b[col] * c) * Fraction(1, g)
-    b = [v * Fraction(1, m[i][i]) for i, v in enumerate(b)]
+    def scaled(row, v) -> dict[int, int]:
+        """The row as sparse {column: int}; coordinate t of the right-hand
+        side is column unknowns + t."""
+        aug = {j: x for j, x in enumerate(
+            [*row, *(v.coeff(e) for e in exps)] if laurent else [*row, v])
+            if x}
+        den = lcm(*(x.denominator for x in aug.values()))
+        aug = {j: x.numerator * (den // x.denominator)
+               for j, x in aug.items()}
+        g = gcd(*aug.values())
+        return {j: x // g for j, x in aug.items()} if g > 1 else aug
 
-    for i, (row, value) in enumerate(zip(rows, rhs)):
-        for x, y in zip(row, b):
-            if x:
-                value = value - x * y
-        if value:
-            raise RankDeficient(f"inconsistent row {i}")
-    return b
+    # Bareiss, one row at a time: a row last updated at level s (after
+    # pivot s) goes to the level of pivot k by r <- (p_k r - r[c_k] e_k) / p_s;
+    # the levels it skips had zero multipliers and only scale it.  Rows
+    # after the last picked one are scaled only when verified.
+    pairs = zip(rows, rhs)
+    read: list[dict[int, int]] = []
+    picked: list[tuple[int, dict[int, int]]] = []  # (pivot column, row)
+    pivots = [1]
+    while len(picked) < unknowns:
+        pair = next(pairs, None)
+        if pair is None:
+            raise RankDeficient(f"rank {len(picked)} < {unknowns} unknowns")
+        r = scaled(*pair)
+        read.append(r)
+        level = 0
+        for k, (col, e) in enumerate(picked, 1):
+            m = r.get(col)
+            if m:
+                p, q = pivots[k], pivots[level]
+                out = {j: p * x for j, x in r.items()}
+                for j, y in e.items():
+                    out[j] = out.get(j, 0) - m * y
+                r = {j: x // q for j, x in out.items() if x}
+                level = k
+        col = min((j for j in r if j < unknowns), default=None)
+        if col is None:
+            continue
+        if level < len(picked):
+            r = {j: pivots[-1] * x // pivots[level] for j, x in r.items()}
+        picked.append((col, r))
+        pivots.append(r[col])
 
+    # num[t][j] = D * x_j for coordinate t, from the last picked row up.
+    d = pivots[-1]
+    num = [[0] * unknowns for _ in range(len(exps) if laurent else 1)]
+    for col, e in reversed(picked):
+        for t, n_t in enumerate(num):
+            acc = d * e.get(unknowns + t, 0)
+            for j, x in e.items():
+                if j < unknowns and j != col:
+                    acc -= x * n_t[j]
+            n_t[col] = acc // e[col]
 
-def _primitive(row: list[int]) -> tuple[list[int], int]:
-    """row divided by its content, and the content (1 for a zero row)."""
-    g = gcd(*row) or 1
-    return ([x // g for x in row] if g > 1 else row), g
+    for i, r in enumerate(chain(read, (scaled(*pair) for pair in pairs))):
+        for t, n_t in enumerate(num):
+            if sum(x * n_t[j] for j, x in r.items() if j < unknowns) \
+                    != r.get(unknowns + t, 0) * d:
+                raise RankDeficient(f"inconsistent row {i}")
+    if not laurent:
+        return [Fraction(x, d) for x in num[0]]
+    return [Laurent({e: Fraction(n_t[j], d) for e, n_t in zip(exps, num)})
+            for j in range(unknowns)]
 
 
 # ---------------------------------------------------------------------------

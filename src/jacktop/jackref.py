@@ -14,13 +14,16 @@ by Knop-Sahi integrality every later entry is a polynomial in alpha with
 integer coefficients, so each one is an exact division in Z[alpha] of its
 accumulator by the integer linear eigenvalue difference, done on Python
 ints.  No step needs a rational function or a gcd; a remainder, or a
-bottom coefficient other than n!, raises.  The vector is then converted to
-the power-sum basis by the inverse of the power-sum to monomial matrix,
-which is triangular and inverted once per degree; each of its columns is
-kept as integers over one common denominator, so the conversion too runs
-on ints and divides once per coefficient.  The expansion coefficients are
-the unnormalized characters, which the normalized character wraps per the
-classical binomial/z-factor prescription with alpha = A**2.
+bottom coefficient other than n!, raises.  The vector, a list of integer
+coefficient lists, is then converted to the power-sum basis by the inverse
+of the power-sum to monomial matrix.  That matrix is triangular, and each
+column of its inverse is found once per degree by forward substitution on
+ints, as integer numerators over one reduced denominator; so the
+conversion too runs on ints and divides once per coefficient, and its
+results are the first rational values (polynomials in alpha, denominator
+1).  These expansion coefficients are the unnormalized characters, which
+the normalized character wraps per the classical binomial/z-factor
+prescription: an integer factor, and alpha**e carried to A**(2e).
 
 A Gram-Schmidt construction against the deformed power-sum inner product
 is provided as an independent cross-check of the same polynomials.
@@ -29,10 +32,10 @@ is provided as an independent cross-check of the same polynomials.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial, lcm
+from functools import cached_property, lru_cache
+from math import factorial, gcd
 
-from .exact import P_ONE, Laurent, RatFunc, alpha_to_A
+from .exact import Laurent, RatFunc
 from .young import (Partition, binom, length, multiplicities, partition,
                     partitions_of, size, transpose, z_factor)
 
@@ -264,61 +267,77 @@ class _Basis:
         # integer, since sum x(x - 1) is even.
         self.alpha_diag = [sum(x * (x - 1) for x in nu) // 2
                            for nu in self.parts]
-        # Power sums in the monomial basis: row pi of `p_in_m`, and its
-        # inverse: row mu of `m_in_p` is m_mu in the power-sum basis.
+        # Power sums in the monomial basis: row pi of `p_in_m`.  Its inverse
+        # is kept by column: column pi as (row, integer numerator) pairs
+        # over one reduced denominator, so the power-sum conversion runs on
+        # ints.
         self.p_in_m = [[_count_assignments(pi, mu) for mu in self.parts]
                        for pi in self.parts]
-        self.m_in_p = _lower_inverse(self.p_in_m)
-        # Column pi of `m_in_p` as (row, integer numerator) pairs over one
-        # common denominator: the power-sum conversion runs on ints.
-        self._theta_solver: list[tuple[list[tuple[int, int]], int]] = []
-        for pi in range(k):
-            col = [(mu, self.m_in_p[mu][pi]) for mu in range(pi, k)
-                   if self.m_in_p[mu][pi]]
-            den = lcm(*(x.denominator for _, x in col))
-            self._theta_solver.append(
-                ([(mu, x.numerator * (den // x.denominator)) for mu, x in col],
-                 den))
+        self._theta_solver = _lower_inverse_columns(self.p_in_m)
+
+    @cached_property
+    def m_in_p(self) -> list[list[Fraction]]:
+        """The inverse of `p_in_m` as Fractions, built when first read (by
+        Gram-Schmidt and the tests): row mu is m_mu in the power-sum basis."""
+        cols = [(dict(entries), den) for entries, den in self._theta_solver]
+        return [[Fraction(col.get(mu, 0), den) for col, den in cols]
+                for mu in range(len(cols))]
 
     def eigenvalue(self, nu_idx: int) -> tuple[int, int]:
         """The eigenvalue on m_nu as the integer pair (d0, d1) of d0 + d1*alpha."""
         return self.u_cols[nu_idx].get(nu_idx, 0), self.alpha_diag[nu_idx]
 
-    def theta_from_m(self, rhs: list[RatFunc]) -> list[RatFunc]:
-        """Convert a monomial-basis vector of integer polynomials in alpha
-        to power-sum coefficients: theta_pi = sum over mu of
-        m_in_p[mu][pi] * rhs[mu], summed on ints and divided once."""
-        polys = []
+    def theta_from_m(self, rhs: list[list[int]]) -> list[RatFunc]:
+        """Convert a monomial-basis vector, one integer coefficient list (a
+        polynomial in alpha, [] for zero) per partition, to power-sum
+        coefficients: theta_pi = sum over mu of m_in_p[mu][pi] * rhs[mu],
+        summed on ints and divided once.  Raises ValueError on an entry
+        that is not a list of ints."""
         for value in rhs:
-            if value.den != P_ONE or any(x.denominator != 1 for x in value.num):
+            if type(value) is not list or any(type(x) is not int
+                                              for x in value):
                 raise ValueError(
-                    f"not an integer polynomial in alpha: {value.text()}")
-            polys.append([x.numerator for x in value.num])
+                    f"not an integer coefficient list: {value!r}")
+        width = max(map(len, rhs), default=0)
         out = []
         for entries, den in self._theta_solver:
-            acc: list[int] = []
+            acc = [0] * width
             for mu, c in entries:
-                _add_scaled(acc, c, polys[mu])
+                for e, x in enumerate(rhs[mu]):
+                    acc[e] += c * x
+            while acc and not acc[-1]:
+                acc.pop()
             out.append(RatFunc(tuple(Fraction(x, den) for x in acc),
                                reduced=True))
         return out
 
 
-def _lower_inverse(low: list[list[int]]) -> list[list[Fraction]]:
-    """Inverse of an integer lower-triangular matrix by substitution.
+def _lower_inverse_columns(low: list[list[int]]
+                           ) -> list[tuple[list[tuple[int, int]], int]]:
+    """The columns of the inverse of an integer lower-triangular matrix,
+    each as (row, integer numerator) pairs over one reduced denominator
+    (positive, coprime to the numerators), by forward substitution on ints.
 
     `p_in_m` is one: p_pi expands into the m_mu whose parts are unions of
     parts of pi, which come no later in `parts` order, and its diagonal
     entry is prod m_i(pi)!."""
-    k = len(low)
-    inv = [[Fraction(0)] * k for _ in range(k)]
-    for j in range(k):
-        inv[j][j] = Fraction(1, low[j][j])
-        for i in range(j + 1, k):
-            acc = sum(low[i][m] * inv[m][j] for m in range(j, i) if low[i][m])
+    cols = []
+    for j in range(len(low)):
+        # Column j is num / den, from num[j] = 1 over den = low[j][j]; each
+        # later entry is -sum_m low[i][m] num[m] / low[i][i], and den widens
+        # when that division is not exact.
+        den, num = low[j][j], {j: 1}
+        for i in range(j + 1, len(low)):
+            acc = -sum(low[i][m] * x for m, x in num.items())
             if acc:
-                inv[i][j] = -acc / low[i][i]
-    return inv
+                g = gcd(acc, low[i][i])
+                if low[i][i] > g:
+                    num = {m: x * (low[i][i] // g) for m, x in num.items()}
+                    den *= low[i][i] // g
+                num[i] = acc // g
+        g = gcd(den, *num.values())
+        cols.append(([(m, x // g) for m, x in num.items()], den // g))
+    return cols
 
 
 def _add_scaled(acc: list[int], c: int, poly: list[int]) -> None:
@@ -371,9 +390,10 @@ def _div_exact(acc: list[int], div: list[int]) -> list[int] | None:
     return None if any(rem[:top]) else quo
 
 
-def _jack_m_vector(lam: Partition) -> dict[Partition, RatFunc]:
+def _jack_m_vector(lam: Partition) -> list[list[int]]:
     """J-normalized Jack polynomial of lam in the monomial basis, by
-    back-substitution in Z[alpha] with exact division."""
+    back-substitution in Z[alpha] with exact division: the integer
+    coefficient list of each entry, in `parts` order ([] for zero)."""
     n = size(lam)
     basis = _basis(n)
     li = basis.index[lam]
@@ -400,8 +420,7 @@ def _jack_m_vector(lam: Partition) -> dict[Partition, RatFunc]:
         v[idx] = quo
     if v[basis.index[tuple([1] * n)]] != [factorial(n)]:
         raise AssertionError(f"bottom coefficient of {lam} is not {n}!")
-    return {mu: RatFunc(tuple(Fraction(x) for x in v[i]), reduced=True)
-            for i, mu in enumerate(basis.parts) if v[i]}
+    return v
 
 
 _POWERSUM_CACHE: dict[Partition, dict[Partition, RatFunc]] = {}
@@ -413,6 +432,12 @@ def set_disk_cache(cache) -> None:
     _DISK_CACHE = cache
 
 
+def _check_bound(lam: Partition, bound: int | None) -> None:
+    limit = DEFAULT_SIZE_BOUND if bound is None else bound
+    if size(lam) > limit:
+        raise BoundExceeded(f"|lambda| = {size(lam)} exceeds bound {limit}")
+
+
 def jack_powersum(lam: Partition, bound: int | None = None) -> dict[Partition, RatFunc]:
     """Power-sum expansion of the J-normalized Jack polynomial of lam.
 
@@ -420,9 +445,7 @@ def jack_powersum(lam: Partition, bound: int | None = None) -> dict[Partition, R
     these coefficients are the unnormalized characters.
     """
     lam = partition(lam)
-    limit = DEFAULT_SIZE_BOUND if bound is None else bound
-    if size(lam) > limit:
-        raise BoundExceeded(f"|lambda| = {size(lam)} exceeds bound {limit}")
+    _check_bound(lam, bound)
     hit = _POWERSUM_CACHE.get(lam)
     if hit is not None:
         return hit
@@ -437,9 +460,7 @@ def jack_powersum(lam: Partition, bound: int | None = None) -> dict[Partition, R
         result = {(): RatFunc(1)}
     else:
         basis = _basis(n)
-        jvec = _jack_m_vector(lam)
-        rhs = [jvec.get(mu, RatFunc(0)) for mu in basis.parts]
-        theta = basis.theta_from_m(rhs)
+        theta = basis.theta_from_m(_jack_m_vector(lam))
         result = {pi: theta[i] for i, pi in enumerate(basis.parts)
                   if not theta[i].is_zero()}
 
@@ -454,7 +475,9 @@ def jack_m_expansion(lam: Partition) -> dict[Partition, RatFunc]:
     lam = partition(lam)
     if size(lam) == 0:
         return {(): RatFunc(1)}
-    return _jack_m_vector(lam)
+    v = _jack_m_vector(lam)
+    return {mu: RatFunc(tuple(Fraction(x) for x in v[i]), reduced=True)
+            for i, mu in enumerate(_basis(size(lam)).parts) if v[i]}
 
 
 def jack_m_expansion_gram_schmidt(lam: Partition) -> dict[Partition, RatFunc]:
@@ -523,17 +546,21 @@ def jack_character(pi: Partition, lam: Partition, bound: int | None = None) -> L
     lam = partition(lam)
     if size(lam) < size(pi):
         return Laurent.zero()
+    _check_bound(lam, bound)  # also on a cache hit
     key = (pi, lam)
     hit = _CHARACTER_CACHE.get(key)
     if hit is not None:
         return hit
     extra = size(lam) - size(pi)
     padded = tuple(sorted(pi + (1,) * extra, reverse=True))
-    theta = jack_powersum(lam, bound=bound).get(padded, RatFunc(0))
+    theta = jack_powersum(lam, bound=bound).get(padded)
     m1 = multiplicities(pi).get(1, 0)
     factor = binom(extra + m1, m1) * z_factor(pi)
-    value = alpha_to_A(theta * factor)
     shift = size(pi) - length(pi)
-    result = Laurent({e - shift: c for e, c in value.items()})
+    # theta is a polynomial in alpha: theta_from_m builds it with
+    # denominator 1 and Cache.load_jack rejects any other; so alpha = A**2
+    # maps alpha**e to A**(2e).
+    result = Laurent({2 * e - shift: c * factor
+                      for e, c in enumerate(theta.num)} if theta else None)
     _CHARACTER_CACHE[key] = result
     return result

@@ -381,4 +381,9 @@ def run_suite(name: str, param: int | None = None) -> dict:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     runner, default = SUITES[name]
-    return runner(param if param is not None else default)
+    if param is None:
+        param = default
+    elif param < 1:
+        # Below 1, most suites have nothing to check and would pass.
+        raise ValueError(f"{name} parameter must be >= 1, got {param}")
+    return runner(param)

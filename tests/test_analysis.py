@@ -136,7 +136,8 @@ def gauss_jordan_all_rows(rows, rhs, unknowns):
         for i in range(nrows):
             if i != r and m[i][col]:
                 factor = m[i][col]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+                m[i] = [x - factor * y if y else x
+                        for x, y in zip(m[i], m[r])]
                 b[i] = b[i] - factor * b[r]
         r += 1
     for i in range(r, nrows):
@@ -156,22 +157,24 @@ small_ints = st.integers(-3, 3)
 small_fracs = st.builds(Fraction, small_ints, st.integers(1, 3))
 small_laurents = st.dictionaries(st.integers(-2, 2), small_fracs,
                                  max_size=3).map(Laurent)
+zero_laurents = st.just(Laurent.zero())
 
 
 @st.composite
 def linear_systems(draw):
     """Small systems with int or Fraction entries (the g/R fit passes
-    ints) and Fraction or Laurent right-hand sides: either
-    consistent by construction (right-hand side = rows times a drawn
-    solution) or drawn freely (mostly inconsistent), over full-rank and
-    rank-deficient matrices alike."""
-    unknowns = draw(st.integers(1, 4))
+    ints) and Fraction, Laurent or all-zero Laurent right-hand sides (the
+    last have no coordinates at all): either consistent by construction
+    (right-hand side = rows times a drawn solution) or drawn freely (mostly
+    inconsistent), over full-rank and rank-deficient matrices alike."""
+    unknowns = draw(st.integers(1, 6))
     nrows = draw(st.integers(0, unknowns + 3))
     entries = draw(st.sampled_from([small_ints, small_fracs]))
     rows = draw(st.lists(st.lists(entries, min_size=unknowns,
                                   max_size=unknowns),
                          min_size=nrows, max_size=nrows))
-    values = draw(st.sampled_from([small_fracs, small_laurents]))
+    values = draw(st.sampled_from([small_fracs, small_laurents,
+                                   zero_laurents]))
     if draw(st.booleans()):
         x = draw(st.lists(values, min_size=unknowns, max_size=unknowns))
         rhs = []
@@ -190,10 +193,27 @@ def linear_systems(draw):
 def test_solver_matches_all_rows_gauss_jordan(system):
     rows, rhs, unknowns = system
     expected = outcome(gauss_jordan_all_rows, rows, rhs, unknowns)
-    assert outcome(_solve_rational_system, rows, rhs, unknowns) == expected
+    got = outcome(_solve_rational_system, rows, rhs, unknowns)
+    assert got == expected
     as_fractions = [[Fraction(x) for x in row] for row in rows]
     assert outcome(_solve_rational_system, as_fractions, rhs, unknowns) == \
         expected
+    if got is not RankDeficient:
+        kind = Laurent if isinstance(rhs[0], Laurent) else Fraction
+        assert all(type(x) is kind for x in got), got
+
+
+def test_solver_reports_first_inconsistent_row_in_input_order():
+    # Rows 1 and 4 fix x = 2, y = 1; row 2 is a multiple of row 1, row 3
+    # contradicts row 1 before row 4 is even read, and row 5 fails too.
+    rows = [[0, 0], [1, 1], [2, 2], [1, 1], [1, -1], [1, 0]]
+    rhs = [Fraction(0), Fraction(3), Fraction(6), Fraction(4), Fraction(1),
+           Fraction(7)]
+    with pytest.raises(RankDeficient, match=r"^inconsistent row 3$"):
+        _solve_rational_system(rows, rhs, 2)
+    rhs[3] = Fraction(3)
+    rhs[5] = Fraction(2)
+    assert _solve_rational_system(rows, rhs, 2) == [2, 1]
 
 
 def test_solver_matches_all_rows_gauss_jordan_on_kl_fits(monkeypatch):
@@ -204,12 +224,13 @@ def test_solver_matches_all_rows_gauss_jordan_on_kl_fits(monkeypatch):
         return _solve_rational_system(rows, rhs, unknowns)
 
     monkeypatch.setattr(analysis, "_solve_rational_system", record)
-    for n in range(1, 6):
+    for n in range(1, 8):
         kl_expand_full(n)
-    assert len(systems) == 5
+    assert len(systems) == 7
     for rows, rhs, unknowns in systems:
-        assert _solve_rational_system(rows, rhs, unknowns) == \
-            gauss_jordan_all_rows(rows, rhs, unknowns)
+        got = _solve_rational_system(rows, rhs, unknowns)
+        assert got == gauss_jordan_all_rows(rows, rhs, unknowns)
+        assert all(type(x) is Fraction for x in got)
 
 
 def test_check_k_conditions():

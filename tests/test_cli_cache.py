@@ -1,11 +1,17 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from jacktop import cli, jackref, topdegree
 from jacktop.cache import Cache
 from jacktop.jackref import jack_powersum
 from jacktop.topdegree import kl_top
+from jacktop.verify import SUITES
+from jacktop.young import format_partition, partitions_of
 
 
 @pytest.fixture(autouse=True)
@@ -136,6 +142,16 @@ def test_census_n_below_one_is_usage_error(capsys, n):
     assert captured.err.startswith("error: n must be >= 1")
 
 
+@pytest.mark.parametrize("argv", [["top-vs-full", "-1"], ["t3", "-3"],
+                                  ["p1top", "-3"], ["catalan", "0"]])
+def test_verify_param_below_one_is_usage_error(capsys, argv):
+    code = cli.main(["verify", *argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (f"error: {argv[0]} parameter must be >= 1, "
+                            f"got {argv[1]}\n")
+
+
 @pytest.mark.parametrize("bad", ['{"schema": 1}', "[1, 2]"])
 def test_wrong_shape_kl_top_file_is_a_miss(tmp_path, capsys, bad):
     path = tmp_path / "kltop_3.json"
@@ -228,3 +244,52 @@ def test_failed_cache_write_is_skipped(tmp_path, capsys, blocked):
     assert captured.err.count("\n") == 1
     if blocked == "kltop_2.json":
         assert not (tmp_path / "kltop_2.json.tmp").exists()
+
+
+# CLI fuzzing: the README's subcommands on small arguments, with one
+# argument swapped for junk in half of the cases.  No `--jobs`, so no worker
+# process is started.
+JUNK = st.sampled_from(["3,,1", "-1", "1e3", "2,3", "", "x"])
+SMALL_INT = st.integers(-1, 4).map(str)
+PARTITION = st.sampled_from([format_partition(p) for s in range(7)
+                             for p in partitions_of(s)])
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(["kl-top", "census", "eval", "verify"]))
+    if command in ("kl-top", "census"):
+        argv = [command, draw(SMALL_INT)]
+    elif command == "eval":
+        kind = draw(st.sampled_from(["ch", "chtop", "R", "T", "S", "M", "K"]))
+        index = draw(PARTITION if kind in ("ch", "M", "K") else SMALL_INT)
+        argv = [command, kind, index, draw(PARTITION)]
+    else:
+        argv = [command, draw(st.sampled_from(sorted(SUITES))),
+                str(draw(st.integers(-2, 2)))]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["json", "text"]))]
+    if draw(st.booleans()):
+        argv += ["--budget", str(draw(st.integers(1, 6)))]
+    if draw(st.booleans()):
+        argv[draw(st.integers(1, len(argv) - 1))] = draw(JUNK)
+    return argv
+
+
+@given(argv=cli_argvs(), cached=st.booleans())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_fuzz_exits_cleanly(tmp_path, argv, cached):
+    # One cache directory for all examples, so later ones read what
+    # earlier ones wrote.
+    if cached:
+        argv = ["--cache-dir", str(tmp_path), *argv]
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        jackref.set_disk_cache(None)
+        topdegree.set_disk_cache(None)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

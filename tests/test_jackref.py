@@ -1,16 +1,16 @@
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
 from jacktop import jackref
-from jacktop.exact import Laurent, RatFunc, p_scale
+from jacktop.exact import Laurent, RatFunc, alpha_to_A, p_scale
 from jacktop.jackref import (BoundExceeded, _apply_U, _basis, _collect_m,
                              _count_assignments, _j_leading, _m_expand,
                              jack_character, jack_m_expansion,
                              jack_m_expansion_gram_schmidt, jack_powersum)
-from jacktop.young import (enumerate_partitions, multiplicities,
-                           partitions_of, size)
+from jacktop.young import (binom, enumerate_partitions, length,
+                           multiplicities, partitions_of, size, z_factor)
 
 ALPHA = RatFunc.alpha()
 
@@ -132,12 +132,21 @@ def test_triangular_inverse_matches_gauss_jordan():
     for n in range(1, 11):
         basis = _basis(n)
         k = len(basis.parts)
+        ref = invert_rational(basis.p_in_m)
+        # The integer columns: reduced, and equal to the Gauss-Jordan inverse.
+        for pi, (entries, den) in enumerate(basis._theta_solver):
+            nums = [x for _, x in entries]
+            assert den > 0 and gcd(den, *nums) == 1, (n, pi)
+            assert all(type(x) is int and x for x in nums), (n, pi)
+            col = dict(entries)
+            assert [Fraction(col.get(mu, 0), den) for mu in range(k)] == \
+                [row[pi] for row in ref], (n, pi)
         inv = basis.m_in_p
         for i in range(k):
             for j in range(k):
                 assert sum(basis.p_in_m[i][m] * inv[m][j]
                            for m in range(k)) == int(i == j), (n, i, j)
-        assert inv == invert_rational(basis.p_in_m), n
+        assert inv == ref, n
 
 
 def test_alpha_diagonal_is_integral():
@@ -149,15 +158,21 @@ def test_alpha_diagonal_is_integral():
 
 
 def test_theta_from_m_rejects_denominators():
+    # The input is one integer coefficient list per partition, as for
+    # J_(2) = (1 + alpha) m_2 + 2 m_11 = alpha p_2 + p_1^2; a rational
+    # function, here 1/(1 + alpha), is none.
     basis = _basis(2)
+    assert basis.theta_from_m([[1, 1], [2]]) == [ALPHA, RatFunc(1)]
     with pytest.raises(ValueError):
-        basis.theta_from_m([RatFunc(1), RatFunc(1, (1, 1))])
+        basis.theta_from_m([[1], RatFunc(1, (1, 1))])
 
 
 def test_theta_from_m_rejects_fractional_coefficients():
     basis = _basis(2)
-    with pytest.raises(ValueError):
-        basis.theta_from_m([RatFunc(1), RatFunc(Fraction(1, 2))])
+    for bad in ([Fraction(1, 2)], [Fraction(1)], [1.0], [True],
+                RatFunc(Fraction(1, 2)), (1,)):
+        with pytest.raises(ValueError):
+            basis.theta_from_m([[1], bad])
 
 
 def test_u_matrix_matches_dense_oracle():
@@ -206,6 +221,28 @@ def test_gram_schmidt_cross_validation():
         assert jack_m_expansion(lam) == jack_m_expansion_gram_schmidt(lam), lam
 
 
+def ratfunc_character(pi, lam):
+    """Reference normalization over RatFunc: alpha_to_A(theta * factor),
+    shifted by |pi| - l(pi)."""
+    extra = size(lam) - size(pi)
+    if extra < 0:
+        return Laurent.zero()
+    padded = tuple(sorted(pi + (1,) * extra, reverse=True))
+    theta = jack_powersum(lam, bound=9).get(padded, RatFunc(0))
+    m1 = multiplicities(pi).get(1, 0)
+    value = alpha_to_A(theta * (binom(extra + m1, m1) * z_factor(pi)))
+    shift = size(pi) - length(pi)
+    return Laurent({e - shift: c for e, c in value.items()})
+
+
+def test_character_matches_ratfunc_normalization():
+    pis = [pi for s in range(5) for pi in partitions_of(s)]
+    for lam in enumerate_partitions(9):
+        for pi in pis:
+            assert jack_character(pi, lam, bound=9) == \
+                ratfunc_character(pi, lam), (pi, lam)
+
+
 def test_character_closed_forms_small():
     # Ch_empty = 1, Ch_1 = |lambda|
     for lam in enumerate_partitions(5):
@@ -242,6 +279,12 @@ def test_bound_exceeded():
     with pytest.raises(BoundExceeded):
         jack_character((2,), (5, 4), bound=6)
     assert jack_powersum((3, 3, 3), bound=9)
+
+
+def test_bound_is_checked_on_a_cache_hit():
+    jack_character((2,), (5, 3), bound=8)
+    with pytest.raises(BoundExceeded):
+        jack_character((2,), (5, 3), bound=7)
 
 
 def test_character_at_unit_alpha_single_part():
