@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 from .exact import KLPoly, Laurent, addmul_ints, gamma_power_A
 from .functionals import free_cumulant
 from .jackref import jack_character
-from .young import (Partition, enumerate_partitions, hooks_staircase,
-                    partition, partitions_of, size)
+from .young import (Partition, enumerate_partitions, partition,
+                    partitions_of, size)
 
 Evaluator = Callable[[Partition], Laurent]
 
@@ -286,30 +286,16 @@ def _kl_key_values(keys, lam: Partition, n: int) -> list[dict[int, int]]:
     return [values[key] for key in keys]
 
 
-def kl_expand_full(n: int, max_retries: int = 3) -> KLPoly:
+def kl_expand_full(n: int) -> KLPoly:
     """Expand the one-row character of index n in the g/R ring.
 
     Matches oracle values coefficient-wise in A on all diagrams of size
-    <= n+2 (extended by staircases if ever rank-deficient), then insists on
-    a zero residual on held-out diagrams of size n+3.  The solution is
-    unique by the linear independence of the g/R monomials.
+    <= n+2, then insists on a zero residual on held-out diagrams of size
+    n+3; RankDeficient if either fails.  The solution is unique by the
+    linear independence of the g/R monomials.
     """
     keys = kl_expansion_keys(n)
-    diagrams = list(enumerate_partitions(n + 2))
-    bound = n + 3
-    attempt = 0
-    while True:
-        try:
-            coeffs = _kl_fit(keys, diagrams, n, bound)
-            break
-        except RankDeficient:
-            attempt += 1
-            if attempt > max_retries:
-                raise
-            stair = hooks_staircase(n + 1, attempt + 1)
-            diagrams.append(stair)
-            bound = max(bound, size(stair))
-
+    coeffs = _kl_fit(keys, n)
     result = KLPoly({k: c for k, c in zip(keys, coeffs) if c})
 
     for lam in list(partitions_of(n + 3))[:3]:
@@ -323,14 +309,14 @@ def kl_expand_full(n: int, max_retries: int = 3) -> KLPoly:
     return result
 
 
-def _kl_fit(keys, diagrams, n: int, bound: int) -> list[Fraction]:
-    """One row per diagram and power of A: the integer key coefficients
-    against the oracle's coefficient."""
+def _kl_fit(keys, n: int) -> list[Fraction]:
+    """One row per diagram of size <= n+2 and power of A: the integer key
+    coefficients against the oracle's coefficient."""
     rows: list[list[int]] = []
     rhs: list[Fraction] = []
-    for lam in diagrams:
+    for lam in enumerate_partitions(n + 2):
         lhs_values = _kl_key_values(keys, lam, n)
-        target = jack_character((n,), lam, bound=bound)
+        target = jack_character((n,), lam, bound=n + 3)
         exponents = {e for v in lhs_values for e in v}
         exponents.update(e for e, _ in target.items())
         for d in sorted(exponents):

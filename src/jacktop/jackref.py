@@ -7,9 +7,12 @@ eigenvector of the deformed Laplace-Beltrami operator
 
 restricted to symmetric polynomials of degree n in n variables, where the
 operator matrix is dominance-triangular and the eigenvalues separate along
-dominance, so a back-substitution per diagram suffices.  It runs in the J
-normalization from the start: the top entry is the known leading
-coefficient c_lambda(alpha) = prod over boxes of (alpha*arm + leg + 1), and
+dominance, so a back-substitution per diagram suffices.  That matrix, and
+the power-sum to monomial matrix, are generated per degree from their
+nonzero entries: U moves one pair of exponents at a time, and p_k raises
+one part by k.  The back-substitution runs in the J normalization from
+the start: the top entry is the known leading coefficient
+c_lambda(alpha) = prod over boxes of (alpha*arm + leg + 1), and
 by Knop-Sahi integrality every later entry is a polynomial in alpha with
 integer coefficients, so each one is an exact division in Z[alpha] of its
 accumulator by the integer linear eigenvalue difference, done on Python
@@ -81,7 +84,8 @@ def _m_expand(mu: Partition, nvars: int) -> dict[tuple, int]:
 
 
 def _mul_power_sum(f: dict[tuple, int], k: int) -> dict[tuple, int]:
-    """Multiply a full dict by p_k = sum_i x_i**k."""
+    """Multiply a full dict by p_k = sum_i x_i**k (the dense oracle for
+    `_p_row`)."""
     out: dict[tuple, int] = {}
     for a, c in f.items():
         for i in range(len(a)):
@@ -139,7 +143,7 @@ def _apply_U(f: dict[tuple, int], nvars: int) -> dict[tuple, int]:
     """The non-diagonal operator part sum_{i != j} x_i**2/(x_i-x_j) d_i.
 
     Brute-force route over the full monomial expansion; retained as the
-    validation oracle for the pairwise closed form used in production.
+    validation oracle for the entries `_u_col` generates.
     """
     out: dict[tuple, int] = {}
     for i in range(nvars):
@@ -158,89 +162,51 @@ def _apply_U(f: dict[tuple, int], nvars: int) -> dict[tuple, int]:
     return out
 
 
-def _t_coeff(p: int, q: int, a: int, b: int) -> int:
-    """Ordered-monomial coefficient of x0**a x1**b in the two-variable image
-
-        [x0**2 d0 - x1**2 d1] (x0**p x1**q + x0**q x1**p) / (x0 - x1)
-
-    for p >= q and a >= b (the symmetrized-pair building block): the
-    telescoped geometric sums give coefficient p on the endpoints (p, q)
-    and (q, p), and p - q on every interior pair (p-s, q+s)."""
-    if a + b != p + q:
-        return 0
-    if p == q:
-        return p if a == p else 0
-    if a == p:
-        return p
-    if b > q and a < p:
-        return p - q
-    return 0
+def _p_row(pi: Partition) -> dict[Partition, int]:
+    """The m-expansion of the power sum p_pi, one factor p_k at a time:
+    p_k m_mu is the sum of m_nu over the nu that raise one part value v of
+    mu (or a new part, v = 0) to v + k, each with coefficient the
+    multiplicity of v + k in nu."""
+    row: dict[Partition, int] = {(): 1}
+    for k in pi:
+        nxt: dict[Partition, int] = {}
+        for mu, c in row.items():
+            for v in set(mu) | {0}:
+                i = mu.index(v) if v else len(mu)
+                nu = tuple(sorted(mu[:i] + (v + k,) + mu[i + 1:], reverse=True))
+                nxt[nu] = nxt.get(nu, 0) + c * nu.count(v + k)
+        row = nxt
+    return row
 
 
-def _u_matrix_entry(mu: Partition, nu: Partition, nvars: int) -> int:
-    """Coefficient of m_nu in U(m_mu), via the pairwise closed form.
+def _u_col(nu: Partition, nvars: int) -> dict[Partition, int]:
+    """The m-expansion of U(m_nu) in nvars variables.
 
-    For each ordered position pair (i < j) of the sorted representative of
-    nu, the rest of the exponents must use up all of mu except a value
-    pair {p, q}; the contribution is then the two-variable coefficient."""
-    mu_count: dict[int, int] = {}
-    for v in tuple(mu) + (0,) * (nvars - len(mu)):
-        mu_count[v] = mu_count.get(v, 0) + 1
-    nu_star = tuple(nu) + (0,) * (nvars - len(nu))
-    delta = dict(mu_count)
-    for v in nu_star:
-        delta[v] = delta.get(v, 0) - 1
-    if sum(-c for c in delta.values() if c < 0) > 2:
-        return 0
-    total = 0
-    for i in range(nvars):
-        for j in range(i + 1, nvars):
-            a, b = nu_star[i], nu_star[j]
-            e = dict(delta)
-            e[a] = e.get(a, 0) + 1
-            e[b] = e.get(b, 0) + 1
-            pair = []
-            ok = True
-            for v, c in e.items():
-                if c < 0:
-                    ok = False
-                    break
-                pair.extend([v] * c)
-            if not ok:
+    U acts on a pair of exponents at a time: on the symmetrized pair
+    x0**p x1**q + x0**q x1**p (p >= q) the two-variable image
+    [x0**2 d0 - x1**2 d1] (...) / (x0 - x1) telescopes to coefficient p at
+    (p, q) and p - q at every interior (p - s, q + s), 0 < s <= (p - q)/2.
+    So each value pair {p, q} of nu padded with zeros (p = q needs two
+    copies) and each such s give the image mu, nu with {p, q} replaced by
+    {p - s, q + s}, once for every slot pair of mu that carries it."""
+    padded = nu + (0,) * (nvars - len(nu))
+    values = sorted(set(padded), reverse=True)
+    out: dict[Partition, int] = {}
+    for i, p in enumerate(values):
+        for q in values[i:]:
+            if p == q and (not p or padded.count(p) < 2):
                 continue
-            p, q = max(pair), min(pair)
-            total += _t_coeff(p, q, a, b)
-    return total
-
-
-def _count_assignments(parts: Partition, caps: Partition) -> int:
-    """Ways to place the parts, in order, onto distinguishable rows with the
-    given capacities so that every row is filled exactly.  This is the
-    monomial coefficient of the power sum product."""
-    memo: dict[tuple, int] = {}
-
-    def rec(idx: int, caps_sorted: tuple) -> int:
-        if idx == len(parts):
-            return 1 if not any(caps_sorted) else 0
-        key = (idx, caps_sorted)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        part = parts[idx]
-        total = 0
-        prev = None
-        for pos, c in enumerate(caps_sorted):
-            if c == prev or c < part:
-                continue
-            prev = c
-            count = caps_sorted.count(c)
-            nxt = tuple(sorted(caps_sorted[:pos] + (c - part,)
-                               + caps_sorted[pos + 1:], reverse=True))
-            total += count * rec(idx + 1, nxt)
-        memo[key] = total
-        return total
-
-    return rec(0, tuple(caps))
+            rest = list(padded)
+            rest.remove(p)
+            rest.remove(q)
+            for s in range((p - q) // 2 + 1):
+                a, b = p - s, q + s
+                img = sorted(rest + [a, b], reverse=True)
+                ca = img.count(a)
+                slots = ca * (ca - 1) // 2 if a == b else ca * img.count(b)
+                mu = tuple(x for x in img if x)
+                out[mu] = out.get(mu, 0) + (p - q if s else p) * slots
+    return out
 
 
 class _Basis:
@@ -251,28 +217,28 @@ class _Basis:
         self.n = n
         self.parts: list[Partition] = sorted(partitions_of(n), reverse=True)
         self.index = {mu: i for i, mu in enumerate(self.parts)}
-        k = len(self.parts)
-        # U matrix: column nu holds the m-expansion of U(m_nu); the operator
-        # lowers dominance, which the stored (lex-descending) order refines,
-        # so entries live at row >= column.
+        # U matrix: column nu holds the m-expansion of U(m_nu), generated
+        # entry by entry.  The operator lowers dominance, which the stored
+        # (lex-descending) order refines, so entries live at row >= column;
+        # back-substitution reads only those, so any other entry raises.
         self.u_cols: list[dict[int, int]] = []
         for ci, nu in enumerate(self.parts):
-            col = {}
-            for ri in range(ci, k):
-                c = _u_matrix_entry(nu, self.parts[ri], n)
-                if c:
-                    col[ri] = c
+            col = {self.index[mu]: c for mu, c in _u_col(nu, n).items()}
+            if col and min(col) < ci:
+                raise AssertionError(f"U(m_{nu}) has an entry above the diagonal")
             self.u_cols.append(col)
         # Diagonal alpha coefficient of (alpha/2) sum x**2 d**2 on m_nu; an
         # integer, since sum x(x - 1) is even.
         self.alpha_diag = [sum(x * (x - 1) for x in nu) // 2
                            for nu in self.parts]
-        # Power sums in the monomial basis: row pi of `p_in_m`.  Its inverse
-        # is kept by column: column pi as (row, integer numerator) pairs
-        # over one reduced denominator, so the power-sum conversion runs on
-        # ints.
-        self.p_in_m = [[_count_assignments(pi, mu) for mu in self.parts]
-                       for pi in self.parts]
+        # Power sums in the monomial basis: row pi of `p_in_m`, generated
+        # from its nonzero entries.  Its inverse is kept by column: column pi
+        # as (row, integer numerator) pairs over one reduced denominator, so
+        # the power-sum conversion runs on ints.
+        self.p_in_m = []
+        for pi in self.parts:
+            row = _p_row(pi)
+            self.p_in_m.append([row.get(mu, 0) for mu in self.parts])
         self._theta_solver = _lower_inverse_columns(self.p_in_m)
 
     @cached_property

@@ -358,32 +358,33 @@ def suite_catalan(k_max: int = 7) -> dict:
     return _report("catalan", {"k_max": k_max}, witnesses)
 
 
-SUITES: dict[str, tuple[Callable[..., dict], int]] = {
-    # name -> (runner, default parameter)
-    "prologue-tables": (suite_prologue_tables, 4),
-    "jack-examples": (suite_jack_examples, 6),
-    "stanley": (suite_stanley, 3),
-    "vanishing": (suite_vanishing, 5),
-    "laurent-degree": (suite_laurent_degree, 5),
-    "st-conversion": (suite_st_conversion, 6),
-    "equivalence": (suite_equivalence, 5),
-    "top-vs-full": (suite_top_vs_full, 5),
-    "positivity": (suite_positivity, 6),
-    "t3": (suite_t3, 4),
-    "p1top": (suite_p1top, 6),
-    "orbits": (suite_orbits, 6),
-    "moment-cumulant": (suite_moment_cumulant, 4),
-    "catalan": (suite_catalan, 7),
+SUITES: dict[str, tuple[Callable[..., dict], int, int]] = {
+    # name -> (runner, default parameter, least parameter with a check)
+    "prologue-tables": (suite_prologue_tables, 4, 1),
+    "jack-examples": (suite_jack_examples, 6, 1),
+    "stanley": (suite_stanley, 3, 1),
+    "vanishing": (suite_vanishing, 5, 1),
+    "laurent-degree": (suite_laurent_degree, 5, 1),
+    "st-conversion": (suite_st_conversion, 6, 2),
+    "equivalence": (suite_equivalence, 5, 1),
+    "top-vs-full": (suite_top_vs_full, 5, 1),
+    "positivity": (suite_positivity, 6, 1),
+    "t3": (suite_t3, 4, 1),
+    "p1top": (suite_p1top, 6, 2),
+    "orbits": (suite_orbits, 6, 1),
+    "moment-cumulant": (suite_moment_cumulant, 4, 1),
+    "catalan": (suite_catalan, 7, 2),
 }
 
 
 def run_suite(name: str, param: int | None = None) -> dict:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    runner, default = SUITES[name]
+    runner, default, least = SUITES[name]
     if param is None:
         param = default
-    elif param < 1:
-        # Below 1, most suites have nothing to check and would pass.
-        raise ValueError(f"{name} parameter must be >= 1, got {param}")
+    elif param < least:
+        # Below its least parameter a suite has nothing to check and would
+        # pass.
+        raise ValueError(f"{name} parameter must be >= {least}, got {param}")
     return runner(param)

@@ -94,11 +94,6 @@ def transpose(p: Partition) -> Partition:
     return tuple(out)
 
 
-def contains(p: Partition, box: tuple[int, int]) -> bool:
-    x, y = box
-    return 1 <= y <= len(p) and 1 <= x <= p[y - 1]
-
-
 def partitions_of(n: int) -> Iterator[Partition]:
     """All partitions of exactly n, in lexicographically decreasing order."""
     if n < 0:
@@ -145,8 +140,3 @@ def binom(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return factorial(n) // (factorial(k) * factorial(n - k))
-
-
-def hooks_staircase(n: int, length_: int) -> Partition:
-    """Staircase partition (n, n-1, ..., n-length+1), clipped at 1."""
-    return tuple(x for x in range(n, n - length_, -1) if x >= 1)

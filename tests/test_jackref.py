@@ -6,7 +6,7 @@ import pytest
 from jacktop import jackref
 from jacktop.exact import Laurent, RatFunc, alpha_to_A, p_scale
 from jacktop.jackref import (BoundExceeded, _apply_U, _basis, _collect_m,
-                             _count_assignments, _j_leading, _m_expand,
+                             _j_leading, _m_expand, _mul_power_sum, _p_row,
                              jack_character, jack_m_expansion,
                              jack_m_expansion_gram_schmidt, jack_powersum)
 from jacktop.young import (binom, enumerate_partitions, length,
@@ -176,9 +176,9 @@ def test_theta_from_m_rejects_fractional_coefficients():
 
 
 def test_u_matrix_matches_dense_oracle():
-    # Dual route: the pairwise closed form against the full monomial
+    # Dual route: the generated entries against the full monomial
     # expansion with synthetic division.
-    for n in range(1, 6):
+    for n in range(1, 8):
         basis = _basis(n)
         for ci, nu in enumerate(basis.parts):
             img = _apply_U(_m_expand(nu, n), n)
@@ -187,12 +187,124 @@ def test_u_matrix_matches_dense_oracle():
             assert dense == basis.u_cols[ci], (n, nu)
 
 
+def test_p_in_m_matches_dense_oracle():
+    # p_pi as the full monomial dict, one factor p_k at a time.
+    for n in range(1, 8):
+        basis = _basis(n)
+        for pi, row in zip(basis.parts, basis.p_in_m):
+            f = {(0,) * n: 1}
+            for k in pi:
+                f = _mul_power_sum(f, k)
+            dense = _collect_m(f, basis.parts, n)
+            assert [dense.get(mu, 0) for mu in basis.parts] == row, (n, pi)
+
+
+def t_coeff(p, q, a, b):
+    """Ordered-monomial coefficient of x0**a x1**b in the two-variable image
+
+        [x0**2 d0 - x1**2 d1] (x0**p x1**q + x0**q x1**p) / (x0 - x1)
+
+    for p >= q and a >= b: p on the endpoints (p, q) and (q, p), and p - q
+    on every interior pair (p-s, q+s)."""
+    if a + b != p + q:
+        return 0
+    if p == q:
+        return p if a == p else 0
+    if a == p:
+        return p
+    if b > q and a < p:
+        return p - q
+    return 0
+
+
+def u_matrix_entry(mu, nu, nvars):
+    """Reference coefficient of m_nu in U(m_mu), tested pair by pair: for
+    each position pair (i < j) of the sorted representative of nu, the rest
+    of the exponents must use up all of mu except a value pair {p, q}; the
+    contribution is then the two-variable coefficient."""
+    mu_count = {}
+    for v in tuple(mu) + (0,) * (nvars - len(mu)):
+        mu_count[v] = mu_count.get(v, 0) + 1
+    nu_star = tuple(nu) + (0,) * (nvars - len(nu))
+    delta = dict(mu_count)
+    for v in nu_star:
+        delta[v] = delta.get(v, 0) - 1
+    if sum(-c for c in delta.values() if c < 0) > 2:
+        return 0
+    total = 0
+    for i in range(nvars):
+        for j in range(i + 1, nvars):
+            a, b = nu_star[i], nu_star[j]
+            e = dict(delta)
+            e[a] = e.get(a, 0) + 1
+            e[b] = e.get(b, 0) + 1
+            if any(c < 0 for c in e.values()):
+                continue
+            pair = [v for v, c in e.items() for _ in range(c)]
+            total += t_coeff(max(pair), min(pair), a, b)
+    return total
+
+
+def count_assignments(parts, caps):
+    """Reference monomial coefficient of the power sum p_parts at m_caps:
+    the ways to place the parts, in order, onto distinguishable rows with
+    the given capacities so that every row is filled exactly."""
+    memo = {}
+
+    def rec(idx, caps_sorted):
+        if idx == len(parts):
+            return 1 if not any(caps_sorted) else 0
+        key = (idx, caps_sorted)
+        if key not in memo:
+            total, prev = 0, None
+            for pos, c in enumerate(caps_sorted):
+                if c == prev or c < parts[idx]:
+                    continue
+                prev = c
+                nxt = tuple(sorted(caps_sorted[:pos] + (c - parts[idx],)
+                                   + caps_sorted[pos + 1:], reverse=True))
+                total += caps_sorted.count(c) * rec(idx + 1, nxt)
+            memo[key] = total
+        return memo[key]
+
+    return rec(0, tuple(caps))
+
+
+def test_basis_matches_pairwise_reference():
+    # The closed forms tested on every pair of partitions, the way the
+    # basis was once built, against the generated entries.
+    for n in range(1, 11):
+        basis = _basis(n)
+        for ci, nu in enumerate(basis.parts):
+            col = {ri: c for ri, mu in enumerate(basis.parts)
+                   if (c := u_matrix_entry(nu, mu, n))}
+            assert col == basis.u_cols[ci], (n, nu)
+        assert basis.p_in_m == [[count_assignments(pi, mu)
+                                 for mu in basis.parts]
+                                for pi in basis.parts], n
+
+
 def test_power_sum_monomial_counts():
     # p_1^2 = m_2 + 2 m_11, p_2 = m_2
-    assert _count_assignments((1, 1), (2,)) == 1
-    assert _count_assignments((1, 1), (1, 1)) == 2
-    assert _count_assignments((2,), (1, 1)) == 0
-    assert _count_assignments((2,), (2,)) == 1
+    assert _p_row((1, 1)) == {(2,): 1, (1, 1): 2}
+    assert _p_row((2,)) == {(2,): 1}
+    assert _p_row(()) == {(): 1}
+
+
+def test_u_entry_above_diagonal_raises(monkeypatch):
+    # Back-substitution reads only rows below the column, so an entry
+    # above it would be dropped silently; building the basis refuses it.
+    u_col = jackref._u_col
+
+    def with_stray_entry(nu, nvars):
+        col = dict(u_col(nu, nvars))
+        if nu == (2, 2):
+            col[(3, 1)] = 1
+        return col
+
+    monkeypatch.setattr(jackref, "_u_col", with_stray_entry)
+    with pytest.raises(AssertionError, match="above the diagonal"):
+        jackref._Basis(4)
 
 
 def test_small_jack_tables():
