@@ -287,6 +287,9 @@ def _lower_inverse_columns(low: list[list[int]]
     `p_in_m` is one: p_pi expands into the m_mu whose parts are unions of
     parts of pi, which come no later in `parts` order, and its diagonal
     entry is prod m_i(pi)!."""
+    # The nonzero entries left of the diagonal, row by row.
+    below = [[(m, x) for m, x in enumerate(row[:i]) if x]
+             for i, row in enumerate(low)]
     cols = []
     for j in range(len(low)):
         # Column j is num / den, from num[j] = 1 over den = low[j][j]; each
@@ -294,7 +297,7 @@ def _lower_inverse_columns(low: list[list[int]]
         # when that division is not exact.
         den, num = low[j][j], {j: 1}
         for i in range(j + 1, len(low)):
-            acc = -sum(low[i][m] * x for m, x in num.items())
+            acc = -sum(x * num[m] for m, x in below[i] if m in num)
             if acc:
                 g = gcd(acc, low[i][i])
                 if low[i][i] > g:

@@ -10,16 +10,19 @@ unlabeled rooted maps.  Every such orbit has exactly (n-1)! elements.
 graph_classes groups pairs by the isomorphism class of the bicolored graph
 they span, which is all that the embedding sums depend on.
 
-graph_census counts the orbits of each graph class by cycle type: s1 is
-fixed to one permutation per cycle type, weighted by the size of its
-conjugacy class, and only s2 is scanned.  The flood (orbit_census,
-orbit_reps, enumerate_transitive_pairs) is kept as its oracle.
+graph_census counts the orbits of each graph class without listing pairs:
+s1 is fixed to one permutation per cycle type, weighted by the size of its
+conjugacy class, and s2 enters only through the block-count vectors of its
+cycles, a vector partition of the cycle type, weighted by the number of s2
+that give it.  The flood (orbit_census, orbit_reps,
+enumerate_transitive_pairs) is kept as its oracle and for the
+representatives the census command prints.
 """
 
 from __future__ import annotations
 
-from itertools import permutations as _itperms
-from math import factorial
+from itertools import permutations as _itperms, product
+from math import factorial, prod
 from typing import Iterable, Iterator, Sequence
 
 from .exact import Laurent
@@ -295,16 +298,21 @@ class BicoloredGraph:
         return len(seen) == self.whites + self.blacks
 
     def canonical_key(self) -> tuple:
-        """Complete isomorphism invariant: minimal white-mask multiset over
-        all relabelings of the black side.  Sides this small (<= 8) make the
-        brute-force minimum affordable; it is computed once per graph."""
+        """Complete isomorphism invariant: the minimal sorted mask tuple of
+        the larger side over all relabelings of the smaller side (the blacks
+        when whites > blacks, else the whites).  The side is fixed by
+        (whites, blacks), so keys of one shape compare like with like.  A
+        census graph has whites + blacks <= n + 1, so this is at most
+        ((n+1)//2)! relabelings; it is computed once per graph."""
         if self._key is None:
-            best = None
-            for pi in _itperms(range(self.blacks)):
-                masks = sorted(sum(1 << pi[b] for b in s) for s in self.adjacency)
-                key = tuple(masks)
-                if best is None or key < best:
-                    best = key
+            if self.whites > self.blacks:
+                small, sets = self.blacks, self.adjacency
+            else:
+                small, sets = self.whites, self.black_neighbors()
+            # bit[v] is the relabeled bit of vertex v of the smaller side.
+            best = min(tuple(sorted([sum(map(bit.__getitem__, s))
+                                     for s in sets]))
+                       for bit in _itperms([1 << v for v in range(small)]))
             self._key = (self.whites, self.blacks, best)
         return self._key
 
@@ -413,7 +421,6 @@ def count_embeddings_naive(g: BicoloredGraph, lam: Partition) -> int:
     cols = lam[0]
     nbrs = g.black_neighbors()
     count = 0
-    from itertools import product
     for f1 in product(range(1, cols + 1), repeat=g.whites):
         for f2 in product(range(1, rows + 1), repeat=g.blacks):
             ok = True
@@ -464,42 +471,81 @@ def _spans(masks: list[int]) -> bool:
     return True
 
 
+def _vector_partitions(lam: Partition) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The multisets of nonzero vectors in N**len(lam) that sum to lam, each
+    once, as its parts in one fixed order.
+
+    A part's leading index is the first nonzero coordinate of what remains,
+    and parts with the same leading index come in non-increasing
+    lexicographic order; so equal parts are adjacent, and every part chosen
+    leaves a remainder that can be finished (by unit vectors at least)."""
+    ell = len(lam)
+    parts: list[tuple[int, ...]] = []
+
+    def rec(rem: tuple[int, ...], lead: int, prev: tuple[int, ...] | None):
+        while lead < ell and not rem[lead]:
+            lead, prev = lead + 1, None
+        if lead == ell:
+            yield tuple(parts)
+            return
+        top = rem[lead] if prev is None else min(rem[lead], prev[lead])
+        tails = [range(rem[j], -1, -1) for j in range(lead + 1, ell)]
+        for first in range(top, 0, -1):
+            for tail in product(*tails):
+                v = (0,) * lead + (first,) + tail
+                if prev is not None and v > prev:
+                    continue
+                parts.append(v)
+                yield from rec(tuple(map(int.__sub__, rem, v)), lead, v)
+                parts.pop()
+
+    yield from rec(tuple(lam), 0, None)
+
+
 def graph_census(n: int) -> list[tuple[BicoloredGraph, int]]:
     """graph_classes(orbit_reps(n)) without the pair flood: each graph class
     of transitive pairs with its number of orbits, in canonical-key order.
 
     The graph of a pair only depends on the pair up to conjugation, so s1 is
-    one permutation per cycle type lam, weighted by its class size n!/z_lam,
-    and only s2 runs over S_n.  A labeled graph is the white count (the
-    cycles of s1) and the sorted white masks of the cycles of s2.  Each class
-    total counts labeled pairs; it must divide exactly by the orbit size
-    (n-1)!, and a remainder raises.
+    one permutation per cycle type lam, weighted by its class size n!/z_lam.
+    The graph then depends on s2 only through the block-count vector of
+    each cycle b of s2, whose entry w counts the elements b takes from the
+    w-th cycle of s1.  These vectors form a vector partition of lam, and
+    prod_w lam_w! * prod_b (|c_b| - 1)! / (prod_{b,w} c_{b,w}! * prod_v r_v!)
+    permutations s2 share a multiset of vectors c_b, where r_v counts the
+    repeats of the vector v.  A labeled graph is the white count (the
+    cycles of s1) and the sorted white masks (the supports of the vectors).
+    Each class total counts labeled pairs; it must divide exactly by the
+    orbit size (n-1)!, and a remainder raises.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     labeled: dict[tuple, int] = {}
     for lam in partitions_of(n):
-        white_bit = [0] * n
-        for w, cyc in enumerate(cycles(perm_from_cycle_type(lam))):
-            for x in cyc:
-                white_bit[x] = 1 << w
-        weight = factorial(n) // z_factor(lam)
-        for s2 in _itperms(range(n)):
-            seen = 0
-            masks = []
-            for start in range(n):
-                if seen >> start & 1:
-                    continue
-                mask = 0
-                x = start
-                while not seen >> x & 1:
-                    seen |= 1 << x
-                    mask |= white_bit[x]
-                    x = s2[x]
-                masks.append(mask)
-            if _spans(masks):
-                key = (len(lam), tuple(sorted(masks)))
-                labeled[key] = labeled.get(key, 0) + weight
+        base = factorial(n) // z_factor(lam) * prod(map(factorial, lam))
+        # vector -> (white mask, (|v| - 1)!, prod of v_w!)
+        terms: dict[tuple[int, ...], tuple[int, int, int]] = {}
+        for parts in _vector_partitions(lam):
+            for v in parts:
+                if v not in terms:
+                    terms[v] = (sum(1 << w for w, x in enumerate(v) if x),
+                                factorial(sum(v) - 1), prod(map(factorial, v)))
+            masks = [terms[v][0] for v in parts]
+            if not _spans(masks):
+                continue
+            num, den, run = base, 1, 1
+            for b, v in enumerate(parts):
+                _, cyclic, shares = terms[v]
+                run = run + 1 if b and parts[b - 1] == v else 1
+                num *= cyclic
+                den *= shares * run
+            pairs, rest = divmod(num, den)
+            if rest:
+                raise AssertionError(
+                    f"{lam}: {parts} weighs {num}/{den}, not a whole number "
+                    f"of pairs")
+            key = (len(lam), tuple(sorted(masks)))
+            labeled[key] = labeled.get(key, 0) + pairs
 
     graphs = ((BicoloredGraph(whites, len(masks),
                               [[b for b, m in enumerate(masks) if m >> w & 1]

@@ -4,13 +4,14 @@ Both top-degree routes read one graph-class census, map_formula_collection:
 the bicolored graphs spanned by the conjugation orbits of transitive
 permutation pairs, grouped up to isomorphism, each with a g-weighted
 multiplicity (counting orbits cancels the (n-1)! division exactly).  The
-census is taken by cycle type (maps.graph_census): one first permutation
-per cycle type, weighted by its class size, and a scan of the second.
+census (maps.graph_census) fixes one first permutation per cycle type,
+weighted by its class size, and enumerates the block-count vector
+partitions of the second instead of the permutations themselves.
 Direct evaluation on a diagram sums the normalized embedding counts of the
 classes; the symbolic expansion in the g/R ring enumerates the expander
-weights of each class.  The labeled pair
-sum is kept as an oracle.  The moment and cumulant functions over
-permutations, related by the set-partition formula, live here as well.
+weights of each class.  The labeled pair sum is kept as an oracle.  The
+moment and cumulant functions over permutations, related by the
+set-partition formula, live here as well.
 """
 
 from __future__ import annotations

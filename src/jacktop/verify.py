@@ -187,12 +187,8 @@ def suite_stanley(max_entry: int = 3) -> dict:
             if got != want:
                 witnesses.append({"P'": p_prime, "Q'": q_prime, "k": k,
                                   "got": got.to_json(), "want": want.to_json()})
-    report = _report("stanley", {"max_entry": max_entry, "cases": len(cases)},
-                     witnesses)
-    if len(cases) < 20:
-        report["pass"] = False
-        report["witnesses"].append({"error": "fewer than 20 diagrams"})
-    return report
+    return _report("stanley", {"max_entry": max_entry, "cases": len(cases)},
+                   witnesses)
 
 
 def suite_vanishing(pi_max: int = 5) -> dict:
@@ -359,10 +355,10 @@ def suite_catalan(k_max: int = 7) -> dict:
 
 
 SUITES: dict[str, tuple[Callable[..., dict], int, int]] = {
-    # name -> (runner, default parameter, least parameter with a check)
+    # name -> (runner, default parameter, least meaningful parameter)
     "prologue-tables": (suite_prologue_tables, 4, 1),
     "jack-examples": (suite_jack_examples, 6, 1),
-    "stanley": (suite_stanley, 3, 1),
+    "stanley": (suite_stanley, 3, 2),
     "vanishing": (suite_vanishing, 5, 1),
     "laurent-degree": (suite_laurent_degree, 5, 1),
     "st-conversion": (suite_st_conversion, 6, 2),
@@ -384,7 +380,7 @@ def run_suite(name: str, param: int | None = None) -> dict:
     if param is None:
         param = default
     elif param < least:
-        # Below its least parameter a suite has nothing to check and would
-        # pass.
+        # Below its least parameter a suite checks nothing (and would pass)
+        # or too few cases to mean anything.
         raise ValueError(f"{name} parameter must be >= {least}, got {param}")
     return runner(param)

@@ -146,9 +146,12 @@ def test_census_n_below_one_is_usage_error(capsys, n):
     ["top-vs-full", "-1"], ["t3", "-3"], ["p1top", "-3"], ["catalan", "0"],
     # These suites range from 2, so 1 would pass with nothing checked.
     ["p1top", "1"], ["catalan", "1"], ["st-conversion", "1"],
+    # stanley 1 has 3 diagrams, too few to mean anything.
+    ["stanley", "1"],
 ])
 def test_verify_param_below_one_is_usage_error(capsys, argv):
-    least = 2 if argv[0] in ("p1top", "catalan", "st-conversion") else 1
+    least = 2 if argv[0] in ("p1top", "catalan", "st-conversion",
+                             "stanley") else 1
     code = cli.main(["verify", *argv])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""

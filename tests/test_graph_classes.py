@@ -1,8 +1,10 @@
-"""The graph-class census against the orbit flood and the per-orbit and
-per-pair sums it replaced, which are kept here as oracles."""
+"""The graph-class census against the orbit flood, the scan of S_n by cycle
+type, and the per-orbit and per-pair sums it replaced, which are kept here
+as oracles."""
 
+from collections import Counter
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -10,12 +12,68 @@ from jacktop import maps
 from jacktop.exact import KLPoly, Laurent, gamma_power_A
 from jacktop.functionals import (_cumulant_pairs, free_cumulant,
                                  free_cumulant_pair_count, kl_evaluate)
-from jacktop.maps import (compose, cycles, full_cycle, graph_census,
-                          graph_classes, graph_of_pair, inverse,
-                          normalized_embeddings, orbit_reps)
+from jacktop.maps import (BicoloredGraph, _by_class, _spans,
+                          _vector_partitions, compose, cycles, full_cycle,
+                          graph_census, graph_classes, graph_of_pair, inverse,
+                          normalized_embeddings, orbit_reps,
+                          perm_from_cycle_type)
 from jacktop.topdegree import (ch_top_eval, expander_weights, kl_top,
                                map_formula_collection)
-from jacktop.young import z_factor
+from jacktop.young import partitions_of, z_factor
+
+
+def graph_census_scan(n):
+    """The census by a scan of S_n: s1 is one permutation per cycle type
+    lam, weighted by n!/z_lam, and s2 runs over all of S_n.  A labeled graph
+    is the white count and the sorted white masks of the cycles of s2."""
+    labeled = {}
+    for lam in partitions_of(n):
+        white_bit = [0] * n
+        for w, cyc in enumerate(cycles(perm_from_cycle_type(lam))):
+            for x in cyc:
+                white_bit[x] = 1 << w
+        weight = factorial(n) // z_factor(lam)
+        for s2 in permutations(range(n)):
+            masks = [sum({white_bit[x] for x in cyc}) for cyc in cycles(s2)]
+            if _spans(masks):
+                key = (len(lam), tuple(sorted(masks)))
+                labeled[key] = labeled.get(key, 0) + weight
+    graphs = ((BicoloredGraph(whites, len(masks),
+                              [[b for b, m in enumerate(masks) if m >> w & 1]
+                               for w in range(whites)]), pairs)
+              for (whites, masks), pairs in labeled.items())
+    orbit = factorial(n - 1)
+    out = []
+    for g, pairs in _by_class(graphs):
+        assert pairs % orbit == 0, (g, pairs)
+        out.append((g, pairs // orbit))
+    return out
+
+
+def block_count_vectors(lam, s2):
+    """The sorted block-count vectors of the cycles of s2 against the cycles
+    of perm_from_cycle_type(lam): entry w counts the elements the cycle
+    takes from the w-th cycle."""
+    white = {x: w for w, cyc in enumerate(cycles(perm_from_cycle_type(lam)))
+             for x in cyc}
+    vectors = []
+    for cyc in cycles(s2):
+        v = [0] * len(lam)
+        for x in cyc:
+            v[white[x]] += 1
+        vectors.append(tuple(v))
+    return tuple(sorted(vectors))
+
+
+def vector_multiplicity(lam, vectors):
+    """prod_w lam_w! prod_b (|c_b| - 1)! / (prod_{b,w} c_{b,w}! prod_v r_v!):
+    the number of s2 whose cycles have the block-count vectors c_b."""
+    num = prod(map(factorial, lam)) * \
+        prod(factorial(sum(v) - 1) for v in vectors)
+    den = prod(factorial(x) for v in vectors for x in v) * \
+        prod(map(factorial, Counter(vectors).values()))
+    assert num % den == 0, (lam, vectors)
+    return num // den
 
 
 def kl_top_per_orbit(n):
@@ -111,6 +169,34 @@ def test_graph_census_matches_flood():
             indecomposable_permutations(n + 1)
 
 
+def test_graph_census_matches_cycle_type_scan():
+    for n in range(1, 8):
+        census = [(g.canonical_key(), count) for g, count in graph_census(n)]
+        scan = [(g.canonical_key(), count)
+                for g, count in graph_census_scan(n)]
+        assert census == scan, n
+
+
+def test_vector_partitions_count_permutations():
+    # Every multiset of block-count vectors is enumerated exactly once, and
+    # the closed form counts the s2 that produce it.
+    for n in range(1, 7):
+        for lam in partitions_of(n):
+            seen = Counter(block_count_vectors(lam, s2)
+                           for s2 in permutations(range(n)))
+            listed = [tuple(sorted(parts)) for parts in _vector_partitions(lam)]
+            assert len(listed) == len(set(listed)) == len(seen), lam
+            for vectors in listed:
+                assert seen[vectors] == vector_multiplicity(lam, vectors), \
+                    (lam, vectors)
+
+
+def test_graph_census_totals_through_9():
+    for n in range(1, 10):
+        assert sum(count for _, count in graph_census(n)) == \
+            indecomposable_permutations(n + 1), n
+
+
 def test_graph_census_rejects_partial_orbits(monkeypatch):
     # Half the class size of the 3-cycles leaves 3/2 orbits of the graph
     # with one white and two blacks.
@@ -130,3 +216,11 @@ def test_kl_top_7():
         assert coeff.denominator == 1 and coeff >= 0
     for lam in [(1,), (3, 1), (2, 2, 2), (4, 2, 1), (5, 3, 1)]:
         assert ch_top_eval(7, lam, budget=7) == kl_evaluate(table, lam), lam
+
+
+def test_kl_top_9():
+    table = kl_top(9, budget=9)
+    terms = list(table.items())
+    assert len(terms) == 30
+    for _, coeff in terms:
+        assert coeff.denominator == 1 and coeff > 0

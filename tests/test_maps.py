@@ -192,6 +192,45 @@ def test_canonical_graph_key_is_isomorphism_invariant():
             assert relabeled.canonical_key() == base
 
 
+@pytest.mark.parametrize("whites,blacks,adjacency", [
+    (2, 4, [{0, 1, 2}, {2, 3}]),               # whites < blacks
+    (3, 3, [{0, 1}, {1, 2}, {2}]),             # whites = blacks
+    (4, 2, [{0, 1}, {0}, {1}, {1}]),           # whites > blacks
+])
+def test_canonical_graph_key_under_every_relabeling(whites, blacks, adjacency):
+    g = BicoloredGraph(whites, blacks, adjacency)
+    base = g.canonical_key()
+    assert base[:2] == (whites, blacks)
+    for bp in permutations(range(blacks)):
+        for wp in permutations(range(whites)):
+            relabeled = BicoloredGraph(
+                whites, blacks,
+                [{bp[b] for b in g.adjacency[wp[w]]} for w in range(whites)])
+            assert relabeled.canonical_key() == base
+
+
+def test_canonical_graph_key_is_complete():
+    # Equal keys exactly on isomorphic graphs: the brute-force invariant is
+    # the least adjacency over all relabelings of both sides.
+    from tests_support_graphs import all_small_graphs
+
+    def brute(g):
+        return (g.whites, g.blacks, min(
+            tuple(sorted(tuple(sorted(bp[b] for b in g.adjacency[wp[w]]))
+                         for w in range(g.whites)))
+            for bp in permutations(range(g.blacks))
+            for wp in permutations(range(g.whites))))
+
+    graphs = all_small_graphs(6)
+    assert {(g.whites > g.blacks) - (g.whites < g.blacks)
+            for g in graphs} == {-1, 0, 1}
+    classes = {}
+    for g in graphs:
+        classes.setdefault(g.canonical_key(), set()).add(brute(g))
+    assert all(len(found) == 1 for found in classes.values())
+    assert len(classes) == len({brute(g) for g in graphs})
+
+
 def test_canonical_graph_key_separates():
     from tests_support_graphs import all_small_graphs
     from jacktop.young import enumerate_partitions
