@@ -7,9 +7,10 @@ verifies every identity against an independent Jack-polynomial oracle at
 desk scale.  All arithmetic is exact.
 """
 
-from .exact import GammaPoly, KLPoly, Laurent, RatFunc
+from .exact import AlphaPoly, GammaPoly, KLPoly, Laurent, RatFunc
 from .young import parse_partition
 
-__all__ = ["GammaPoly", "KLPoly", "Laurent", "RatFunc", "parse_partition"]
+__all__ = ["AlphaPoly", "GammaPoly", "KLPoly", "Laurent", "RatFunc",
+           "parse_partition"]
 
 __version__ = "0.1.0"

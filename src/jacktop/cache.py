@@ -13,7 +13,7 @@ import os
 import sys
 from contextlib import suppress
 
-from .exact import P_ONE, KLPoly, RatFunc
+from .exact import AlphaPoly, KLPoly
 from .young import Partition, format_partition, parse_partition, size
 
 SCHEMA_VERSION = 1
@@ -39,14 +39,14 @@ class Cache:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
             return None
         if not isinstance(doc, dict) or doc.get("schema") != SCHEMA_VERSION:
             return None
         try:
             return decode(doc)
         except (KeyError, TypeError, AttributeError, ValueError,
-                ZeroDivisionError):
+                ZeroDivisionError, OverflowError):
             return None
 
     def _write(self, name: str, doc: dict) -> None:
@@ -69,26 +69,27 @@ class Cache:
     def _jack_name(lam: Partition) -> str:
         return "jack_" + format_partition(lam).replace(",", "-") + ".json"
 
-    def load_jack(self, lam: Partition) -> dict[Partition, RatFunc] | None:
+    def load_jack(self, lam: Partition) -> dict[Partition, AlphaPoly] | None:
         """The stored expansion of lam, or None (a miss) when the document
         names another diagram, a key is not a partition of |lam| in its
-        written form, or a value has a denominator."""
+        written form, or a value is not a nonzero polynomial in alpha in
+        its written form."""
         def decode(doc):
             if doc["lambda"] != format_partition(lam):
                 raise ValueError("another diagram")
             out = {}
             for k, v in doc["coeffs"].items():
                 pi = parse_partition(k)
-                value = RatFunc.parse(v)
+                value = AlphaPoly.parse(v)
                 if (format_partition(pi) != k or size(pi) != size(lam)
-                        or value.den != P_ONE):
+                        or value.text() != v or not value):
                     raise ValueError(f"bad entry {k}: {v}")
                 out[pi] = value
             return out
 
         return self._read(self._jack_name(lam), decode)
 
-    def store_jack(self, lam: Partition, coeffs: dict[Partition, RatFunc]) -> None:
+    def store_jack(self, lam: Partition, coeffs: dict[Partition, AlphaPoly]) -> None:
         doc = {"lambda": format_partition(lam),
                "coeffs": {format_partition(pi): c.text()
                           for pi, c in sorted(coeffs.items())}}

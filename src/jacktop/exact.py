@@ -1,18 +1,24 @@
 """Exact coefficient arithmetic.
 
-Four value spaces, all over the rationals and all stored sparsely with no
-zero coefficients (the empty map is the canonical zero):
+Five value spaces, all over the rationals:
 
   * ``Laurent``   -- Laurent polynomials in the indeterminate A,
   * ``GammaPoly`` -- polynomials in g, where g stands for -A + 1/A,
-  * ``RatFunc``   -- reduced rational functions in alpha, where alpha = A**2,
+  * ``AlphaPoly`` -- polynomials in alpha, where alpha = A**2: the values of
+                    the Jack oracle,
   * ``KLPoly``    -- elements of the graded ring Q[g; R2, R3, ...] with
-                    deg g = 1 and deg R_k = k.
+                    deg g = 1 and deg R_k = k,
+  * ``RatFunc``   -- reduced rational functions in alpha, the field of the
+                    Gram-Schmidt oracle and of the tests' references.
 
-``Laurent``, ``GammaPoly`` and ``KLPoly`` share one sparse core: ``_Sparse``
-(key -> nonzero Fraction, with add, neg, sub, scale, eq and hash) and, for the
-first two, ``_Univariate`` (mul, pow, degree, coeff).  One printer,
-``_signed_sum``, writes all four text forms, ``RatFunc`` via ``p_text``.
+The first four share one sparse core, with no zero coefficients stored (the
+empty map is the canonical zero): ``_Sparse`` (key -> nonzero Fraction, with
+add, neg, sub, scale, eq and hash) and, for the three univariate ones,
+``_Univariate`` (mul, pow, degree, coeff, long division and the parser of
+its text form); ``_Polynomial`` keeps the exponents of g and alpha
+nonnegative.  ``RatFunc`` is a numerator and a monic denominator in
+``AlphaPoly``, reduced by a gcd from the same long division.  One printer,
+``_signed_sum``, writes every text form.
 
 Plus the substitution calculus between them: g -> -A + 1/A, its inverse on
 (A <-> -1/A)-invariant Laurent polynomials, and alpha -> A**2.
@@ -20,6 +26,7 @@ Plus the substitution calculus between them: g -> -A + 1/A, its inverse on
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -45,6 +52,10 @@ def _power(name: str, e: int) -> list[str]:
     if e == 0:
         return []
     return [name if e == 1 else f"{name}^{e}"]
+
+
+#: An unsigned integer or fraction as ``str(Fraction)`` prints it.
+_UNSIGNED = r"\d+(?:/\d*[1-9]\d*)?"
 
 
 def _signed_sum(terms: Iterable[tuple[Fraction, list[str]]]) -> str:
@@ -198,9 +209,49 @@ class _Univariate(_Sparse):
             n >>= 1
         return result
 
+    def divmod(self, other):
+        """Long division from the top: (q, r) with self = q*other + r and r
+        zero or of lower degree than other."""
+        if not other._c:
+            raise ZeroDivisionError(
+                f"division by the zero {type(self).__name__}")
+        d = other.degree()
+        lead = other._c[d]
+        quo: dict[int, Fraction] = {}
+        rem = dict(self._c)
+        while rem and (top := max(rem)) >= d:
+            c = rem[top] / lead
+            quo[top - d] = c
+            for e, v in other._c.items():
+                e += top - d
+                s = rem.get(e, 0) - c * v
+                if s:
+                    rem[e] = s
+                else:
+                    del rem[e]
+        return self._of(quo), self._of(rem)
+
     def text(self) -> str:
         return _signed_sum((v, _power(self._VAR, e))
                            for e, v in sorted(self._c.items(), reverse=True))
+
+    @classmethod
+    def parse(cls, s: str):
+        """Inverse of text(); raises ValueError on other forms and on an
+        exponent that ``_key`` refuses."""
+        x = re.escape(cls._VAR)
+        term = re.compile(
+            rf"(-?)(?:(?:({_UNSIGNED})\*)?{x}(?:\^(-?\d+))?|({_UNSIGNED}))")
+        out: dict[int, Fraction] = {}
+        for piece in s.replace(" - ", " + -").split(" + "):
+            m = term.fullmatch(piece)
+            if m is None:
+                raise ValueError(f"not a term of {cls.__name__}: {piece!r}")
+            sign, coeff, exp, const = m.groups()
+            e, v = ((0, Fraction(const)) if const
+                    else (int(exp or 1), Fraction(coeff or 1)))
+            out[e] = out.get(e, 0) + (-v if sign else v)
+        return cls(out)
 
 
 class Laurent(_Univariate):
@@ -235,18 +286,36 @@ class Laurent(_Univariate):
 GAMMA_A = Laurent({1: -1, -1: 1})
 
 
-class GammaPoly(_Univariate):
-    """Sparse polynomial in g (nonnegative exponents only)."""
+class _Polynomial(_Univariate):
+    """A _Univariate with nonnegative exponents only."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _key(cls, e) -> int:
+        e = int(e)
+        if e < 0:
+            raise ValueError(f"negative exponent of {cls._VAR}")
+        return e
+
+
+class GammaPoly(_Polynomial):
+    """Sparse polynomial in g."""
 
     __slots__ = ()
     _VAR = "g"
 
-    @staticmethod
-    def _key(e) -> int:
-        e = int(e)
-        if e < 0:
-            raise ValueError("negative exponent of g")
-        return e
+
+class AlphaPoly(_Polynomial):
+    """Sparse polynomial in alpha, printed as a: the values of the Jack
+    oracle, whose power-sum coefficients lie in Z[alpha]."""
+
+    __slots__ = ()
+    _VAR = "a"
+
+    def at_A_squared(self, shift: int = 0, factor=1) -> Laurent:
+        """factor * A**shift times the image under alpha -> A**2."""
+        return Laurent({2 * e + shift: v * factor for e, v in self._c.items()})
 
 
 def subst_gamma(p: GammaPoly) -> Laurent:
@@ -306,139 +375,31 @@ def gamma_recover(f: Laurent) -> GammaPoly:
     return GammaPoly(coeffs)
 
 
-# ---------------------------------------------------------------------------
-# Dense polynomial helpers over Q, used for the alpha coefficient field.
-# A polynomial is a tuple of Fractions, index = exponent, no trailing zeros.
-
-Poly = tuple  # tuple[Fraction, ...]
-
-P_ZERO: Poly = ()
-P_ONE: Poly = (Fraction(1),)
-
-
-def p_trim(c: list) -> Poly:
-    while c and not c[-1]:
-        c.pop()
-    return tuple(c)
-
-
-def p_add(a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    return p_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                   for i in range(n)])
-
-
-def p_neg(a: Poly) -> Poly:
-    return tuple(-x for x in a)
-
-
-def p_mul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return P_ZERO
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return p_trim(out)
-
-
-def p_scale(a: Poly, v) -> Poly:
-    v = _frac(v)
-    return tuple(x * v for x in a) if v else P_ZERO
-
-
-def p_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv = 1 / b[-1]
-    for i in range(len(rem) - len(b), -1, -1):
-        c = rem[i + len(b) - 1] * inv
-        if c:
-            quo[i] = c
-            for j, y in enumerate(b):
-                rem[i + j] -= c * y
-    return p_trim(quo), p_trim(rem)
-
-
-def p_gcd(a: Poly, b: Poly) -> Poly:
-    while b:
-        a, b = b, p_divmod(a, b)[1]
-    if a:
-        a = p_scale(a, 1 / a[-1])  # monic
-    return a
-
-
-def p_text(a: Poly, name: str = "a") -> str:
-    return _signed_sum((a[e], _power(name, e))
-                       for e in range(len(a) - 1, -1, -1) if a[e])
-
-
-def p_parse(s: str, name: str = "a") -> Poly:
-    """Inverse of p_text, for the cache files."""
-    s = s.strip()
-    if s == "0":
-        return P_ZERO
-    out: dict[int, Fraction] = {}
-    s = s.replace("- ", "+ -").replace("+ ", "+")
-    for term in s.split("+"):
-        term = term.strip()
-        if not term:
-            continue
-        if "*" in term:
-            cs, xs = term.split("*", 1)
-            coeff = Fraction(cs)
-        elif term.startswith(name) or term.startswith("-" + name):
-            coeff = Fraction(-1 if term.startswith("-") else 1)
-            xs = term.lstrip("-")
-        else:
-            coeff, xs = Fraction(term), ""
-        if not xs:
-            e = 0
-        elif "^" in xs:
-            e = int(xs.split("^", 1)[1])
-        else:
-            e = 1
-        out[e] = out.get(e, Fraction(0)) + coeff
-    c = [Fraction(0)] * (max(out) + 1 if out else 0)
-    for e, v in out.items():
-        c[e] = v
-    return p_trim(c)
-
-
 class RatFunc:
-    """Reduced ratio of polynomials in alpha; the denominator is monic."""
+    """Reduced ratio of polynomials in alpha, with monic denominator: the
+    field of the Gram-Schmidt oracle and of the tests' references.  An
+    AlphaPoly, int or Fraction stands for itself over 1, also in ``==``."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=P_ONE, *, reduced: bool = False):
-        if isinstance(num, (int, Fraction)):
-            num = (_frac(num),) if num else P_ZERO
-        if isinstance(den, (int, Fraction)):
-            den = (_frac(den),) if den else P_ZERO
+    def __init__(self, num, den=1):
+        num, den = (v if isinstance(v, AlphaPoly) else AlphaPoly.const(v)
+                    for v in (num, den))
         if not den:
             raise ZeroDivisionError("zero denominator")
-        if not reduced:
-            g = p_gcd(num, den)
-            if g and g != P_ONE:
-                num = p_divmod(num, g)[0]
-                den = p_divmod(den, g)[0]
-            lead = den[-1]
-            if lead != 1:
-                num = p_scale(num, 1 / lead)
-                den = p_scale(den, 1 / lead)
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def const(v) -> "RatFunc":
-        return RatFunc(v)
+        g, r = den, num
+        while r:
+            g, r = r, g.divmod(r)[1]
+        if g.degree():
+            num, den = num.divmod(g)[0], den.divmod(g)[0]
+        lead = den.coeff(den.degree())
+        if lead != 1:
+            num, den = num.scale(1 / lead), den.scale(1 / lead)
+        self.num, self.den = num, den
 
     @staticmethod
     def alpha() -> "RatFunc":
-        return RatFunc((Fraction(0), Fraction(1)))
+        return RatFunc(AlphaPoly.var())
 
     def is_zero(self) -> bool:
         return not self.num
@@ -447,97 +408,78 @@ class RatFunc:
         return bool(self.num)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction, AlphaPoly)):
             other = RatFunc(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        # Over 1 it equals its numerator, so it hashes alike.
+        return hash((self.num, self.den) if self.den.degree() else self.num)
 
     def __add__(self, other) -> "RatFunc":
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc(other)
-        return RatFunc(p_add(p_mul(self.num, other.den), p_mul(other.num, self.den)),
-                       p_mul(self.den, other.den))
+        other = _ratfunc(other)
+        return RatFunc(self.num * other.den + other.num * self.den,
+                       self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatFunc":
         r = RatFunc.__new__(RatFunc)
-        r.num = p_neg(self.num)
-        r.den = self.den
+        r.num, r.den = -self.num, self.den
         return r
 
     def __sub__(self, other) -> "RatFunc":
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc(other)
-        return self + (-other)
+        return self + (-_ratfunc(other))
 
     def __rsub__(self, other) -> "RatFunc":
         return (-self) + other
 
     def __mul__(self, other) -> "RatFunc":
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc(other)
-        return RatFunc(p_mul(self.num, other.num), p_mul(self.den, other.den))
+        other = _ratfunc(other)
+        return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "RatFunc":
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc(other)
+        other = _ratfunc(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(p_mul(self.num, other.den), p_mul(self.den, other.num))
+        return RatFunc(self.num * other.den, self.den * other.num)
 
     def text(self) -> str:
-        n = p_text(self.num, "a")
-        if self.den == P_ONE:
-            return n
-        return f"({n})/({p_text(self.den, 'a')})"
+        if not self.den.degree():
+            return self.num.text()
+        return f"({self.num.text()})/({self.den.text()})"
 
     @staticmethod
     def parse(s: str) -> "RatFunc":
-        s = s.strip()
+        """Inverse of text()."""
         if s.startswith("(") and ")/(" in s:
             n, d = s[1:-1].split(")/(", 1)
-            return RatFunc(p_parse(n), p_parse(d))
-        return RatFunc(p_parse(s))
+            return RatFunc(AlphaPoly.parse(n), AlphaPoly.parse(d))
+        return RatFunc(AlphaPoly.parse(s))
 
     def __repr__(self) -> str:
         return f"RatFunc({self.text()})"
 
 
-def _laurent_div(num: Laurent, den: Laurent) -> Laurent:
-    """Exact division of Laurent polynomials; raises NotLaurent on remainder."""
-    if den.is_zero():
-        raise ZeroDivisionError("division by the zero Laurent polynomial")
-    if num.is_zero():
-        return Laurent.zero()
-    # Shift both to ordinary polynomials in A.
-    nlo = min(e for e, _ in num.items())
-    dlo = min(e for e, _ in den.items())
-    nd = {e - nlo: v for e, v in num.items()}
-    dd = {e - dlo: v for e, v in den.items()}
-    a = [Fraction(0)] * (max(nd) + 1)
-    for e, v in nd.items():
-        a[e] = v
-    b = [Fraction(0)] * (max(dd) + 1)
-    for e, v in dd.items():
-        b[e] = v
-    quo, rem = p_divmod(tuple(a), tuple(b))
-    if rem:
-        raise NotLaurent("alpha -> A**2 image does not divide exactly")
-    return Laurent({e + nlo - dlo: v for e, v in enumerate(quo) if v})
+def _ratfunc(x) -> RatFunc:
+    return x if isinstance(x, RatFunc) else RatFunc(x)
 
 
 def alpha_to_A(r: RatFunc) -> Laurent:
-    """Substitute alpha := A**2 and perform the exact division num/den."""
-    num = Laurent({2 * e: v for e, v in enumerate(r.num) if v})
-    den = Laurent({2 * e: v for e, v in enumerate(r.den) if v})
-    return _laurent_div(num, den)
+    """Substitute alpha := A**2 and perform the exact division num/den.
+
+    The numerator is first raised by the top power of the denominator, so
+    that a Laurent quotient becomes a polynomial one, which long division
+    finds; raises NotLaurent on a remainder."""
+    k = 2 * r.den.degree()
+    quo, rem = r.num.at_A_squared(k).divmod(r.den.at_A_squared())
+    if rem:
+        raise NotLaurent("alpha -> A**2 image does not divide exactly")
+    return quo * Laurent.monomial(-k)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ coefficient lists, is then converted to the power-sum basis by the inverse
 of the power-sum to monomial matrix.  That matrix is triangular, and each
 column of its inverse is found once per degree by forward substitution on
 ints, as integer numerators over one reduced denominator; so the
-conversion too runs on ints and divides once per coefficient, and its
-results are the first rational values (polynomials in alpha, denominator
-1).  These expansion coefficients are the unnormalized characters, which
+conversion too runs on ints and divides once per coefficient.  Its results,
+the first values with Fraction coefficients, are AlphaPoly polynomials in
+alpha.  These expansion coefficients are the unnormalized characters, which
 the normalized character wraps per the classical binomial/z-factor
 prescription: an integer factor, and alpha**e carried to A**(2e).
 
@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, gcd
 
-from .exact import Laurent, RatFunc
+from .exact import AlphaPoly, Laurent, RatFunc
 from .young import (Partition, binom, length, multiplicities, partition,
                     partitions_of, size, transpose, z_factor)
 
@@ -253,7 +253,7 @@ class _Basis:
         """The eigenvalue on m_nu as the integer pair (d0, d1) of d0 + d1*alpha."""
         return self.u_cols[nu_idx].get(nu_idx, 0), self.alpha_diag[nu_idx]
 
-    def theta_from_m(self, rhs: list[list[int]]) -> list[RatFunc]:
+    def theta_from_m(self, rhs: list[list[int]]) -> list[AlphaPoly]:
         """Convert a monomial-basis vector, one integer coefficient list (a
         polynomial in alpha, [] for zero) per partition, to power-sum
         coefficients: theta_pi = sum over mu of m_in_p[mu][pi] * rhs[mu],
@@ -271,10 +271,8 @@ class _Basis:
             for mu, c in entries:
                 for e, x in enumerate(rhs[mu]):
                     acc[e] += c * x
-            while acc and not acc[-1]:
-                acc.pop()
-            out.append(RatFunc(tuple(Fraction(x, den) for x in acc),
-                               reduced=True))
+            out.append(AlphaPoly({e: Fraction(x, den)
+                                  for e, x in enumerate(acc) if x}))
         return out
 
 
@@ -392,7 +390,7 @@ def _jack_m_vector(lam: Partition) -> list[list[int]]:
     return v
 
 
-_POWERSUM_CACHE: dict[Partition, dict[Partition, RatFunc]] = {}
+_POWERSUM_CACHE: dict[Partition, dict[Partition, AlphaPoly]] = {}
 _DISK_CACHE = None  # set by the CLI; see jacktop.cache
 
 
@@ -407,7 +405,7 @@ def _check_bound(lam: Partition, bound: int | None) -> None:
         raise BoundExceeded(f"|lambda| = {size(lam)} exceeds bound {limit}")
 
 
-def jack_powersum(lam: Partition, bound: int | None = None) -> dict[Partition, RatFunc]:
+def jack_powersum(lam: Partition, bound: int | None = None) -> dict[Partition, AlphaPoly]:
     """Power-sum expansion of the J-normalized Jack polynomial of lam.
 
     Returns a map from power-sum index partitions to coefficients in alpha;
@@ -426,7 +424,7 @@ def jack_powersum(lam: Partition, bound: int | None = None) -> dict[Partition, R
 
     n = size(lam)
     if n == 0:
-        result = {(): RatFunc(1)}
+        result = {(): AlphaPoly.const(1)}
     else:
         basis = _basis(n)
         theta = basis.theta_from_m(_jack_m_vector(lam))
@@ -439,13 +437,13 @@ def jack_powersum(lam: Partition, bound: int | None = None) -> dict[Partition, R
     return result
 
 
-def jack_m_expansion(lam: Partition) -> dict[Partition, RatFunc]:
+def jack_m_expansion(lam: Partition) -> dict[Partition, AlphaPoly]:
     """Monomial-basis expansion (exposed for the cross-validation tests)."""
     lam = partition(lam)
     if size(lam) == 0:
-        return {(): RatFunc(1)}
+        return {(): AlphaPoly.const(1)}
     v = _jack_m_vector(lam)
-    return {mu: RatFunc(tuple(Fraction(x) for x in v[i]), reduced=True)
+    return {mu: AlphaPoly(dict(enumerate(v[i])))
             for i, mu in enumerate(_basis(size(lam)).parts) if v[i]}
 
 
@@ -465,7 +463,7 @@ def jack_m_expansion_gram_schmidt(lam: Partition) -> dict[Partition, RatFunc]:
         for idx, pi in enumerate(parts):
             if u[idx].is_zero() or v[idx].is_zero():
                 continue
-            weight = RatFunc((Fraction(0),) * length(pi) + (Fraction(z_factor(pi)),))
+            weight = RatFunc(AlphaPoly.monomial(length(pi), z_factor(pi)))
             acc = acc + u[idx] * v[idx] * weight
         return acc
 
@@ -526,10 +524,6 @@ def jack_character(pi: Partition, lam: Partition, bound: int | None = None) -> L
     m1 = multiplicities(pi).get(1, 0)
     factor = binom(extra + m1, m1) * z_factor(pi)
     shift = size(pi) - length(pi)
-    # theta is a polynomial in alpha: theta_from_m builds it with
-    # denominator 1 and Cache.load_jack rejects any other; so alpha = A**2
-    # maps alpha**e to A**(2e).
-    result = Laurent({2 * e - shift: c * factor
-                      for e, c in enumerate(theta.num)} if theta else None)
+    result = theta.at_A_squared(-shift, factor) if theta else Laurent.zero()
     _CHARACTER_CACHE[key] = result
     return result

@@ -101,7 +101,7 @@ def suite_jack_examples(max_size: int = 6) -> dict:
     witnesses = []
     for pi in ((), (1,), (2,), (3,), (1, 1)):
         for lam in enumerate_partitions(max_size):
-            got = jack_character(pi, lam)
+            got = jack_character(pi, lam, bound=max_size)
             want = closed_form_character(pi, lam)
             if got != want:
                 witnesses.append({"pi": pi, "lambda": lam,

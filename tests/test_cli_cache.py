@@ -175,6 +175,7 @@ def test_wrong_shape_kl_top_file_is_a_miss(tmp_path, capsys, bad):
     (5, [{"gamma": 0, "mu": [4], "coeff": "7"}]),  # the document of index 5
     (3, [{"gamma": 0, "mu": [4], "coeff": "1"},    # a term of grading 3
          {"gamma": 1, "mu": [2], "coeff": "1"}]),
+    (3, [{"gamma": float("inf"), "mu": [2], "coeff": "1"}]),  # no integer
 ])
 def test_implausible_kl_top_file_is_a_miss(tmp_path, capsys, n, terms):
     path = tmp_path / "kltop_3.json"
@@ -213,6 +214,11 @@ def test_wrong_shape_jack_file_is_a_miss(tmp_path, capsys, bad):
     ({"1,1": "1", "2": "-1"}, "1,1"),        # the expansion of another diagram
     ({"7": "1", "1,1": "1"}, "2"),           # a key that is not a partition of 2
     ({"1,1": "1", "2": "(a)/(a + 1)"}, "2"),  # a value with a denominator
+    ({"1,1": "1", "2": "a^-1"}, "2"),         # a negative power of alpha
+    ({"1,1": "1", "2": "a^-1 + 1"}, "2"),
+    ({"1,1": "1", "2": "2*a^0"}, "2"),        # values not in written form
+    ({"1,1": "1", "2": "a + a"}, "2"),
+    ({"1,1": "1", "2": "0"}, "2"),            # a zero value, never written
 ])
 def test_implausible_jack_file_is_a_miss(tmp_path, capsys, coeffs, lam):
     path = tmp_path / "jack_2.json"
@@ -300,3 +306,57 @@ def test_cli_fuzz_exits_cleanly(tmp_path, argv, cached):
         topdegree.set_disk_cache(None)
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
+
+
+def test_jack_examples_beyond_the_default_bound(capsys):
+    code, out = run_cli(capsys, "verify", "jack-examples", "9")
+    report = json.loads(out)
+    assert code == 0 and report["pass"] is True
+    assert report["params"] == {"max_size": 9}
+
+
+# Cache-file fuzzing: truncated or byte-damaged copies of a valid Jack and a
+# valid top-degree document, each read by the command that uses it.  A
+# damaged file is a miss or a plausible hit, never a failed command.
+CACHE_COMMANDS = {"jack_3-1.json": ["eval", "ch", "2", "3,1"],
+                  "kltop_3.json": ["kl-top", "3"]}
+CACHE_BYTES = st.binary(min_size=1, max_size=4) | st.lists(
+    st.sampled_from(list(b'0123456789-e.,:[]{}"a^*/ \xff')),
+    min_size=1, max_size=4).map(bytes)
+
+
+@pytest.fixture(scope="module")
+def valid_cache_files(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("valid")
+    cache = Cache(str(directory))
+    cache.store_jack((3, 1), jack_powersum((3, 1)))
+    cache.store_kl_top(3, kl_top(3))
+    return {name: (directory / name).read_bytes() for name in CACHE_COMMANDS}
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_damaged_cache_file_exits_cleanly(tmp_path, valid_cache_files, data):
+    name = data.draw(st.sampled_from(sorted(CACHE_COMMANDS)))
+    valid = valid_cache_files[name]
+    i = data.draw(st.integers(0, len(valid) - 1))
+    if data.draw(st.booleans()):
+        damaged = valid[:i]
+    else:
+        j = data.draw(st.integers(i, min(i + 3, len(valid))))
+        damaged = valid[:i] + data.draw(CACHE_BYTES) + valid[j:]
+    (tmp_path / name).write_bytes(damaged)
+    jackref._POWERSUM_CACHE.pop((3, 1), None)
+    jackref._CHARACTER_CACHE.pop(((2,), (3, 1)), None)
+    topdegree._KL_TOP_CACHE.pop(3, None)
+    argv = ["--cache-dir", str(tmp_path), *CACHE_COMMANDS[name]]
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        jackref.set_disk_cache(None)
+        topdegree.set_disk_cache(None)
+    assert code == 0, (damaged, err.getvalue())
+    assert err.getvalue() == "", damaged

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jacktop.exact import (GAMMA_A, GammaPoly, KLPoly, Laurent, NoPreimage,
-                           NotInvariant, NotLaurent, RatFunc, alpha_to_A,
-                           gamma_recover, subst_gamma)
+from jacktop.exact import (GAMMA_A, AlphaPoly, GammaPoly, KLPoly, Laurent,
+                           NoPreimage, NotInvariant, NotLaurent, RatFunc,
+                           alpha_to_A, gamma_recover, subst_gamma)
 
 
 def L(d):
@@ -79,9 +79,9 @@ def test_ratfunc_basics():
 
 def test_ratfunc_normalization():
     # gcd-reduced with monic denominator after every operation
-    a = RatFunc((Fraction(0), Fraction(2)), (Fraction(0), Fraction(0), Fraction(4)))
+    a = RatFunc(AlphaPoly({1: 2}), AlphaPoly({2: 4}))
     assert a == RatFunc(Fraction(1, 2)) / RatFunc.alpha()
-    assert a.den[-1] == 1
+    assert a.den.coeff(a.den.degree()) == 1
 
 
 def test_alpha_to_A_not_laurent():
@@ -155,10 +155,10 @@ def test_gamma_degree_preserved(p):
 
 monomial_ratfuncs = st.tuples(
     st.lists(small_fracs, max_size=4).map(
-        lambda c: tuple(Fraction(x) for x in c)),
+        lambda c: AlphaPoly(dict(enumerate(c)))),
     st.integers(0, 3),
-).filter(lambda t: any(t[0])).map(
-    lambda t: RatFunc(t[0], (Fraction(0),) * t[1] + (Fraction(1),)))
+).filter(lambda t: t[0]).map(
+    lambda t: RatFunc(t[0], AlphaPoly.monomial(t[1])))
 
 
 @given(monomial_ratfuncs, monomial_ratfuncs)
@@ -201,9 +201,12 @@ def test_gamma_images_are_involution_invariant(p):
     ((RatFunc.alpha() * 3 - RatFunc(Fraction(1, 2))) / (RatFunc.alpha() + 2),
      "(3*a - 1/2)/(a + 2)"),
     (RatFunc(-1), "-1"),
-    (RatFunc((Fraction(0), Fraction(0), Fraction(-1))), "-a^2"),
+    (RatFunc(AlphaPoly({2: -1})), "-a^2"),
     (RatFunc(1) / RatFunc.alpha(), "(1)/(a)"),
     (RatFunc(0), "0"),
+    (AlphaPoly({2: -1, 0: Fraction(1, 2)}), "-a^2 + 1/2"),
+    (AlphaPoly({1: 3}), "3*a"),
+    (AlphaPoly.zero(), "0"),
 ])
 def test_text_goldens(value, text):
     assert value.text() == text
@@ -217,6 +220,7 @@ def test_equality_is_strict_on_type():
 
 @pytest.mark.parametrize("make", [
     lambda: GammaPoly({-1: 1}),
+    lambda: AlphaPoly({-1: 1}),
     lambda: KLPoly({(0, (1,)): 1}),
     lambda: KLPoly({(0, (3, 0)): 1}),
     lambda: KLPoly({(-1, (2,)): 1}),
@@ -254,3 +258,39 @@ def test_additive_group_and_scale_laws(abc, x, y):
 def test_subst_gamma_is_multiplicative(p, q, k):
     assert subst_gamma(p * q) == subst_gamma(p) * subst_gamma(q)
     assert subst_gamma(p ** k) == subst_gamma(p) ** k
+
+
+alpha_polys = st.dictionaries(st.integers(0, 5), small_fracs, max_size=4).map(AlphaPoly)
+
+
+@given(laurents | gamma_polys | alpha_polys)
+def test_parse_inverts_text(p):
+    assert type(p).parse(p.text()) == p
+
+
+@pytest.mark.parametrize("text", [
+    "a^-1", "a^-1 + 1", "", "-", "2a", "a*2", "1/0", "1e3", "1.5", " a",
+    "a - -a", "a +", "g", "(a)/(a + 1)",
+])
+def test_alpha_parse_rejects(text):
+    with pytest.raises(ValueError):
+        AlphaPoly.parse(text)
+
+
+@given(st.tuples(laurents, laurents) | st.tuples(alpha_polys, alpha_polys))
+def test_divmod_is_long_division(ab):
+    a, b = ab
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a.divmod(b)
+        return
+    q, r = a.divmod(b)
+    assert q * b + r == a
+    assert r.is_zero() or r.degree() < b.degree()
+
+
+def test_ratfunc_equals_its_alpha_polynomial():
+    p = AlphaPoly({0: 1, 2: Fraction(-1, 3)})
+    r = RatFunc(p * AlphaPoly({0: 1, 1: 1}), AlphaPoly({0: 1, 1: 1}))
+    assert r == p and p == r and hash(r) == hash(p)
+    assert RatFunc(p, 2) != p and RatFunc.alpha() != AlphaPoly.const(1)

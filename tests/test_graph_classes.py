@@ -3,6 +3,7 @@ type, and the per-orbit and per-pair sums it replaced, which are kept here
 as oracles."""
 
 from collections import Counter
+from fractions import Fraction
 from itertools import permutations
 from math import factorial, prod
 
@@ -19,7 +20,7 @@ from jacktop.maps import (BicoloredGraph, _by_class, _spans,
                           perm_from_cycle_type)
 from jacktop.topdegree import (ch_top_eval, expander_weights, kl_top,
                                map_formula_collection)
-from jacktop.young import partitions_of, z_factor
+from jacktop.young import multiplicities, partitions_of, z_factor
 
 
 def graph_census_scan(n):
@@ -224,3 +225,38 @@ def test_kl_top_9():
     assert len(terms) == 30
     for _, coeff in terms:
         assert coeff.denominator == 1 and coeff > 0
+
+
+def stirling_first(n, k):
+    """Unsigned Stirling number of the first kind c(n, k), by the recurrence
+    c(m + 1, k) = m c(m, k) + c(m, k - 1)."""
+    row = [1]
+    for m in range(n):
+        row = [m * (row[j] if j < len(row) else 0) + (row[j - 1] if j else 0)
+               for j in range(m + 2)]
+    return row[k]
+
+
+def test_kl_top_closed_form_anchors():
+    # For n <= 9: the support of kl_top(n) is g^0 R_{n+1} and every g^k R_mu
+    # with k >= 1, mu nonempty with parts >= 2 and k + |mu| = n + 1, p(n)
+    # terms with positive integer coefficients; the column g^(n-k) R_(k+1)
+    # holds the Stirling numbers c(n, k); and the row g^1 R_mu, |mu| = n,
+    # is n (l - 1)! prod (mu_i - 1) / (2 prod_j m_j(mu)!).
+    for n in range(1, 10):
+        table = kl_top(n, budget=n)
+        terms = dict(table.items())
+        support = {(0, (n + 1,))} | {(k, mu) for k in range(1, n)
+                                     for mu in partitions_of(n + 1 - k)
+                                     if min(mu) >= 2}
+        assert set(terms) == support, n
+        assert len(terms) == len(list(partitions_of(n))), n
+        assert all(c.denominator == 1 and c > 0 for c in terms.values()), n
+        for k in range(1, n + 1):
+            assert table.coeff(n - k, (k + 1,)) == stirling_first(n, k), (n, k)
+        for mu in partitions_of(n):
+            if min(mu) >= 2:
+                want = Fraction(
+                    n * factorial(len(mu) - 1) * prod(m - 1 for m in mu),
+                    2 * prod(map(factorial, multiplicities(mu).values())))
+                assert table.coeff(1, mu) == want, (n, mu)

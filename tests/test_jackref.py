@@ -4,7 +4,7 @@ from math import factorial, gcd
 import pytest
 
 from jacktop import jackref
-from jacktop.exact import Laurent, RatFunc, alpha_to_A, p_scale
+from jacktop.exact import AlphaPoly, Laurent, RatFunc, alpha_to_A
 from jacktop.jackref import (BoundExceeded, _apply_U, _basis, _collect_m,
                              _j_leading, _m_expand, _mul_power_sum, _p_row,
                              jack_character, jack_m_expansion,
@@ -12,7 +12,8 @@ from jacktop.jackref import (BoundExceeded, _apply_U, _basis, _collect_m,
 from jacktop.young import (binom, enumerate_partitions, length,
                            multiplicities, partitions_of, size, z_factor)
 
-ALPHA = RatFunc.alpha()
+ALPHA = AlphaPoly.var()
+ONE = AlphaPoly.const(1)
 
 
 def invert_rational(matrix):
@@ -42,8 +43,8 @@ def ratfunc_m_vector(lam):
     li = basis.index[lam]
 
     def eigenvalue(i):
-        return RatFunc((Fraction(basis.u_cols[i].get(i, 0)),
-                        basis.alpha_diag[i]))
+        return RatFunc(AlphaPoly({0: basis.u_cols[i].get(i, 0),
+                                  1: basis.alpha_diag[i]}))
 
     k = len(basis.parts)
     v = [RatFunc(0)] * k
@@ -86,7 +87,8 @@ def test_polynomial_oracle_matches_ratfunc_reference():
             continue
         assert jack_m_expansion(lam) == ratfunc_m_vector(lam), lam
         assert jack_powersum(lam) == ratfunc_powersum(lam), lam
-        assert all(c.den == (1,) for c in jack_powersum(lam).values()), lam
+        assert all(type(c) is AlphaPoly
+                   for c in jack_powersum(lam).values()), lam
 
 
 def test_j_leading_hand_values():
@@ -96,13 +98,14 @@ def test_j_leading_hand_values():
     assert _j_leading((3,)) == (one, Fraction(3), Fraction(2))
     for lam in enumerate_partitions(6):
         if lam:
-            assert jack_m_expansion(lam)[lam] == RatFunc(_j_leading(lam))
+            assert jack_m_expansion(lam)[lam] == \
+                AlphaPoly(dict(enumerate(_j_leading(lam))))
 
 
 def test_wrong_leading_coefficient_fails_bottom_check(monkeypatch):
     leading = jackref._j_leading
     monkeypatch.setattr(jackref, "_j_leading",
-                        lambda lam: p_scale(leading(lam), 2))
+                        lambda lam: tuple(2 * c for c in leading(lam)))
     with pytest.raises(AssertionError, match="bottom coefficient"):
         jack_m_expansion((2, 1))
 
@@ -162,9 +165,9 @@ def test_theta_from_m_rejects_denominators():
     # J_(2) = (1 + alpha) m_2 + 2 m_11 = alpha p_2 + p_1^2; a rational
     # function, here 1/(1 + alpha), is none.
     basis = _basis(2)
-    assert basis.theta_from_m([[1, 1], [2]]) == [ALPHA, RatFunc(1)]
+    assert basis.theta_from_m([[1, 1], [2]]) == [ALPHA, ONE]
     with pytest.raises(ValueError):
-        basis.theta_from_m([[1], RatFunc(1, (1, 1))])
+        basis.theta_from_m([[1], RatFunc(1, AlphaPoly({0: 1, 1: 1}))])
 
 
 def test_theta_from_m_rejects_fractional_coefficients():
@@ -310,9 +313,9 @@ def test_u_entry_above_diagonal_raises(monkeypatch):
 def test_small_jack_tables():
     # classical J tables: J_(1) = p_1, J_(2) = p_1^2 + a p_2,
     # J_(11) = p_1^2 - p_2
-    assert jack_powersum((1,)) == {(1,): RatFunc(1)}
-    assert jack_powersum((2,)) == {(1, 1): RatFunc(1), (2,): ALPHA}
-    assert jack_powersum((1, 1)) == {(1, 1): RatFunc(1), (2,): RatFunc(-1)}
+    assert jack_powersum((1,)) == {(1,): ONE}
+    assert jack_powersum((2,)) == {(1, 1): ONE, (2,): ALPHA}
+    assert jack_powersum((1, 1)) == {(1, 1): ONE, (2,): -ONE}
 
 
 def test_bottom_coefficients():
@@ -320,10 +323,10 @@ def test_bottom_coefficients():
         for lam in partitions_of(n):
             # the power-sum coefficient at 1^n is 1 ...
             theta = jack_powersum(lam)
-            assert theta[tuple([1] * n)] == RatFunc(1), lam
+            assert theta[tuple([1] * n)] == ONE, lam
             # ... while the monomial coefficient at 1^n is n!
             mvec = jack_m_expansion(lam)
-            assert mvec[tuple([1] * n)] == RatFunc(factorial(n)), lam
+            assert mvec[tuple([1] * n)] == AlphaPoly.const(factorial(n)), lam
 
 
 def test_gram_schmidt_cross_validation():
@@ -340,7 +343,7 @@ def ratfunc_character(pi, lam):
     if extra < 0:
         return Laurent.zero()
     padded = tuple(sorted(pi + (1,) * extra, reverse=True))
-    theta = jack_powersum(lam, bound=9).get(padded, RatFunc(0))
+    theta = RatFunc(jack_powersum(lam, bound=9).get(padded, 0))
     m1 = multiplicities(pi).get(1, 0)
     value = alpha_to_A(theta * (binom(extra + m1, m1) * z_factor(pi)))
     shift = size(pi) - length(pi)
