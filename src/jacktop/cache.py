@@ -97,7 +97,8 @@ class Cache:
 
     def load_kl_top(self, n: int) -> KLPoly | None:
         """The stored top-degree expansion of index n, or None (a miss) when
-        the document names another index or a term's grading is not n + 1."""
+        the document names another index, a coefficient is not in its
+        written form or a term's grading is not n + 1."""
         def decode(doc):
             if doc["n"] != n:
                 raise ValueError("another index")

@@ -43,6 +43,9 @@ class NotLaurent(ValueError):
     """alpha -> A**2 substitution did not divide exactly."""
 
 
+_ZERO = Fraction(0)
+
+
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
@@ -56,6 +59,19 @@ def _power(name: str, e: int) -> list[str]:
 
 #: An unsigned integer or fraction as ``str(Fraction)`` prints it.
 _UNSIGNED = r"\d+(?:/\d*[1-9]\d*)?"
+_SIGNED = re.compile(rf"-?{_UNSIGNED}")
+
+
+def _written_fraction(s) -> Fraction:
+    """The Fraction that ``str`` prints as s; ValueError for any other text.
+    The grammar is checked before Fraction reads s, so exponent notation
+    such as 1e10000000 never builds its integer."""
+    if not isinstance(s, str) or _SIGNED.fullmatch(s) is None:
+        raise ValueError(f"not a written fraction: {s!r}")
+    v = Fraction(s)
+    if str(v) != s:
+        raise ValueError(f"not a fraction in lowest terms: {s!r}")
+    return v
 
 
 def _signed_sum(terms: Iterable[tuple[Fraction, list[str]]]) -> str:
@@ -175,7 +191,7 @@ class _Univariate(_Sparse):
 
     def coeff(self, d: int) -> Fraction:
         """Coefficient of the d-th power (zero if absent)."""
-        return self._c.get(d, Fraction(0))
+        return self._c.get(d, _ZERO)
 
     def degree(self) -> int | None:
         """Largest stored exponent, or None for the zero polynomial."""
@@ -279,7 +295,9 @@ class Laurent(_Univariate):
 
     @staticmethod
     def from_json(obj: Mapping[str, str]) -> "Laurent":
-        return Laurent({int(e): Fraction(v) for e, v in obj.items()})
+        """Inverse of to_json; a coefficient must be written as to_json
+        writes it (ValueError otherwise)."""
+        return Laurent({int(e): _written_fraction(v) for e, v in obj.items()})
 
 
 #: The substitution image of g, i.e. -A + 1/A.
@@ -350,6 +368,18 @@ def addmul_ints(acc: dict[int, int], a: dict[int, int], b: dict[int, int],
             else:
                 del acc[e]
     return acc
+
+
+def int_coeffs(p: Laurent) -> dict[int, int]:
+    """The exponent -> int dict of a Laurent polynomial with integer
+    coefficients, the form addmul_ints takes; raises ValueError on a
+    fractional coefficient."""
+    out = {}
+    for e, v in p._c.items():
+        if v.denominator != 1:
+            raise ValueError(f"not an integer coefficient: {v}")
+        out[e] = v.numerator
+    return out
 
 
 def gamma_recover(f: Laurent) -> GammaPoly:
@@ -519,7 +549,7 @@ class KLPoly(_Sparse):
         return KLPoly({(g, tuple(mu)): coeff})
 
     def coeff(self, g: int, mu: Iterable[int]) -> Fraction:
-        return self._c.get(self._key((g, mu)), Fraction(0))
+        return self._c.get(self._key((g, mu)), _ZERO)
 
     def graded_part(self, d: int) -> "KLPoly":
         """Keep exactly the keys with g + |mu| = d."""
@@ -535,8 +565,10 @@ class KLPoly(_Sparse):
 
     @staticmethod
     def from_json(arr: Iterable[Mapping]) -> "KLPoly":
+        """Inverse of to_json; a coefficient must be written as to_json
+        writes it (ValueError otherwise)."""
         return KLPoly({(int(o["gamma"]), tuple(int(m) for m in o["mu"])):
-                       Fraction(o["coeff"]) for o in arr})
+                       _written_fraction(o["coeff"]) for o in arr})
 
     def text(self) -> str:
         """Terms in graded order, each as R-factors then the g power."""

@@ -21,7 +21,7 @@ representatives the census command prints.
 
 from __future__ import annotations
 
-from itertools import permutations as _itperms, product
+from itertools import accumulate, permutations as _itperms, product
 from math import factorial, prod
 from typing import Iterable, Iterator, Sequence
 
@@ -349,26 +349,40 @@ _EMBED_CACHE: dict[tuple, int] = {}
 
 
 def count_embeddings(g: BicoloredGraph, lam: Partition) -> int:
-    """Number of embeddings of g into lam.
+    """Number of embeddings of g into lam: a column c_w <= lam[0] for each
+    white and a row r_b for each black, with c_w <= lam[r_b] on every edge.
 
-    Uses the min-product form: sum over row assignments of the black side of
-    the product, over whites, of the smallest assigned row length among the
-    white's neighbors.  Exact because the embedding condition reads
-    column(w) <= lam[row(b)] for every edge.
+    Equal rows form levels: v_1 > ... > v_t are the distinct row lengths,
+    m_i rows have length v_i, M_i = m_1 + ... + m_i rows have length at
+    least v_i, and v_{t+1} = 0.  Only the smaller side is enumerated.  When
+    whites >= blacks the count is the sum over f: blacks -> levels of
+
+        prod_b m[f(b)] * prod_w v[max f(N(w))],
+
+    since a white may take exactly the columns of the shortest row among
+    its neighbors.  When whites < blacks it is the column-level dual, the
+    sum over h: whites -> levels of
+
+        prod_w (v[h(w)] - v[h(w) + 1]) * prod_b M[min h(N(b))],
+
+    since a column c with v_{i+1} < c <= v_i fits in exactly the first M_i
+    rows.  Both take the least neighbor value (v falls and M rises with
+    the level), which _level_sum sums.
     """
-    if g.has_isolated_vertex():
-        raise IsolatedVertex(repr(g))
     key = (g.canonical_key(), lam)
     hit = _EMBED_CACHE.get(key)
     if hit is not None:
+        # canonical_key is complete, so a hit is a class that passed the
+        # isolated-vertex test below.
         return hit
+    if g.has_isolated_vertex():
+        raise IsolatedVertex(repr(g))
 
     if g.blacks == 0:
         result = 1  # vacuous graph
     elif not lam:
         result = 0
     else:
-        # Group equal rows: assignments only depend on the row length chosen.
         values: list[int] = []
         mult: list[int] = []
         for row in lam:
@@ -377,38 +391,48 @@ def count_embeddings(g: BicoloredGraph, lam: Partition) -> int:
             else:
                 values.append(row)
                 mult.append(1)
-        t = len(values)
-        masks = [sum(1 << b for b in s) for s in g.adjacency]
-        total = 0
-        assign = [0] * g.blacks
-
-        def rec(b: int, weight: int):
-            nonlocal total
-            if b == g.blacks:
-                prod = weight
-                for mask in masks:
-                    m = mask
-                    best = None
-                    while m:
-                        low = (m & -m).bit_length() - 1
-                        v = values[assign[low]]
-                        if best is None or v < best:
-                            best = v
-                        m &= m - 1
-                    prod *= best
-                    if prod == 0:
-                        break
-                total += prod
-                return
-            for i in range(t):
-                assign[b] = i
-                rec(b + 1, weight * mult[i])
-
-        rec(0, 1)
-        result = total
+        if g.whites >= g.blacks:
+            result = _level_sum(g.blacks, g.adjacency, mult, values)
+        else:
+            widths = [v - w for v, w in zip(values, values[1:] + [0])]
+            result = _level_sum(g.whites, g.black_neighbors(), widths,
+                                list(accumulate(mult)))
 
     _EMBED_CACHE[key] = result
     return result
+
+
+def _level_sum(size: int, nbrs: Sequence[Iterable[int]],
+               weight: list[int], value: list[int]) -> int:
+    """The sum over f: range(size) -> levels of prod_s weight[f(s)] times,
+    for each neighborhood in nbrs, the least value[f(s)] over its s.
+
+    f is assigned one s at a time, and partial assignments are merged by
+    the running minimum of every neighborhood (variable elimination): a
+    neighborhood's minimum is multiplied in at its largest s, after which,
+    like one not yet met, it holds max(value)."""
+    nbrs = [tuple(nb) for nb in nbrs]
+    last = [max(nb) for nb in nbrs]
+    hi = max(value)
+    states = {(hi,) * len(nbrs): 1}
+    for s in range(size):
+        inner = [o for o, nb in enumerate(nbrs) if s in nb and s < last[o]]
+        final = [o for o, end in enumerate(last) if end == s]
+        merged: dict[tuple[int, ...], int] = {}
+        for state, acc in states.items():
+            for w, v in zip(weight, value):
+                least = list(state)
+                term = acc * w
+                for o in inner:
+                    if v < least[o]:
+                        least[o] = v
+                for o in final:
+                    term *= min(least[o], v)
+                    least[o] = hi
+                key = tuple(least)
+                merged[key] = merged.get(key, 0) + term
+        states = merged
+    return sum(states.values())
 
 
 def count_embeddings_naive(g: BicoloredGraph, lam: Partition) -> int:

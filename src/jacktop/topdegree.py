@@ -7,11 +7,13 @@ multiplicity (counting orbits cancels the (n-1)! division exactly).  The
 census (maps.graph_census) fixes one first permutation per cycle type,
 weighted by its class size, and enumerates the block-count vector
 partitions of the second instead of the permutations themselves.
-Direct evaluation on a diagram sums the normalized embedding counts of the
-classes; the symbolic expansion in the g/R ring enumerates the expander
-weights of each class.  The labeled pair sum is kept as an oracle.  The
-moment and cumulant functions over permutations, related by the
-set-partition formula, live here as well.
+Direct evaluation on a diagram adds up orbit counts times embedding counts
+as ints, one total per shape (whites, blacks), and expands each power of g
+once; the embedding counts enumerate the smaller side of each graph.  The
+symbolic expansion in the g/R ring enumerates the expander weights of each
+class.  The labeled pair sum is kept as an oracle.  The moment and cumulant
+functions over permutations, related by the set-partition formula, live
+here as well.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ from functools import lru_cache
 from itertools import permutations as _itperms
 from typing import Iterable, Iterator, Sequence
 
-from .exact import GammaPoly, KLPoly, Laurent, gamma_power_A, subst_gamma
-from .maps import (BicoloredGraph, Perm, compose, cycles, graph_census,
-                   inverse, is_transitive_pair, normalized_embeddings,
-                   normalized_embeddings_graph)
+from .exact import (GammaPoly, KLPoly, Laurent, addmul_ints, gamma_power_A,
+                    int_coeffs)
+from .maps import (BicoloredGraph, Perm, compose, count_embeddings, cycles,
+                   graph_census, inverse, is_transitive_pair,
+                   normalized_embeddings)
 from .young import Partition
 
 DEFAULT_BUDGET = 6
@@ -51,13 +54,29 @@ def check_budget(n: int, budget: int | None) -> None:
 
 def ch_top_eval(n: int, lam: Partition, budget: int | None = None) -> Laurent:
     """Evaluate the top-degree character part on a diagram: the sum of
-    m_G(g) * (normalized embeddings of G) over map_formula_collection(n)."""
-    total = Laurent.zero()
+    m_G(g) * (normalized embeddings of G) over map_formula_collection(n).
+
+    The summand of a class is -count_G * N_G(lam) * g**(n+1-w-b) *
+    A**(w-b) * (-1)**b, with N_G(lam) its embedding count and (w, b) its
+    shape (whites, blacks).  So the ints -count_G * N_G(lam) are added up
+    per shape, and the nonzero shape totals of each power of g are expanded
+    once, on the integer coefficients of (-A + 1/A)**(n+1-w-b)."""
+    shapes: dict[tuple[int, int], int] = {}
     for g, mult in map_formula_collection(n, budget):
-        emb = normalized_embeddings_graph(g, lam)
-        if emb:
-            total = total + subst_gamma(mult) * emb
-    return total
+        count = count_embeddings(g, lam)
+        if count:
+            shape = (g.whites, g.blacks)
+            weight = mult.coeff(n + 1 - g.whites - g.blacks).numerator
+            shapes[shape] = shapes.get(shape, 0) + weight * count
+    by_power: dict[int, dict[int, int]] = {}
+    for (w, b), value in shapes.items():
+        if value:
+            by_power.setdefault(n + 1 - w - b, {})[w - b] = \
+                -value if b % 2 else value
+    total: dict[int, int] = {}
+    for e, part in by_power.items():
+        addmul_ints(total, int_coeffs(gamma_power_A(e)), part)
+    return Laurent(total)
 
 
 def ch_top_eval_labeled(n: int, lam: Partition) -> Laurent:

@@ -189,6 +189,23 @@ def test_implausible_kl_top_file_is_a_miss(tmp_path, capsys, n, terms):
     assert doc["n"] == 3 and doc["terms"] == kl_top(3).to_json()
 
 
+@pytest.mark.parametrize("coeff", [
+    "1e3", "7.0", "+7", " 7", "-3/6",
+    "1e10000000",  # read by Fraction, a 4 MB integer and seconds of work
+])
+def test_coefficient_not_in_written_form_is_a_miss(tmp_path, capsys, coeff):
+    terms = kl_top(3).to_json()
+    terms[0]["coeff"] = coeff
+    path = tmp_path / "kltop_3.json"
+    path.write_text(json.dumps({"schema": 1, "n": 3, "terms": terms}))
+    topdegree._KL_TOP_CACHE.pop(3, None)
+    code, out = run_cli(capsys, "--cache-dir", str(tmp_path),
+                        "kl-top", "3", "--format", "text")
+    assert code == 0
+    assert out.strip() == "R4 + 3*R3*g + 2*R2*g^2"
+    assert json.loads(path.read_text())["terms"] == kl_top(3).to_json()
+
+
 @pytest.mark.parametrize("bad", ['{"schema": 1}', "[1, 2]"])
 def test_wrong_shape_jack_file_is_a_miss(tmp_path, capsys, bad):
     def run_cold():

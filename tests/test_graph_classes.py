@@ -4,6 +4,7 @@ as oracles."""
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import factorial, prod
 
@@ -20,7 +21,8 @@ from jacktop.maps import (BicoloredGraph, _by_class, _spans,
                           perm_from_cycle_type)
 from jacktop.topdegree import (ch_top_eval, expander_weights, kl_top,
                                map_formula_collection)
-from jacktop.young import multiplicities, partitions_of, z_factor
+from jacktop.young import (enumerate_partitions, multiplicities,
+                           partitions_of, z_factor)
 
 
 def graph_census_scan(n):
@@ -88,11 +90,24 @@ def kl_top_per_orbit(n):
     return total
 
 
-def ch_top_per_orbit(n, lam):
-    total = Laurent.zero()
+@lru_cache(maxsize=None)
+def orbit_terms(n):
+    """(spanned graph G, g**(n+1-|whites|-|blacks|) * A**|whites| *
+    (-1/A)**|blacks| as a Laurent polynomial) of each orbit representative."""
+    out = []
     for s1, s2 in orbit_reps(n):
-        gexp = n + 1 - len(cycles(s1)) - len(cycles(s2))
-        total = total + gamma_power_A(gexp) * normalized_embeddings(s1, s2, lam)
+        g = graph_of_pair(s1, s2)
+        sign = -1 if g.blacks % 2 else 1
+        out.append((g, gamma_power_A(n + 1 - g.whites - g.blacks)
+                    * Laurent({g.whites - g.blacks: sign})))
+    return out
+
+
+def ch_top_per_orbit(n, lam):
+    """The top-degree part as a Laurent sum, one term per orbit."""
+    total = Laurent.zero()
+    for g, weight in orbit_terms(n):
+        total = total + weight.scale(maps.count_embeddings(g, lam))
     return -total
 
 
@@ -133,10 +148,10 @@ def test_kl_top_matches_per_orbit_sum():
 
 
 def test_ch_top_eval_matches_per_orbit_sum():
-    diagrams = [(), (1,), (3, 1), (2, 2, 1), (4, 2, 1), (3, 3, 2)]
     for n in range(1, 7):
-        for lam in diagrams:
-            assert ch_top_eval(n, lam) == ch_top_per_orbit(n, lam), (n, lam)
+        for lam in enumerate_partitions(8):
+            assert ch_top_eval(n, lam).to_json() == \
+                ch_top_per_orbit(n, lam).to_json(), (n, lam)
 
 
 def test_free_cumulant_matches_per_pair_sum():

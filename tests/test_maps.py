@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jacktop import maps
 from jacktop.exact import Laurent
 from jacktop.maps import (BicoloredGraph, IsolatedVertex, NotTransitive,
                           SizeMismatch, canonical_orbit_rep, compose,
                           count_embeddings, count_embeddings_naive, cycles,
                           cycle_type, enumerate_transitive_pairs, full_cycle,
-                          graph_of_pair, identity, inverse,
+                          graph_census, graph_of_pair, identity, inverse,
                           is_transitive_pair, normalized_embeddings,
                           orbit_census, pair_orbit, parse_perm,
                           perm_from_cycle_type)
@@ -138,6 +139,22 @@ def test_count_embeddings_isolated():
         count_embeddings(lonely, (1,))
 
 
+def test_isolated_vertex_raises_with_a_warm_cache():
+    # The cache is read before the isolated-vertex test; no key of a graph
+    # with an isolated vertex may be served from it.
+    for g in (BicoloredGraph(2, 1, [{0}, {0}]), BicoloredGraph(1, 2, [{0, 1}]),
+              BicoloredGraph(2, 2, [{0, 1}, {0, 1}])):
+        for lam in [(1,), (2, 1), (3, 3, 1)]:
+            count_embeddings(g, lam)
+    for lonely in (BicoloredGraph(2, 1, [{0}, set()]),
+                   BicoloredGraph(1, 2, [{0}]),
+                   BicoloredGraph(2, 2, [{0}, {0}]),
+                   BicoloredGraph(0, 1, [])):
+        for lam in [(1,), (2, 1), (3, 3, 1)]:
+            with pytest.raises(IsolatedVertex):
+                count_embeddings(lonely, lam)
+
+
 def test_embeddings_match_naive_oracle():
     from tests_support_graphs import all_small_graphs
     graphs = all_small_graphs()
@@ -149,6 +166,60 @@ def test_embeddings_match_naive_oracle():
         for lam in diagrams:
             assert count_embeddings(g, lam) == count_embeddings_naive(g, lam), \
                 (g, lam)
+
+
+def test_census_embeddings_match_black_side_reference(monkeypatch):
+    # Every graph class of the census for n <= 6, counted afresh on every
+    # diagram with at most ten boxes, against the black-side recursion the
+    # smaller-side count replaced, and against the raw enumeration up to
+    # five boxes.  Each count enumerates the smaller side.
+    from tests_support_graphs import count_embeddings_black_side
+    sizes = []
+    real = maps._level_sum
+    monkeypatch.setattr(maps, "_EMBED_CACHE", {})
+    monkeypatch.setattr(maps, "_level_sum",
+                        lambda size, *rest: sizes.append(size) or
+                        real(size, *rest))
+    classes = {g.canonical_key(): g for n in range(1, 7)
+               for g, _ in graph_census(n)}
+    shapes = {(g.whites > g.blacks) - (g.whites < g.blacks)
+              for g in classes.values()}
+    assert shapes == {-1, 0, 1}
+    for g in classes.values():
+        for lam in enumerate_partitions(10):
+            sizes.clear()
+            got = count_embeddings(g, lam)
+            assert sizes == ([min(g.whites, g.blacks)] if lam else [])
+            assert got == count_embeddings_black_side(g, lam), (g, lam)
+            if sum(lam) <= 5:
+                assert got == count_embeddings_naive(g, lam), (g, lam)
+
+
+@st.composite
+def covering_graphs(draw):
+    whites = draw(st.integers(1, 4))
+    blacks = draw(st.integers(1, 4))
+    masks = draw(st.lists(st.integers(1, (1 << blacks) - 1),
+                          min_size=whites, max_size=whites))
+    extra = draw(st.lists(st.integers(0, whites - 1), min_size=blacks,
+                          max_size=blacks))
+    for b, w in enumerate(extra):  # every black gets a neighbor
+        masks[w] |= 1 << b
+    return BicoloredGraph(whites, blacks,
+                          [{b for b in range(blacks) if m >> b & 1}
+                           for m in masks])
+
+
+repeated_diagrams = st.lists(st.integers(1, 4), max_size=6).map(
+    lambda parts: tuple(sorted(parts, reverse=True)))
+
+
+@given(covering_graphs(), repeated_diagrams)
+@settings(max_examples=200, deadline=None)
+def test_embeddings_match_black_side_reference(g, lam):
+    from tests_support_graphs import count_embeddings_black_side
+    maps._EMBED_CACHE.pop((g.canonical_key(), lam), None)
+    assert count_embeddings(g, lam) == count_embeddings_black_side(g, lam)
 
 
 def test_normalized_embeddings_examples():
