@@ -14,7 +14,7 @@ from itertools import chain, product as _itproduct
 from math import gcd, lcm
 from typing import Callable, Sequence
 
-from .exact import KLPoly, Laurent, addmul_ints, gamma_power_A
+from .exact import KLPoly, Laurent, addmul_ints, gamma_power_A, int_coeffs
 from .functionals import free_cumulant
 from .jackref import jack_character
 from .young import (Partition, enumerate_partitions, partition,
@@ -267,22 +267,17 @@ def kl_expansion_keys(n: int) -> list[tuple[int, tuple[int, ...]]]:
     return keys
 
 
-def _ints(p: Laurent) -> dict[int, int]:
-    """The exponent -> int dict of a Laurent polynomial with integer
-    coefficients."""
-    return {e: v.numerator for e, v in p.items()}
-
-
 def _kl_key_values(keys, lam: Partition, n: int) -> list[dict[int, int]]:
     """Values of the g/R keys on lam as exponent -> int dicts.  Keys come in
     graded order, so each (g, mu) is its prefix (g, mu[:-1]) times
     R_{mu[-1]}; the first cumulant asked for is the largest, R_{n+1}, whose
     pass fills all the others."""
-    cumulants = {m: _ints(free_cumulant(m, lam)) for m in range(n + 1, 1, -1)}
+    cumulants = {m: int_coeffs(free_cumulant(m, lam))
+                 for m in range(n + 1, 1, -1)}
     values: dict = {}
     for g, mu in keys:
         values[g, mu] = (addmul_ints({}, values[g, mu[:-1]], cumulants[mu[-1]])
-                         if mu else _ints(gamma_power_A(g)))
+                         if mu else int_coeffs(gamma_power_A(g)))
     return [values[key] for key in keys]
 
 

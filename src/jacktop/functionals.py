@@ -19,10 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _itperms
-from math import lcm
 
 from .exact import (GammaPoly, KLPoly, Laurent, addmul_ints, gamma_power_A,
-                    gamma_recover, int_coeffs)
+                    gamma_recover)
 from .maps import compose, cycles, full_cycle, graph_classes, inverse
 from .young import Partition, binom, boxes, content
 
@@ -195,24 +194,14 @@ def free_cumulant_pair_count(k: int) -> int:
 
 
 def kl_evaluate(p: KLPoly, lam: Partition) -> Laurent:
-    """Evaluate a g/R-polynomial on a diagram.
-
-    Each monomial g**k * R_mu is multiplied out on the integer coefficients
-    of (-A + 1/A)**k and of the free cumulants; its coefficient, brought to
-    the common denominator of all of them, is then applied once per
-    exponent, and the sum is divided by that denominator at the end."""
-    terms = list(p.items())
-    parts = {m for (_, mu), _ in terms for m in mu}
-    if parts:
-        free_cumulant(max(parts), lam)  # one pass fills every lower R_j
-    r = {m: int_coeffs(free_cumulant(m, lam)) for m in parts}
-    den = lcm(*(coeff.denominator for _, coeff in terms))
-    total: dict[int, int] = {}
-    for (g, mu), coeff in terms:
-        mono = int_coeffs(gamma_power_A(g))
+    """Evaluate a g/R-polynomial on a diagram."""
+    top = max((m for (_, mu), _ in p.items() for m in mu), default=0)
+    if top:
+        free_cumulant(top, lam)  # one pass fills every lower R_j
+    total = Laurent.zero()
+    for (g, mu), coeff in p.items():
+        term = gamma_power_A(g).scale(coeff)
         for m in mu:
-            mono = addmul_ints({}, mono, r[m])
-        num = coeff.numerator * (den // coeff.denominator)
-        for e, v in mono.items():
-            total[e] = total.get(e, 0) + num * v
-    return Laurent({e: Fraction(v, den) for e, v in total.items()})
+            term = term * free_cumulant(m, lam)
+        total = total + term
+    return total

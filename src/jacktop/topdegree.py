@@ -57,17 +57,18 @@ def ch_top_eval(n: int, lam: Partition, budget: int | None = None) -> Laurent:
     m_G(g) * (normalized embeddings of G) over map_formula_collection(n).
 
     The summand of a class is -count_G * N_G(lam) * g**(n+1-w-b) *
-    A**(w-b) * (-1)**b, with N_G(lam) its embedding count and (w, b) its
-    shape (whites, blacks).  So the ints -count_G * N_G(lam) are added up
-    per shape, and the nonzero shape totals of each power of g are expanded
-    once, on the integer coefficients of (-A + 1/A)**(n+1-w-b)."""
+    A**(w-b) * (-1)**b, with count_G its number of orbits, N_G(lam) its
+    embedding count and (w, b) its shape (whites, blacks).  So the ints
+    -count_G * N_G(lam) are added up per shape over the census, and the
+    nonzero shape totals of each power of g are expanded once, on the
+    integer coefficients of (-A + 1/A)**(n+1-w-b)."""
+    check_budget(n, budget)
     shapes: dict[tuple[int, int], int] = {}
-    for g, mult in map_formula_collection(n, budget):
-        count = count_embeddings(g, lam)
-        if count:
+    for g, count in _census(n):
+        embeddings = count_embeddings(g, lam)
+        if embeddings:
             shape = (g.whites, g.blacks)
-            weight = mult.coeff(n + 1 - g.whites - g.blacks).numerator
-            shapes[shape] = shapes.get(shape, 0) + weight * count
+            shapes[shape] = shapes.get(shape, 0) - count * embeddings
     by_power: dict[int, dict[int, int]] = {}
     for (w, b), value in shapes.items():
         if value:
@@ -201,15 +202,16 @@ def map_formula_collection(n: int, budget: int | None = None
     part: each class of graph_census(n) with multiplicity
     -count * g**(n+1-|whites|-|blacks|), where count is its number of orbits.
     Counting orbits already absorbs the 1/(n-1)! of the labeled formula.
-    Both top-degree routes read this one collection."""
+    Both top-degree routes read this one census: kl_top through this
+    collection, ch_top_eval by shape."""
     check_budget(n, budget)
-    return _map_formula_collection(n)
+    return tuple((g, GammaPoly({n + 1 - g.whites - g.blacks: -count}))
+                 for g, count in _census(n))
 
 
 @lru_cache(maxsize=None)
-def _map_formula_collection(n: int) -> tuple[tuple[BicoloredGraph, GammaPoly], ...]:
-    return tuple((g, GammaPoly({n + 1 - g.whites - g.blacks: -count}))
-                 for g, count in graph_census(n))
+def _census(n: int) -> tuple[tuple[BicoloredGraph, int], ...]:
+    return tuple(graph_census(n))
 
 
 def moment_M(perm: Perm, lam: Partition) -> Laurent:

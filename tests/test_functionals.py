@@ -2,11 +2,10 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jacktop.exact import (GammaPoly, KLPoly, Laurent, gamma_power_A,
-                          subst_gamma)
+from jacktop.exact import GammaPoly, KLPoly, Laurent, subst_gamma
 from jacktop.functionals import (BadIndex, _cumulant_pairs, conversion_P,
                                  conversion_Q, free_cumulant,
                                  free_cumulant_pair_count, kl_evaluate,
@@ -164,32 +163,3 @@ def test_kl_evaluate():
     # Ch_2 = R_3 + R_2 g vanishes on the one-box diagram
     ch2 = KLPoly({(0, (3,)): 1, (1, (2,)): 1})
     assert kl_evaluate(ch2, (1,)).is_zero()
-
-
-def kl_evaluate_laurent(p, lam):
-    """Reference evaluation: one Laurent product per monomial, the form
-    kl_evaluate took before it multiplied on integer coefficients."""
-    total = Laurent.zero()
-    for (g, mu), coeff in p.items():
-        term = gamma_power_A(g).scale(coeff)
-        for m in mu:
-            term = term * free_cumulant(m, lam)
-        total = total + term
-    return total
-
-
-kl_polys = st.dictionaries(
-    st.tuples(st.integers(0, 4), st.lists(st.integers(2, 4), max_size=3)
-              .map(tuple)),  # empty mu: a pure g**k term; small parts repeat
-    st.fractions(min_value=-9, max_value=9, max_denominator=12),
-    max_size=6).map(KLPoly)
-
-
-@given(kl_polys, st.sampled_from(list(enumerate_partitions(7))))
-@example(KLPoly.zero(), (2, 1))
-@example(KLPoly({(0, ()): Fraction(1, 2), (2, (3, 3)): Fraction(-5, 6)}),
-         (3, 1))
-@settings(max_examples=200, deadline=None)
-def test_kl_evaluate_matches_laurent_products(p, lam):
-    assert kl_evaluate(p, lam).to_json() == \
-        kl_evaluate_laurent(p, lam).to_json()
