@@ -22,7 +22,7 @@ from itertools import permutations as _itperms
 
 from .exact import (GammaPoly, KLPoly, Laurent, addmul_ints, gamma_power_A,
                     gamma_recover)
-from .maps import compose, cycles, full_cycle, graph_classes, inverse
+from .maps import compose, cycles, full_cycle, inverse
 from .young import Partition, binom, boxes, content
 
 
@@ -109,21 +109,6 @@ def conversion_Q(n: int) -> dict[int, GammaPoly]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _cumulant_pairs(k: int) -> tuple:
-    """Graph classes of the tree pairs: (s1, s2) in S_{k-1} with s1*s2 the
-    full cycle and k cycles in total, grouped by spanned graph."""
-    m = k - 1
-    cyc = full_cycle(m)
-    found = []
-    for s1 in _itperms(range(m)):
-        s1 = tuple(s1)
-        s2 = compose(inverse(s1), cyc)
-        if len(cycles(s1)) + len(cycles(s2)) == k:
-            found.append((s1, s2))
-    return tuple(graph_classes(found))
-
-
 def _profile(lam: Partition) -> tuple[list[dict], list[dict]]:
     """Minima x = A(c-1) - (r-1)/A of the profile, one per addable box
     (r, c), and maxima y = A*c - r/A, one per removable box, as
@@ -190,7 +175,14 @@ def free_cumulant(k: int, lam: Partition) -> Laurent:
 
 
 def free_cumulant_pair_count(k: int) -> int:
-    return sum(count for _, count in _cumulant_pairs(k))
+    """Number of tree pairs of R_k, the Catalan number of k - 1."""
+    cyc = full_cycle(k - 1)
+    count = 0
+    for s1 in _itperms(range(k - 1)):
+        s2 = compose(inverse(s1), cyc)
+        if len(cycles(s1)) + len(cycles(s2)) == k:
+            count += 1
+    return count
 
 
 def kl_evaluate(p: KLPoly, lam: Partition) -> Laurent:

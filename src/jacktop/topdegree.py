@@ -1,29 +1,30 @@
 """Top-degree part of the one-row character, via map enumeration.
 
-Both top-degree routes read one graph-class census, map_formula_collection:
-the bicolored graphs spanned by the conjugation orbits of transitive
-permutation pairs, grouped up to isomorphism, each with a g-weighted
-multiplicity (counting orbits cancels the (n-1)! division exactly).  The
-census (maps.graph_census) fixes one first permutation per cycle type,
-weighted by its class size, and enumerates the block-count vector
-partitions of the second instead of the permutations themselves.
+Both top-degree routes read one graph-class census, _census(n): the
+bicolored graphs spanned by the conjugation orbits of transitive
+permutation pairs, grouped up to isomorphism, each with its orbit count
+(counting orbits cancels the (n-1)! division exactly).  The census
+(maps.graph_census) fixes one first permutation per cycle type, weighted
+by its class size, and enumerates the block-count vector partitions of
+the second instead of the permutations themselves.
 Direct evaluation on a diagram adds up orbit counts times embedding counts
 as ints, one total per shape (whites, blacks), and expands each power of g
 once; the embedding counts enumerate the smaller side of each graph.  The
-symbolic expansion in the g/R ring enumerates the expander weights of each
-class.  The labeled pair sum is kept as an oracle.  The moment and cumulant
-functions over permutations, related by the set-partition formula, live
-here as well.
+symbolic expansion in the g/R ring adds up orbit counts as ints, one total
+per power of g and sorted expander weight.  The labeled pair sum is kept
+as an oracle.  The moment and cumulant functions over permutations,
+related by the set-partition formula, live here as well.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _itperms
-from typing import Iterable, Iterator, Sequence
+from math import factorial
+from typing import Iterator, Sequence
 
-from .exact import (GammaPoly, KLPoly, Laurent, addmul_ints, gamma_power_A,
-                    int_coeffs)
+from .exact import KLPoly, Laurent, addmul_ints, gamma_power_A, int_coeffs
 from .maps import (BicoloredGraph, Perm, compose, count_embeddings, cycles,
                    graph_census, inverse, is_transitive_pair,
                    normalized_embeddings)
@@ -40,10 +41,6 @@ class DomainMismatch(ValueError):
     """Expander weight not defined exactly on the black vertices."""
 
 
-class Disconnected(ValueError):
-    """Graph collection requires connected graphs."""
-
-
 def check_budget(n: int, budget: int | None) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -54,7 +51,7 @@ def check_budget(n: int, budget: int | None) -> None:
 
 def ch_top_eval(n: int, lam: Partition, budget: int | None = None) -> Laurent:
     """Evaluate the top-degree character part on a diagram: the sum of
-    m_G(g) * (normalized embeddings of G) over map_formula_collection(n).
+    -count_G * g**(n+1-w-b) * (normalized embeddings of G) over _census(n).
 
     The summand of a class is -count_G * N_G(lam) * g**(n+1-w-b) *
     A**(w-b) * (-1)**b, with count_G its number of orbits, N_G(lam) its
@@ -82,7 +79,6 @@ def ch_top_eval(n: int, lam: Partition, budget: int | None = None) -> Laurent:
 
 def ch_top_eval_labeled(n: int, lam: Partition) -> Laurent:
     """Oracle route: sum over all labeled transitive pairs, divided by (n-1)!."""
-    from math import factorial
     total = Laurent.zero()
     for s1 in _itperms(range(n)):
         s1 = tuple(s1)
@@ -95,7 +91,6 @@ def ch_top_eval_labeled(n: int, lam: Partition) -> Laurent:
             emb = normalized_embeddings(s1, s2, lam)
             if emb:
                 total = total + gamma_power_A(n + 1 - c1 - c2) * emb
-    from fractions import Fraction
     return -total.scale(Fraction(1, factorial(n - 1)))
 
 
@@ -158,10 +153,10 @@ def set_disk_cache(cache) -> None:
 
 
 def kl_top(n: int, budget: int | None = None) -> KLPoly:
-    """The g/R expansion of the top-degree character part: kl_from_graphs
-    of map_formula_collection(n), one summand per graph class and expander
-    weight; the g power records the genus-like defect, the R indices are
-    the weights."""
+    """The g/R expansion of the top-degree character part: the int sum of
+    count_G * g**(n+1-w-b) * prod R_q over the classes G of _census(n) and
+    their expander weights q; the g power records the genus-like defect,
+    the R indices are the weights."""
     check_budget(n, budget)
     hit = _KL_TOP_CACHE.get(n)
     if hit is not None:
@@ -172,45 +167,22 @@ def kl_top(n: int, budget: int | None = None) -> KLPoly:
             _KL_TOP_CACHE[n] = stored
             return stored
 
-    total = kl_from_graphs(map_formula_collection(n, budget))
+    coeffs: dict[tuple[int, tuple[int, ...]], int] = {}
+    for g, count in _census(n):
+        gexp = n + 1 - g.whites - g.blacks
+        for weight in expander_weights(g):
+            key = (gexp, tuple(sorted(weight.values(), reverse=True)))
+            coeffs[key] = coeffs.get(key, 0) + count
+    total = KLPoly(coeffs)
     _KL_TOP_CACHE[n] = total
     if _DISK_CACHE is not None:
         _DISK_CACHE.store_kl_top(n, total)
     return total
 
 
-def kl_from_graphs(collection: Iterable[tuple[BicoloredGraph, GammaPoly]]) -> KLPoly:
-    """The g/R expansion of a g-weighted embedding-count combination.
-
-    For F = sum of m_G * (normalized embeddings of G), the expansion is
-    the sum over expander weights of (-m_G) * prod R_q.
-    """
-    total = KLPoly.zero()
-    for g, mult in collection:
-        if g.has_isolated_vertex() or not g.is_connected():
-            raise Disconnected(repr(g))
-        for weight in expander_weights(g):
-            mu = tuple(sorted(weight.values(), reverse=True))
-            for gexp, coeff in (-mult).items():
-                total = total + KLPoly.term(gexp, mu, coeff)
-    return total
-
-
-def map_formula_collection(n: int, budget: int | None = None
-                           ) -> tuple[tuple[BicoloredGraph, GammaPoly], ...]:
-    """The graph-class census whose embedding sum evaluates the top-degree
-    part: each class of graph_census(n) with multiplicity
-    -count * g**(n+1-|whites|-|blacks|), where count is its number of orbits.
-    Counting orbits already absorbs the 1/(n-1)! of the labeled formula.
-    Both top-degree routes read this one census: kl_top through this
-    collection, ch_top_eval by shape."""
-    check_budget(n, budget)
-    return tuple((g, GammaPoly({n + 1 - g.whites - g.blacks: -count}))
-                 for g, count in _census(n))
-
-
 @lru_cache(maxsize=None)
 def _census(n: int) -> tuple[tuple[BicoloredGraph, int], ...]:
+    """Graph classes of size n with orbit counts; both routes read it."""
     return tuple(graph_census(n))
 
 

@@ -17,7 +17,7 @@ from .functionals import (conversion_P, conversion_Q,
                           free_cumulant_pair_count, kl_evaluate, s_functional,
                           t_functional)
 from .jackref import jack_character
-from .maps import orbit_census, perm_from_cycle_type
+from .maps import cycles, orbit_census, perm_from_cycle_type
 from .topdegree import (DEFAULT_BUDGET, ch_top_eval, cumulant_K, kl_top,
                         moment_M, restricted_perm, set_partitions_above)
 from .young import (Partition, boxes, content, enumerate_partitions,
@@ -327,7 +327,6 @@ def suite_moment_cumulant(n_max: int = 4, lam_max: int = 4) -> dict:
     for n in range(1, n_max + 1):
         for ct in partitions_of(n):
             perm = perm_from_cycle_type(ct)
-            from .maps import cycles
             blocks = cycles(perm)
             for lam in diagrams:
                 direct = moment_M(perm, lam)

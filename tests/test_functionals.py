@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacktop.exact import GammaPoly, KLPoly, Laurent, subst_gamma
-from jacktop.functionals import (BadIndex, _cumulant_pairs, conversion_P,
-                                 conversion_Q, free_cumulant,
-                                 free_cumulant_pair_count, kl_evaluate,
-                                 s_functional, t_functional)
+from jacktop.functionals import (BadIndex, conversion_P, conversion_Q,
+                                 free_cumulant, free_cumulant_pair_count,
+                                 kl_evaluate, s_functional, t_functional)
 from jacktop.maps import normalized_embeddings_graph
 from jacktop.young import enumerate_partitions, partitions_of, size, transpose
+from tests_support_graphs import tree_pair_classes
 
 GAMMA = subst_gamma(GammaPoly.var())
 A = Laurent.monomial(1)
@@ -122,7 +122,7 @@ def free_cumulant_graph_sum(k, lam):
     """Reference R_k: minus the normalized embedding counts of the tree
     pairs, one term per graph class times its number of pairs."""
     total = Laurent.zero()
-    for g, count in _cumulant_pairs(k):
+    for g, count in tree_pair_classes(k):
         total = total + normalized_embeddings_graph(g, lam).scale(count)
     return -total
 

@@ -12,17 +12,16 @@ import pytest
 
 from jacktop import maps
 from jacktop.exact import KLPoly, Laurent, gamma_power_A
-from jacktop.functionals import (_cumulant_pairs, free_cumulant,
-                                 free_cumulant_pair_count, kl_evaluate)
+from jacktop.functionals import (free_cumulant, free_cumulant_pair_count,
+                                 kl_evaluate)
 from jacktop.maps import (BicoloredGraph, _by_class, _spans,
-                          _vector_partitions, compose, cycles, full_cycle,
-                          graph_census, graph_classes, graph_of_pair, inverse,
-                          normalized_embeddings, orbit_reps,
-                          perm_from_cycle_type)
-from jacktop.topdegree import (ch_top_eval, expander_weights, kl_top,
-                               map_formula_collection)
+                          _vector_partitions, cycles, graph_census,
+                          graph_classes, graph_of_pair, normalized_embeddings,
+                          orbit_reps, perm_from_cycle_type)
+from jacktop.topdegree import ch_top_eval, expander_weights, kl_top
 from jacktop.young import (enumerate_partitions, multiplicities,
                            partitions_of, z_factor)
+from tests_support_graphs import tree_pair_classes, tree_pairs
 
 
 def graph_census_scan(n):
@@ -112,12 +111,9 @@ def ch_top_per_orbit(n, lam):
 
 
 def free_cumulant_per_pair(k, lam):
-    cyc = full_cycle(k - 1)
     total = Laurent.zero()
-    for s1 in permutations(range(k - 1)):
-        s2 = compose(inverse(s1), cyc)
-        if len(cycles(s1)) + len(cycles(s2)) == k:
-            total = total + normalized_embeddings(s1, s2, lam)
+    for s1, s2 in tree_pairs(k):
+        total = total + normalized_embeddings(s1, s2, lam)
     return -total
 
 
@@ -130,16 +126,6 @@ def test_class_counts_sum_to_orbits():
         assert keys == sorted(set(keys))
         sizes[n] = len(classes)
     assert (sizes[4], sizes[5], sizes[6]) == (13, 25, 57)
-
-
-def test_collection_multiplicities():
-    for n in range(1, 7):
-        total = 0
-        for g, mult in map_formula_collection(n):
-            [(gexp, coeff)] = mult.items()
-            assert gexp == n + 1 - g.whites - g.blacks
-            total -= coeff
-        assert total == len(orbit_reps(n))
 
 
 def test_kl_top_matches_per_orbit_sum():
@@ -163,7 +149,9 @@ def test_free_cumulant_matches_per_pair_sum():
 
 def test_free_cumulant_classes():
     assert free_cumulant_pair_count(7) == 132
-    assert len(_cumulant_pairs(7)) == 22
+    classes = tree_pair_classes(7)
+    assert sum(count for _, count in classes) == 132
+    assert len(classes) == 22
 
 
 def indecomposable_permutations(m):
@@ -209,8 +197,11 @@ def test_vector_partitions_count_permutations():
 
 def test_graph_census_totals_through_9():
     for n in range(1, 10):
-        assert sum(count for _, count in graph_census(n)) == \
+        census = graph_census(n)
+        assert sum(count for _, count in census) == \
             indecomposable_permutations(n + 1), n
+        for g, _ in census:
+            assert g.is_connected() and not g.has_isolated_vertex(), (n, g)
 
 
 def test_graph_census_rejects_partial_orbits(monkeypatch):

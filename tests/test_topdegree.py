@@ -1,12 +1,11 @@
 import pytest
 
-from jacktop.exact import GammaPoly, KLPoly, Laurent
+from jacktop.exact import KLPoly, Laurent
 from jacktop.functionals import kl_evaluate
 from jacktop.maps import BicoloredGraph, perm_from_cycle_type
-from jacktop.topdegree import (BudgetExceeded, Disconnected, DomainMismatch,
-                               ch_top_eval, ch_top_eval_labeled, cumulant_K,
-                               expander_weights, is_expander, kl_from_graphs,
-                               kl_top, map_formula_collection, moment_M,
+from jacktop.topdegree import (BudgetExceeded, DomainMismatch, ch_top_eval,
+                               ch_top_eval_labeled, cumulant_K,
+                               expander_weights, is_expander, kl_top, moment_M,
                                restricted_perm, set_partitions_above)
 from jacktop.young import enumerate_partitions, partitions_of, size
 
@@ -71,22 +70,6 @@ def test_kl_top_tables():
 def test_kl_top_grading():
     for n in range(1, 6):
         assert kl_top(n).gradings() == {n + 1}
-
-
-def test_kl_from_graphs_examples():
-    edge = BicoloredGraph(1, 1, [{0}])
-    got = kl_from_graphs([(edge, GammaPoly.const(-1))])
-    assert got == KLPoly({(0, (2,)): 1})
-    assert kl_from_graphs([]).is_zero()
-    with pytest.raises(Disconnected):
-        kl_from_graphs([(BicoloredGraph(2, 2, [{0}, {1}]),
-                         GammaPoly.const(1))])
-
-
-def test_kl_from_graphs_reproduces_kl_top():
-    for n in range(1, 5):
-        collection = map_formula_collection(n)
-        assert kl_from_graphs(collection) == kl_top(n), n
 
 
 def test_formula_equivalence_small():

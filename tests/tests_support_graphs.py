@@ -1,7 +1,12 @@
-"""Shared test helpers: brute enumeration of small bicolored graphs, and
-the black-side embedding count that production replaced, as a reference."""
+"""Shared test helpers: brute enumeration of small bicolored graphs, the
+black-side embedding count that production replaced, as a reference, and
+the tree pairs of the free cumulants with their graph classes."""
 
-from jacktop.maps import BicoloredGraph, IsolatedVertex
+from functools import lru_cache
+from itertools import permutations
+
+from jacktop.maps import (BicoloredGraph, IsolatedVertex, compose, cycles,
+                          full_cycle, graph_classes, inverse)
 
 
 def _nonempty_subsets(b):
@@ -78,3 +83,21 @@ def count_embeddings_black_side(g: BicoloredGraph, lam) -> int:
 
     rec(0, 1)
     return total
+
+
+def tree_pairs(k: int) -> list[tuple]:
+    """The tree pairs of R_k: (s1, s2) in S_(k-1) with s1*s2 the full cycle
+    and k cycles in total."""
+    cyc = full_cycle(k - 1)
+    found = []
+    for s1 in permutations(range(k - 1)):
+        s2 = compose(inverse(s1), cyc)
+        if len(cycles(s1)) + len(cycles(s2)) == k:
+            found.append((s1, s2))
+    return found
+
+
+@lru_cache(maxsize=None)
+def tree_pair_classes(k: int) -> tuple:
+    """The tree pairs of R_k grouped by spanned graph, with their counts."""
+    return tuple(graph_classes(tree_pairs(k)))
