@@ -14,8 +14,10 @@ graph_census counts the orbits of each graph class without listing pairs:
 s1 is fixed to one permutation per cycle type, weighted by the size of its
 conjugacy class, and s2 enters only through the block-count vectors of its
 cycles, a vector partition of the cycle type, weighted by the number of s2
-that give it.  The flood (orbit_census, orbit_reps,
-enumerate_transitive_pairs) is kept as its oracle and for the
+that give it.  Only the spanning vector partitions (connected graphs) are
+built, and graphs are grouped by a canonical key that relabels the smaller
+side only within blocks of equal degree.  The flood (orbit_census,
+orbit_reps, enumerate_transitive_pairs) is kept as its oracle and for the
 representatives the census command prints.
 """
 
@@ -299,20 +301,16 @@ class BicoloredGraph:
 
     def canonical_key(self) -> tuple:
         """Complete isomorphism invariant: the minimal sorted mask tuple of
-        the larger side over all relabelings of the smaller side (the blacks
-        when whites > blacks, else the whites).  The side is fixed by
-        (whites, blacks), so keys of one shape compare like with like.  A
-        census graph has whites + blacks <= n + 1, so this is at most
-        ((n+1)//2)! relabelings; it is computed once per graph."""
+        the larger side over the degree-preserving relabelings of the
+        smaller side (the blacks when whites > blacks, else the whites);
+        see _least_masks.  The side is fixed by (whites, blacks), so keys
+        of one shape compare like with like.  It is computed once per
+        graph."""
         if self._key is None:
             if self.whites > self.blacks:
-                small, sets = self.blacks, self.adjacency
+                best = _least_masks(self.blacks, self.adjacency)
             else:
-                small, sets = self.whites, self.black_neighbors()
-            # bit[v] is the relabeled bit of vertex v of the smaller side.
-            best = min(tuple(sorted([sum(map(bit.__getitem__, s))
-                                     for s in sets]))
-                       for bit in _itperms([1 << v for v in range(small)]))
+                best = _least_masks(self.whites, self.black_neighbors())
             self._key = (self.whites, self.blacks, best)
         return self._key
 
@@ -329,6 +327,41 @@ class BicoloredGraph:
         adj = ",".join("{" + ",".join(map(str, sorted(s))) + "}"
                        for s in self.adjacency)
         return f"BicoloredGraph(w={self.whites}, b={self.blacks}, adj=[{adj}])"
+
+
+def _least_masks(small: int, sets: Sequence[Iterable[int]]
+                 ) -> tuple[int, ...]:
+    """The least sorted tuple of the bitmasks of sets, subsets of
+    range(small), over the relabelings of range(small) that keep degrees
+    (the number of sets holding a vertex).
+
+    The vertices take their bits in blocks by degree, lowest degree on the
+    lowest bits, and only relabelings within a block are tried.  An
+    isomorphism preserves degrees, so isomorphic graphs try the same
+    relabelings and the result is a complete invariant.  A census graph
+    has whites + blacks <= n + 1, so the smaller side gives at most
+    ((n+1)//2)! relabelings, and one when the degrees are distinct."""
+    degree = [0] * small
+    for s in sets:
+        for v in s:
+            degree[v] += 1
+    order = sorted(range(small), key=degree.__getitem__)
+    # Position i in order takes bit 1 << i, and a relabeling permutes the
+    # bits within each block of equal degree.
+    at = [0] * small
+    blocks: list[list[int]] = []
+    for i, v in enumerate(order):
+        at[v] = i
+        if i and degree[v] == degree[order[i - 1]]:
+            blocks[-1].append(1 << i)
+        else:
+            blocks.append([1 << i])
+    relabelings: list[tuple[int, ...]] = [()]
+    for block in blocks:
+        relabelings = [r + p for r in relabelings for p in _itperms(block)]
+    sets = [[at[v] for v in s] for s in sets]
+    return min(tuple(sorted([sum(map(bits.__getitem__, s)) for s in sets]))
+               for bits in relabelings)
 
 
 def graph_of_pair(a: Perm, b: Perm) -> BicoloredGraph:
@@ -478,52 +511,83 @@ def graph_classes(pairs: Iterable[tuple[Perm, Perm]]
     return _by_class((graph_of_pair(a, b), 1) for a, b in pairs)
 
 
-def _spans(masks: list[int]) -> bool:
-    """Whether the blacks, given as white bitmasks that together cover all
-    whites, form a connected bicolored graph."""
-    reach, rest = masks[0], masks[1:]
-    while rest:
-        left = []
-        for m in rest:
-            if m & reach:
-                reach |= m
-            else:
-                left.append(m)
-        if len(left) == len(rest):
-            return False
-        rest = left
-    return True
-
-
 def _vector_partitions(lam: Partition) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The multisets of nonzero vectors in N**len(lam) that sum to lam, each
-    once, as its parts in one fixed order.
+    """The multisets of nonzero vectors in N**len(lam) that sum to lam and
+    span: with one white per entry of lam and one black per vector, joined
+    where the vector is nonzero, the bicolored graph is connected.  Each
+    multiset comes once, as its parts in one fixed order.
 
     A part's leading index is the first nonzero coordinate of what remains,
     and parts with the same leading index come in non-increasing
     lexicographic order; so equal parts are adjacent, and every part chosen
-    leaves a remainder that can be finished (by unit vectors at least)."""
+    leaves a remainder that can be finished (by unit vectors at least).
+    The parts placed so far join their whites into components.  A later
+    part only takes from whites with something left, so a component short
+    of all whites with nothing left on any of its whites can never be
+    joined to the rest: its branch is cut as the component forms.  Nothing
+    is left at a leaf, so every leaf that is reached spans."""
     ell = len(lam)
-    parts: list[tuple[int, ...]] = []
+    full = (1 << ell) - 1
+    # (lead, rem[lead + 1:]) -> the tails (coordinates after lead) in
+    # decreasing lexicographic order, each with its white mask and the mask
+    # of the whites it empties.
+    tails_of: dict[tuple, list[tuple[tuple[int, ...], int, int]]] = {}
 
-    def rec(rem: tuple[int, ...], lead: int, prev: tuple[int, ...] | None):
-        while lead < ell and not rem[lead]:
+    def branch(rem: tuple[int, ...], left: int, lead: int,
+               prev: tuple[int, ...] | None, comps: list[int]):
+        """The parts that may follow prev, each with the remainder, the
+        whites with something left and the components after it."""
+        while not rem[lead]:
             lead, prev = lead + 1, None
-        if lead == ell:
-            yield tuple(parts)
-            return
-        top = rem[lead] if prev is None else min(rem[lead], prev[lead])
-        tails = [range(rem[j], -1, -1) for j in range(lead + 1, ell)]
+        bit = 1 << lead
+        tails = tails_of.get((lead, rem[lead + 1:]))
+        if tails is None:
+            tails = [((), 0, 0)]
+            for w in range(lead + 1, ell):
+                r, b = rem[w], 1 << w
+                tails = [(t + (x,), m | b if x else m, e | b if x == r else e)
+                         for t, m, e in tails for x in range(r, -1, -1)]
+            tails_of[lead, rem[lead + 1:]] = tails
+        pad = (0,) * lead
+        top = rem[lead]
+        cut = 0
+        if prev is not None and prev[lead] <= top:
+            top = prev[lead]
+            below = prev[lead + 1:]
+            # The tails at or below prev's come last.
+            cut = next(i for i, t in enumerate(tails) if t[0] <= below)
         for first in range(top, 0, -1):
-            for tail in product(*tails):
-                v = (0,) * lead + (first,) + tail
-                if prev is not None and v > prev:
+            head = bit if first == rem[lead] else 0
+            for tail, mask, empty in tails[cut:] if first == top else tails:
+                mask |= bit
+                joined, rest = mask, []
+                for c in comps:
+                    if c & mask:
+                        joined |= c
+                    else:
+                        rest.append(c)
+                still = left & ~(empty | head)
+                if joined != full and not joined & still:
                     continue
-                parts.append(v)
-                yield from rec(tuple(map(int.__sub__, rem, v)), lead, v)
-                parts.pop()
+                rest.append(joined)
+                v = pad + (first,) + tail
+                yield v, tuple(map(int.__sub__, rem, v)), still, lead, rest
 
-    yield from rec(tuple(lam), 0, None)
+    # A depth-first walk with one branch generator per placed part; parts
+    # are the parts on the path to the top branch.
+    parts: list[tuple[int, ...]] = []
+    stack = [branch(tuple(lam), full, 0, None, [])]
+    while stack:
+        for v, rem, left, lead, comps in stack[-1]:
+            del parts[len(stack) - 1:]
+            parts.append(v)
+            if not left:
+                yield tuple(parts)
+                continue
+            stack.append(branch(rem, left, lead, v, comps))
+            break
+        else:
+            stack.pop()
 
 
 def graph_census(n: int) -> list[tuple[BicoloredGraph, int]]:
@@ -537,10 +601,14 @@ def graph_census(n: int) -> list[tuple[BicoloredGraph, int]]:
     w-th cycle of s1.  These vectors form a vector partition of lam, and
     prod_w lam_w! * prod_b (|c_b| - 1)! / (prod_{b,w} c_{b,w}! * prod_v r_v!)
     permutations s2 share a multiset of vectors c_b, where r_v counts the
-    repeats of the vector v.  A labeled graph is the white count (the
-    cycles of s1) and the sorted white masks (the supports of the vectors).
-    Each class total counts labeled pairs; it must divide exactly by the
-    orbit size (n-1)!, and a remainder raises.
+    repeats of the vector v.  The pair is transitive exactly when its graph
+    is connected, so only spanning vector partitions are enumerated; a
+    branch that cannot span any more is cut as it is built.  A labeled
+    graph is the white count (the cycles of s1) and the sorted white masks
+    (the supports of the vectors).  Labeled graphs are grouped by
+    canonical_key, which relabels the smaller side only within blocks of
+    equal degree.  Each class total counts labeled pairs; it must divide
+    exactly by the orbit size (n-1)!, and a remainder raises.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -555,8 +623,6 @@ def graph_census(n: int) -> list[tuple[BicoloredGraph, int]]:
                     terms[v] = (sum(1 << w for w, x in enumerate(v) if x),
                                 factorial(sum(v) - 1), prod(map(factorial, v)))
             masks = [terms[v][0] for v in parts]
-            if not _spans(masks):
-                continue
             num, den, run = base, 1, 1
             for b, v in enumerate(parts):
                 _, cyclic, shares = terms[v]

@@ -127,6 +127,17 @@ def test_jobs_do_not_change_output(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("argv", [["--jobs", "0", "census", "3"],
+                                  ["--jobs", "-3", "census", "2"],
+                                  ["census", "2", "--jobs", "0"]])
+def test_jobs_below_one_is_usage_error(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    jobs = argv[argv.index("--jobs") + 1]
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: --jobs must be >= 1, got {jobs}\n"
+
+
 def test_n_below_one_is_usage_error(capsys):
     code, out = run_cli(capsys, "kl-top", "0")
     assert code == 1 and out == ""

@@ -1,6 +1,6 @@
 """The graph-class census against the orbit flood, the scan of S_n by cycle
-type, and the per-orbit and per-pair sums it replaced, which are kept here
-as oracles."""
+type, the census over unpruned vector partitions, and the per-orbit and
+per-pair sums it replaced, which are kept here as oracles."""
 
 from collections import Counter
 from fractions import Fraction
@@ -14,14 +14,15 @@ from jacktop import maps
 from jacktop.exact import KLPoly, Laurent, gamma_power_A
 from jacktop.functionals import (free_cumulant, free_cumulant_pair_count,
                                  kl_evaluate)
-from jacktop.maps import (BicoloredGraph, _by_class, _spans,
-                          _vector_partitions, cycles, graph_census,
-                          graph_classes, graph_of_pair, normalized_embeddings,
-                          orbit_reps, perm_from_cycle_type)
+from jacktop.maps import (BicoloredGraph, _by_class, _vector_partitions,
+                          cycles, graph_census, graph_classes, graph_of_pair,
+                          normalized_embeddings, orbit_reps,
+                          perm_from_cycle_type)
 from jacktop.topdegree import ch_top_eval, expander_weights, kl_top
 from jacktop.young import (enumerate_partitions, multiplicities,
                            partitions_of, z_factor)
-from tests_support_graphs import tree_pair_classes, tree_pairs
+from tests_support_graphs import (spans, tree_pair_classes, tree_pairs,
+                                  vector_partitions)
 
 
 def graph_census_scan(n):
@@ -37,9 +38,46 @@ def graph_census_scan(n):
         weight = factorial(n) // z_factor(lam)
         for s2 in permutations(range(n)):
             masks = [sum({white_bit[x] for x in cyc}) for cyc in cycles(s2)]
-            if _spans(masks):
+            if spans(masks):
                 key = (len(lam), tuple(sorted(masks)))
                 labeled[key] = labeled.get(key, 0) + weight
+    graphs = ((BicoloredGraph(whites, len(masks),
+                              [[b for b, m in enumerate(masks) if m >> w & 1]
+                               for w in range(whites)]), pairs)
+              for (whites, masks), pairs in labeled.items())
+    orbit = factorial(n - 1)
+    out = []
+    for g, pairs in _by_class(graphs):
+        assert pairs % orbit == 0, (g, pairs)
+        out.append((g, pairs // orbit))
+    return out
+
+
+def graph_census_unpruned(n):
+    """The census over every vector partition, spanning or not, each kept
+    only when its masks span: maps.graph_census before its enumerator was
+    pruned."""
+    labeled = {}
+    for lam in partitions_of(n):
+        base = factorial(n) // z_factor(lam) * prod(map(factorial, lam))
+        terms = {}
+        for parts in vector_partitions(lam):
+            for v in parts:
+                if v not in terms:
+                    terms[v] = (sum(1 << w for w, x in enumerate(v) if x),
+                                factorial(sum(v) - 1), prod(map(factorial, v)))
+            masks = [terms[v][0] for v in parts]
+            if not spans(masks):
+                continue
+            num, den, run = base, 1, 1
+            for b, v in enumerate(parts):
+                _, cyclic, shares = terms[v]
+                run = run + 1 if b and parts[b - 1] == v else 1
+                num *= cyclic
+                den *= shares * run
+            assert num % den == 0, (lam, parts)
+            key = (len(lam), tuple(sorted(masks)))
+            labeled[key] = labeled.get(key, 0) + num // den
     graphs = ((BicoloredGraph(whites, len(masks),
                               [[b for b, m in enumerate(masks) if m >> w & 1]
                                for w in range(whites)]), pairs)
@@ -188,11 +226,32 @@ def test_vector_partitions_count_permutations():
         for lam in partitions_of(n):
             seen = Counter(block_count_vectors(lam, s2)
                            for s2 in permutations(range(n)))
-            listed = [tuple(sorted(parts)) for parts in _vector_partitions(lam)]
+            listed = [tuple(sorted(parts)) for parts in vector_partitions(lam)]
             assert len(listed) == len(set(listed)) == len(seen), lam
             for vectors in listed:
                 assert seen[vectors] == vector_multiplicity(lam, vectors), \
                     (lam, vectors)
+
+
+def test_census_enumerator_yields_the_spanning_partitions():
+    # Each spanning vector partition once, in the reference's part order,
+    # and no other.
+    for n in range(1, 9):
+        for lam in partitions_of(n):
+            listed = Counter(_vector_partitions(lam))
+            assert set(listed.values()) == {1}, lam
+            reference = [parts for parts in vector_partitions(lam)
+                         if spans([sum(1 << w for w, x in enumerate(v) if x)
+                                   for v in parts])]
+            assert listed == Counter(reference), lam
+
+
+def test_graph_census_matches_unpruned():
+    for n in range(1, 9):
+        census = [(g.canonical_key(), count) for g, count in graph_census(n)]
+        unpruned = [(g.canonical_key(), count)
+                    for g, count in graph_census_unpruned(n)]
+        assert census == unpruned, n
 
 
 def test_graph_census_totals_through_9():

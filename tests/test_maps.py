@@ -267,6 +267,9 @@ def test_canonical_graph_key_is_isomorphism_invariant():
     (2, 4, [{0, 1, 2}, {2, 3}]),               # whites < blacks
     (3, 3, [{0, 1}, {1, 2}, {2}]),             # whites = blacks
     (4, 2, [{0, 1}, {0}, {1}, {1}]),           # whites > blacks
+    # Degree ties on the relabeled side.
+    (3, 3, [{0, 1}, {1, 2}, {2, 0}]),          # the six-cycle, all degree 2
+    (3, 4, [{0, 1}, {1, 2}, {2, 3}]),          # whites < blacks, all 2
 ])
 def test_canonical_graph_key_under_every_relabeling(whites, blacks, adjacency):
     g = BicoloredGraph(whites, blacks, adjacency)

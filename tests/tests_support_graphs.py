@@ -1,9 +1,11 @@
 """Shared test helpers: brute enumeration of small bicolored graphs, the
-black-side embedding count that production replaced, as a reference, and
-the tree pairs of the free cumulants with their graph classes."""
+black-side embedding count that production replaced, as a reference, the
+tree pairs of the free cumulants with their graph classes, and the
+unpruned vector partitions with the connectivity test that the census
+enumerator replaced."""
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 
 from jacktop.maps import (BicoloredGraph, IsolatedVertex, compose, cycles,
                           full_cycle, graph_classes, inverse)
@@ -101,3 +103,51 @@ def tree_pairs(k: int) -> list[tuple]:
 def tree_pair_classes(k: int) -> tuple:
     """The tree pairs of R_k grouped by spanned graph, with their counts."""
     return tuple(graph_classes(tree_pairs(k)))
+
+
+def spans(masks: list[int]) -> bool:
+    """Whether the blacks, given as white bitmasks that together cover all
+    whites, form a connected bicolored graph."""
+    reach, rest = masks[0], masks[1:]
+    while rest:
+        left = []
+        for m in rest:
+            if m & reach:
+                reach |= m
+            else:
+                left.append(m)
+        if len(left) == len(rest):
+            return False
+        rest = left
+    return True
+
+
+def vector_partitions(lam):
+    """All multisets of nonzero vectors in N**len(lam) that sum to lam,
+    spanning or not, each once, as its parts in one fixed order.
+
+    A part's leading index is the first nonzero coordinate of what remains,
+    and parts with the same leading index come in non-increasing
+    lexicographic order; so equal parts are adjacent, and every part chosen
+    leaves a remainder that can be finished (by unit vectors at least)."""
+    ell = len(lam)
+    parts = []
+
+    def rec(rem, lead, prev):
+        while lead < ell and not rem[lead]:
+            lead, prev = lead + 1, None
+        if lead == ell:
+            yield tuple(parts)
+            return
+        top = rem[lead] if prev is None else min(rem[lead], prev[lead])
+        tails = [range(rem[j], -1, -1) for j in range(lead + 1, ell)]
+        for first in range(top, 0, -1):
+            for tail in product(*tails):
+                v = (0,) * lead + (first,) + tail
+                if prev is not None and v > prev:
+                    continue
+                parts.append(v)
+                yield from rec(tuple(map(int.__sub__, rem, v)), lead, v)
+                parts.pop()
+
+    yield from rec(tuple(lam), 0, None)
