@@ -131,10 +131,15 @@ def fit_row_polynomial(f: Evaluator, m: int, degree_bound: int) -> RowPolynomial
     monomials = [e for e in _itproduct(range(degree_bound + 1), repeat=m)
                  if sum(e) <= degree_bound]
     nodes = list(_sorted_tuples(m, degree_bound + m))
-    rows = [[Fraction(_mono_value(e, node)) for e in monomials] for node in nodes]
-    rhs = [sym_eval(f, node) for node in nodes]
-    solution = _solve_rational_system(rows, rhs, len(monomials))
-    poly = RowPolynomial(dict(zip(monomials, solution)))
+    rows = [[_mono_value(e, node) for e in monomials] for node in nodes]
+    values = [sym_eval(f, node) for node in nodes]
+    # One system per power of A; at least one, so that the rank is checked
+    # when every value is zero.
+    exps = sorted({e for v in values for e, _ in v.items()}) or [0]
+    columns = {e: _solve_rational_system(rows, [v.coeff(e) for v in values],
+                                         len(monomials)) for e in exps}
+    poly = RowPolynomial({mono: Laurent({e: x[j] for e, x in columns.items()})
+                          for j, mono in enumerate(monomials)})
     for node in _extra_nodes(m, degree_bound + m):
         if poly.evaluate(node) != sym_eval(f, node):
             raise RankDeficient(
@@ -151,7 +156,7 @@ def _mono_value(e: tuple, node: tuple) -> int:
 
 def _extra_nodes(m: int, grid_max: int) -> list[tuple]:
     """Check points beyond the grid; kept slim in total size so evaluators
-    with a size budget (the oracle) stay within reach."""
+    with a size bound (the oracle) stay within reach."""
     out = []
     for bump in (1, 2):
         top = grid_max + bump
@@ -161,35 +166,26 @@ def _extra_nodes(m: int, grid_max: int) -> list[tuple]:
     return sorted(set(out), reverse=True)
 
 
-def _solve_rational_system(rows: list[list[Fraction]], rhs: list,
-                           unknowns: int) -> list:
+def _solve_rational_system(rows: list[list[Fraction]], rhs: list[Fraction],
+                           unknowns: int) -> list[Fraction]:
     """Unique solution of an overdetermined system over Q, by one
     fraction-free elimination and an integer verify.
 
-    Each right-hand side becomes a vector of rational coordinates (one for
-    a rational, one per exponent of A for a Laurent polynomial), appended
-    to its row, and the row is scaled once to primitive integers.  Rows are
+    Each rational right-hand side is appended to its row, and the row is
+    scaled once to primitive integers.  Rows are
     reduced in input order by Bareiss's integer-preserving elimination, and
     a row whose coefficient part does not reduce to zero is picked, until
     `unknowns` rows are.  The last pivot D is the determinant of the picked
     system, so back-substitution gives integer numerators N = D * x.
     Verify: every row, picked or not, must hold as the integer identity
-    sum_j a_ij * N_j == b_i * D.  Only the returned values are Fractions
-    (Laurent polynomials, for Laurent right-hand sides).  Raises
-    RankDeficient when the rank is below `unknowns` or a row does not hold
-    (the first such row, in input order).
+    sum_j a_ij * N_j == b_i * D.  Only the returned values are Fractions.
+    Raises RankDeficient when the rank is below `unknowns` or a row does
+    not hold (the first such row, in input order).
     """
-    laurent = any(isinstance(v, Laurent) for v in rhs)
-    if laurent:
-        rhs = [v if isinstance(v, Laurent) else Laurent.const(v) for v in rhs]
-        exps = sorted({e for v in rhs for e, _ in v.items()})
-
     def scaled(row, v) -> dict[int, int]:
-        """The row as sparse {column: int}; coordinate t of the right-hand
-        side is column unknowns + t."""
-        aug = {j: x for j, x in enumerate(
-            [*row, *(v.coeff(e) for e in exps)] if laurent else [*row, v])
-            if x}
+        """The row as sparse {column: int}; the right-hand side is column
+        `unknowns`."""
+        aug = {j: x for j, x in enumerate([*row, v]) if x}
         den = lcm(*(x.denominator for x in aug.values()))
         aug = {j: x.numerator * (den // x.denominator)
                for j, x in aug.items()}
@@ -228,26 +224,21 @@ def _solve_rational_system(rows: list[list[Fraction]], rhs: list,
         picked.append((col, r))
         pivots.append(r[col])
 
-    # num[t][j] = D * x_j for coordinate t, from the last picked row up.
+    # num[j] = D * x_j, from the last picked row up.
     d = pivots[-1]
-    num = [[0] * unknowns for _ in range(len(exps) if laurent else 1)]
+    num = [0] * unknowns
     for col, e in reversed(picked):
-        for t, n_t in enumerate(num):
-            acc = d * e.get(unknowns + t, 0)
-            for j, x in e.items():
-                if j < unknowns and j != col:
-                    acc -= x * n_t[j]
-            n_t[col] = acc // e[col]
+        acc = d * e.get(unknowns, 0)
+        for j, x in e.items():
+            if j < unknowns and j != col:
+                acc -= x * num[j]
+        num[col] = acc // e[col]
 
     for i, r in enumerate(chain(read, (scaled(*pair) for pair in pairs))):
-        for t, n_t in enumerate(num):
-            if sum(x * n_t[j] for j, x in r.items() if j < unknowns) \
-                    != r.get(unknowns + t, 0) * d:
-                raise RankDeficient(f"inconsistent row {i}")
-    if not laurent:
-        return [Fraction(x, d) for x in num[0]]
-    return [Laurent({e: Fraction(n_t[j], d) for e, n_t in zip(exps, num)})
-            for j in range(unknowns)]
+        if sum(x * num[j] for j, x in r.items() if j < unknowns) \
+                != r.get(unknowns, 0) * d:
+            raise RankDeficient(f"inconsistent row {i}")
+    return [Fraction(x, d) for x in num]
 
 
 # ---------------------------------------------------------------------------

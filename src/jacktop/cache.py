@@ -111,3 +111,8 @@ class Cache:
 
     def store_kl_top(self, n: int, poly: KLPoly) -> None:
         self._write(f"kltop_{n}.json", {"n": n, "terms": poly.to_json()})
+
+
+#: The cache that jackref.jack_powersum and topdegree.kl_top read and write:
+#: cli.main sets it for the length of one call, None means no disk cache.
+ACTIVE: Cache | None = None

@@ -5,7 +5,9 @@ Subcommands: ``kl-top`` prints the g/R expansion of the top-degree part,
 orbit census, and ``verify`` runs a named identity suite.
 
 Exit codes: 0 success, 1 usage or parse error, 2 budget violation,
-3 verification failure.
+3 verification failure.  The size budget and the disk cache are settled
+here: the library takes n of any size, and reads cache.ACTIVE, which
+main sets for one call only.
 """
 
 from __future__ import annotations
@@ -14,14 +16,12 @@ import argparse
 import json
 import sys
 
-from . import jackref, topdegree
-from .cache import Cache
+from . import cache, jackref
 from .exact import KLPoly, Laurent
 from .functionals import free_cumulant, s_functional, t_functional
 from .jackref import BoundExceeded, jack_character
 from .maps import format_perm, orbit_census, perm_from_cycle_type, set_jobs
-from .topdegree import (BudgetExceeded, ch_top_eval, check_budget, cumulant_K,
-                        kl_top, moment_M)
+from .topdegree import ch_top_eval, cumulant_K, kl_top, moment_M
 from .verify import SUITES, run_suite
 from .young import NotDecreasing, parse_partition
 
@@ -29,6 +29,20 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BUDGET = 2
 EXIT_VERIFY = 3
+
+DEFAULT_BUDGET = 6
+
+
+class BudgetExceeded(ValueError):
+    """A command asks for more than --budget allows."""
+
+
+def check_budget(n: int, budget: int) -> None:
+    """The n of kl-top, eval chtop and census: at least 1, at most budget."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if n > budget:
+        raise BudgetExceeded(f"n = {n} exceeds budget {budget}")
 
 
 def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
@@ -38,7 +52,7 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument("--cache-dir", metavar="PATH", default=d(None),
                         help="directory for JSON artifact caching")
     parser.add_argument("--budget", type=int, metavar="N",
-                        default=d(topdegree.DEFAULT_BUDGET),
+                        default=d(DEFAULT_BUDGET),
                         help="size budget for map enumeration")
     parser.add_argument("--jobs", type=int, metavar="K", default=d(1),
                         help="worker processes for the pair flood of census"
@@ -95,7 +109,8 @@ def _cmd_eval(args) -> int:
     if kind == "ch":
         value = jack_character(index, lam, bound=jack_bound)
     elif kind == "chtop":
-        value = ch_top_eval(index, lam, budget=args.budget)
+        check_budget(index, args.budget)
+        value = ch_top_eval(index, lam)
     elif kind == "R":
         if index > args.budget + 2:
             raise BudgetExceeded(f"R index {index} exceeds budget")
@@ -135,36 +150,37 @@ def main(argv=None) -> int:
     if args.jobs < 1:
         print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return EXIT_USAGE
+    disk = None
     if args.cache_dir:
         try:
-            cache = Cache(args.cache_dir)
+            disk = cache.Cache(args.cache_dir)
         except OSError as exc:
             print(f"error: cannot use --cache-dir: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        jackref.set_disk_cache(cache)
-        topdegree.set_disk_cache(cache)
     if args.jobs > 1:
         set_jobs(args.jobs)
 
+    cache.ACTIVE = disk
     try:
         if args.command == "kl-top":
-            _print(kl_top(args.n, budget=args.budget), args.format)
+            check_budget(args.n, args.budget)
+            _print(kl_top(args.n), args.format)
             return EXIT_OK
         if args.command == "eval":
             return _cmd_eval(args)
         if args.command == "census":
             return _cmd_census(args)
-        if args.command == "verify":
-            report = run_suite(args.suite, args.param)
-            print(json.dumps(report, default=_json_default))
-            return EXIT_OK if report["pass"] else EXIT_VERIFY
+        report = run_suite(args.suite, args.param)
+        print(json.dumps(report, default=_json_default))
+        return EXIT_OK if report["pass"] else EXIT_VERIFY
     except (BudgetExceeded, BoundExceeded) as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (NotDecreasing, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_USAGE
+    finally:
+        cache.ACTIVE = None
 
 
 def _json_default(obj):

@@ -295,7 +295,9 @@ class Laurent(_Univariate):
 
     @staticmethod
     def from_json(obj: Mapping[str, str]) -> "Laurent":
-        return Laurent({int(e): Fraction(v) for e, v in obj.items()})
+        """Inverse of to_json; a coefficient must be written as to_json
+        writes it (ValueError otherwise)."""
+        return Laurent({int(e): _written_fraction(v) for e, v in obj.items()})
 
 
 #: The substitution image of g, i.e. -A + 1/A.

@@ -38,6 +38,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, gcd
 
+from . import cache
 from .exact import AlphaPoly, Laurent, RatFunc
 from .young import (Partition, binom, length, multiplicities, partition,
                     partitions_of, size, transpose, z_factor)
@@ -391,12 +392,6 @@ def _jack_m_vector(lam: Partition) -> list[list[int]]:
 
 
 _POWERSUM_CACHE: dict[Partition, dict[Partition, AlphaPoly]] = {}
-_DISK_CACHE = None  # set by the CLI; see jacktop.cache
-
-
-def set_disk_cache(cache) -> None:
-    global _DISK_CACHE
-    _DISK_CACHE = cache
 
 
 def _check_bound(lam: Partition, bound: int | None) -> None:
@@ -416,8 +411,9 @@ def jack_powersum(lam: Partition, bound: int | None = None) -> dict[Partition, A
     hit = _POWERSUM_CACHE.get(lam)
     if hit is not None:
         return hit
-    if _DISK_CACHE is not None:
-        stored = _DISK_CACHE.load_jack(lam)
+    disk = cache.ACTIVE
+    if disk is not None:
+        stored = disk.load_jack(lam)
         if stored is not None:
             _POWERSUM_CACHE[lam] = stored
             return stored
@@ -432,8 +428,8 @@ def jack_powersum(lam: Partition, bound: int | None = None) -> dict[Partition, A
                   if not theta[i].is_zero()}
 
     _POWERSUM_CACHE[lam] = result
-    if _DISK_CACHE is not None:
-        _DISK_CACHE.store_jack(lam, result)
+    if disk is not None:
+        disk.store_jack(lam, result)
     return result
 
 

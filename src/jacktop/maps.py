@@ -159,20 +159,13 @@ def _transitive_chunk(args: tuple[int, Perm]) -> list[Perm]:
     return [tuple(s2) for s2 in _itperms(range(n)) if is_transitive_pair(s1, s2)]
 
 
-def enumerate_transitive_pairs(n: int, outer: Perm | None = None
-                               ) -> Iterator[tuple[Perm, Perm]]:
+def enumerate_transitive_pairs(n: int) -> Iterator[tuple[Perm, Perm]]:
     """All transitive pairs, in lexicographic order of (s1, s2).
 
-    With ``outer`` set, only the chunk with s1 = outer is produced, so the
-    full enumeration splits into n! independent chunks.  Worker processes
-    (see set_jobs) only reorder the scan internally; the yielded order is
-    always the lexicographic one.
+    Worker processes (see set_jobs) scan the s2 of each s1 in parallel;
+    the yielded order is always the lexicographic one.
     """
     if n < 1:
-        return
-    if outer is not None:
-        for s2 in _transitive_chunk((n, tuple(outer))):
-            yield (tuple(outer), s2)
         return
     firsts = [tuple(p) for p in _itperms(range(n))]
     if _JOBS > 1:

@@ -24,32 +24,19 @@ from itertools import permutations as _itperms
 from math import factorial
 from typing import Iterator, Sequence
 
+from . import cache
 from .exact import KLPoly, Laurent, addmul_ints, gamma_power_A, int_coeffs
 from .maps import (BicoloredGraph, Perm, compose, count_embeddings, cycles,
                    graph_census, inverse, is_transitive_pair,
                    normalized_embeddings)
 from .young import Partition
 
-DEFAULT_BUDGET = 6
-
-
-class BudgetExceeded(ValueError):
-    """n exceeds the configured enumeration budget."""
-
 
 class DomainMismatch(ValueError):
     """Expander weight not defined exactly on the black vertices."""
 
 
-def check_budget(n: int, budget: int | None) -> None:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    limit = DEFAULT_BUDGET if budget is None else budget
-    if n > limit:
-        raise BudgetExceeded(f"n = {n} exceeds budget {limit}")
-
-
-def ch_top_eval(n: int, lam: Partition, budget: int | None = None) -> Laurent:
+def ch_top_eval(n: int, lam: Partition) -> Laurent:
     """Evaluate the top-degree character part on a diagram: the sum of
     -count_G * g**(n+1-w-b) * (normalized embeddings of G) over _census(n).
 
@@ -59,7 +46,8 @@ def ch_top_eval(n: int, lam: Partition, budget: int | None = None) -> Laurent:
     -count_G * N_G(lam) are added up per shape over the census, and the
     nonzero shape totals of each power of g are expanded once, on the
     integer coefficients of (-A + 1/A)**(n+1-w-b)."""
-    check_budget(n, budget)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     shapes: dict[tuple[int, int], int] = {}
     for g, count in _census(n):
         embeddings = count_embeddings(g, lam)
@@ -144,25 +132,22 @@ def expander_weights(g: BicoloredGraph) -> Iterator[dict[int, int]]:
 
 
 _KL_TOP_CACHE: dict[int, KLPoly] = {}
-_DISK_CACHE = None  # set by the CLI; see jacktop.cache
 
 
-def set_disk_cache(cache) -> None:
-    global _DISK_CACHE
-    _DISK_CACHE = cache
-
-
-def kl_top(n: int, budget: int | None = None) -> KLPoly:
+def kl_top(n: int) -> KLPoly:
     """The g/R expansion of the top-degree character part: the int sum of
     count_G * g**(n+1-w-b) * prod R_q over the classes G of _census(n) and
     their expander weights q; the g power records the genus-like defect,
-    the R indices are the weights."""
-    check_budget(n, budget)
+    the R indices are the weights.  n < 1 is a ValueError before any cache
+    is read."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     hit = _KL_TOP_CACHE.get(n)
     if hit is not None:
         return hit
-    if _DISK_CACHE is not None:
-        stored = _DISK_CACHE.load_kl_top(n)
+    disk = cache.ACTIVE
+    if disk is not None:
+        stored = disk.load_kl_top(n)
         if stored is not None:
             _KL_TOP_CACHE[n] = stored
             return stored
@@ -175,8 +160,8 @@ def kl_top(n: int, budget: int | None = None) -> KLPoly:
             coeffs[key] = coeffs.get(key, 0) + count
     total = KLPoly(coeffs)
     _KL_TOP_CACHE[n] = total
-    if _DISK_CACHE is not None:
-        _DISK_CACHE.store_kl_top(n, total)
+    if disk is not None:
+        disk.store_kl_top(n, total)
     return total
 
 

@@ -18,8 +18,8 @@ from .functionals import (conversion_P, conversion_Q,
                           t_functional)
 from .jackref import jack_character
 from .maps import cycles, orbit_census, perm_from_cycle_type
-from .topdegree import (DEFAULT_BUDGET, ch_top_eval, cumulant_K, kl_top,
-                        moment_M, restricted_perm, set_partitions_above)
+from .topdegree import (ch_top_eval, cumulant_K, kl_top, moment_M,
+                        restricted_perm, set_partitions_above)
 from .young import (Partition, boxes, content, enumerate_partitions,
                     partitions_of, size, to_partition)
 
@@ -67,7 +67,7 @@ def _report(check: str, params, witnesses: list) -> dict:
 def suite_prologue_tables(n: int = 4) -> dict:
     witnesses = []
     for k in range(1, min(n, 4) + 1):
-        got = kl_top(k, budget=max(DEFAULT_BUDGET, n))
+        got = kl_top(k)
         if got != PROLOGUE_TABLES[k]:
             witnesses.append({"n": k, "got": got.to_json()})
     return _report("prologue-tables", {"n": n}, witnesses)
@@ -247,12 +247,11 @@ def suite_st_conversion(n_max: int = 6, lam_max: int = 8) -> dict:
 
 def suite_equivalence(n_max: int = 5, lam_max: int = 6) -> dict:
     witnesses = []
-    budget = max(DEFAULT_BUDGET, n_max)
     for n in range(1, n_max + 1):
-        table = kl_top(n, budget=budget)
+        table = kl_top(n)
         for lam in enumerate_partitions(lam_max):
             via_kl = kl_evaluate(table, lam)
-            direct = ch_top_eval(n, lam, budget=budget)
+            direct = ch_top_eval(n, lam)
             if via_kl != direct:
                 witnesses.append({"n": n, "lambda": lam,
                                   "kl": via_kl.to_json(),
@@ -263,12 +262,11 @@ def suite_equivalence(n_max: int = 5, lam_max: int = 6) -> dict:
 
 def suite_top_vs_full(n_max: int = 5) -> dict:
     witnesses = []
-    budget = max(DEFAULT_BUDGET, n_max)
     for n in range(1, n_max + 1):
         full = kl_expand_full(n)
         top = full.graded_part(n + 1)
         gap = full.graded_part(n)
-        if top != kl_top(n, budget=budget):
+        if top != kl_top(n):
             witnesses.append({"n": n, "part": "top", "got": top.to_json()})
         if not gap.is_zero():
             witnesses.append({"n": n, "part": "gap", "got": gap.to_json()})
@@ -277,9 +275,8 @@ def suite_top_vs_full(n_max: int = 5) -> dict:
 
 def suite_positivity(n_max: int = 6) -> dict:
     witnesses = []
-    budget = max(DEFAULT_BUDGET, n_max)
     for n in range(1, n_max + 1):
-        for (g, mu), coeff in kl_top(n, budget=budget).items():
+        for (g, mu), coeff in kl_top(n).items():
             if coeff.denominator != 1 or coeff < 0:
                 witnesses.append({"n": n, "gamma": g, "mu": mu,
                                   "coeff": str(coeff)})
@@ -288,9 +285,8 @@ def suite_positivity(n_max: int = 6) -> dict:
 
 def suite_t3(n_max: int = 4) -> dict:
     witnesses = []
-    budget = max(DEFAULT_BUDGET, n_max)
     for n in range(1, n_max + 1):
-        for name, fn in (("chtop", lambda lam, n=n: ch_top_eval(n, lam, budget=budget)),
+        for name, fn in (("chtop", lambda lam, n=n: ch_top_eval(n, lam)),
                          ("jack", lambda lam, n=n: jack_character((n,), lam, bound=n + 3))):
             for k, lam, value in check_T3(n, fn):
                 witnesses.append({"function": name, "n": n, "k": k,

@@ -66,11 +66,6 @@ def z_factor(p: Partition) -> int:
     return z
 
 
-def partition_stats(p: Partition) -> tuple[int, int, dict[int, int], int]:
-    """(size, length, multiplicities, z)."""
-    return size(p), length(p), multiplicities(p), z_factor(p)
-
-
 def boxes(p: Partition) -> Iterator[tuple[int, int]]:
     """Boxes (x, y) in row-major order."""
     for y, row in enumerate(p, start=1):

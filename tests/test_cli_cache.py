@@ -6,19 +6,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from jacktop import cli, jackref, topdegree
+from jacktop import cache, cli, jackref, topdegree
 from jacktop.cache import Cache
 from jacktop.jackref import jack_powersum
 from jacktop.topdegree import kl_top
 from jacktop.verify import SUITES
 from jacktop.young import format_partition, partitions_of
-
-
-@pytest.fixture(autouse=True)
-def _reset_disk_cache():
-    yield
-    jackref.set_disk_cache(None)
-    topdegree.set_disk_cache(None)
 
 
 def run_cli(capsys, *argv):
@@ -42,6 +35,39 @@ def test_kl_top_json(capsys):
 def test_budget_exit_code(capsys):
     code, _ = run_cli(capsys, "kl-top", "99")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    ("kl-top 0", 1, "error: n must be >= 1, got 0"),
+    ("kl-top 7", 2, "budget: n = 7 exceeds budget 6"),
+    ("--budget 3 kl-top 4", 2, "budget: n = 4 exceeds budget 3"),
+    ("eval chtop 0 2,1", 1, "error: n must be >= 1, got 0"),
+    ("eval chtop 7 2,1", 2, "budget: n = 7 exceeds budget 6"),
+    # The diagram is parsed before the index is held to the budget.
+    ("eval chtop 9 x", 1, "error: invalid literal for int() with base 10: 'x'"),
+    ("census 0", 1, "error: n must be >= 1, got 0"),
+    ("census 7", 2, "budget: n = 7 exceeds budget 6"),
+    ("eval R 9 2,1", 2, "budget: R index 9 exceeds budget"),
+    ("eval M 4,3 2,1", 2, "budget: |pi| = 7 exceeds budget"),
+    ("--budget 7 kl-top 7", 0, ""),
+])
+def test_budget_and_usage_errors(capsys, argv, code, err):
+    assert cli.main(argv.split()) == code
+    captured = capsys.readouterr()
+    assert captured.err == (err + "\n" if err else "")
+    assert bool(captured.out) == (code == 0)
+
+
+def test_cache_dir_does_not_outlive_its_call(tmp_path, capsys):
+    topdegree._KL_TOP_CACHE.pop(2, None)
+    assert cli.main(["--cache-dir", str(tmp_path), "kl-top", "2"]) == 0
+    assert cache.ACTIVE is None
+    written = sorted(tmp_path.iterdir())
+    assert written == [tmp_path / "kltop_2.json"]
+    topdegree._KL_TOP_CACHE.pop(3, None)
+    assert cli.main(["kl-top", "3"]) == 0
+    assert cache.ACTIVE is None
+    assert sorted(tmp_path.iterdir()) == written
 
 
 def test_eval_examples(capsys):
@@ -326,12 +352,8 @@ def test_cli_fuzz_exits_cleanly(tmp_path, argv, cached):
     if cached:
         argv = ["--cache-dir", str(tmp_path), *argv]
     out, err = io.StringIO(), io.StringIO()
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main(argv)
-    finally:
-        jackref.set_disk_cache(None)
-        topdegree.set_disk_cache(None)
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
 
@@ -380,11 +402,7 @@ def test_damaged_cache_file_exits_cleanly(tmp_path, valid_cache_files, data):
     topdegree._KL_TOP_CACHE.pop(3, None)
     argv = ["--cache-dir", str(tmp_path), *CACHE_COMMANDS[name]]
     out, err = io.StringIO(), io.StringIO()
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main(argv)
-    finally:
-        jackref.set_disk_cache(None)
-        topdegree.set_disk_cache(None)
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
     assert code == 0, (damaged, err.getvalue())
     assert err.getvalue() == "", damaged

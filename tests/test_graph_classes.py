@@ -277,15 +277,15 @@ def test_kl_top_7():
     assert len(census) == 124
     assert sum(count for _, count in census) == \
         indecomposable_permutations(8) == 29093
-    table = kl_top(7, budget=7)
+    table = kl_top(7)
     for _, coeff in table.items():
         assert coeff.denominator == 1 and coeff >= 0
     for lam in [(1,), (3, 1), (2, 2, 2), (4, 2, 1), (5, 3, 1)]:
-        assert ch_top_eval(7, lam, budget=7) == kl_evaluate(table, lam), lam
+        assert ch_top_eval(7, lam) == kl_evaluate(table, lam), lam
 
 
 def test_kl_top_9():
-    table = kl_top(9, budget=9)
+    table = kl_top(9)
     terms = list(table.items())
     assert len(terms) == 30
     for _, coeff in terms:
@@ -309,7 +309,7 @@ def test_kl_top_closed_form_anchors():
     # holds the Stirling numbers c(n, k); and the row g^1 R_mu, |mu| = n,
     # is n (l - 1)! prod (mu_i - 1) / (2 prod_j m_j(mu)!).
     for n in range(1, 10):
-        table = kl_top(n, budget=n)
+        table = kl_top(n)
         terms = dict(table.items())
         support = {(0, (n + 1,))} | {(k, mu) for k in range(1, n)
                                      for mu in partitions_of(n + 1 - k)

@@ -4,9 +4,9 @@ from hypothesis import strategies as st
 
 from jacktop.exact import Laurent
 from jacktop.young import (NotDecreasing, boxes, content, enumerate_partitions,
-                           format_partition, parse_partition, partition,
-                           partition_stats, partitions_of, size, to_partition,
-                           transpose)
+                           format_partition, length, multiplicities,
+                           parse_partition, partition, partitions_of, size,
+                           to_partition, transpose, z_factor)
 
 
 def test_parse_and_format():
@@ -20,12 +20,13 @@ def test_parse_and_format():
 
 
 def test_partition_stats():
-    s, l, m, z = partition_stats((2, 1, 1))
-    assert (s, l) == (4, 3)
-    assert m == {1: 2, 2: 1}
-    assert z == 4
-    assert partition_stats(()) == (0, 0, {}, 1)
-    assert partition_stats((3,))[3] == 3
+    p = (2, 1, 1)
+    assert (size(p), length(p)) == (4, 3)
+    assert multiplicities(p) == {1: 2, 2: 1}
+    assert z_factor(p) == 4
+    assert (size(()), length(()), multiplicities(()), z_factor(())) == \
+        (0, 0, {}, 1)
+    assert z_factor((3,)) == 3
 
 
 def test_boxes_row_major():
