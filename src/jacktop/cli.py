@@ -6,8 +6,8 @@ orbit census, and ``verify`` runs a named identity suite.
 
 Exit codes: 0 success, 1 usage or parse error, 2 budget violation,
 3 verification failure.  The size budget and the disk cache are settled
-here: the library takes n of any size, and reads cache.ACTIVE, which
-main sets for one call only.
+here: the library takes n of any size, and reads cache.ACTIVE and the
+worker count of maps.set_jobs, which main sets for one call only.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         default=d(DEFAULT_BUDGET),
                         help="size budget for map enumeration")
     parser.add_argument("--jobs", type=int, metavar="K", default=d(1),
-                        help="worker processes for the pair flood of census"
+                        help="worker processes for the pair scan of census"
                              " and verify orbits")
     parser.add_argument("--format", choices=("json", "text"),
                         default=d("json"), help="output format")
@@ -157,10 +157,8 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: cannot use --cache-dir: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    if args.jobs > 1:
-        set_jobs(args.jobs)
-
     cache.ACTIVE = disk
+    set_jobs(args.jobs)
     try:
         if args.command == "kl-top":
             check_budget(args.n, args.budget)
@@ -181,6 +179,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     finally:
         cache.ACTIVE = None
+        set_jobs(1)
 
 
 def _json_default(obj):

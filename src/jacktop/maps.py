@@ -16,9 +16,9 @@ conjugacy class, and s2 enters only through the block-count vectors of its
 cycles, a vector partition of the cycle type, weighted by the number of s2
 that give it.  Only the spanning vector partitions (connected graphs) are
 built, and graphs are grouped by a canonical key that relabels the smaller
-side only within blocks of equal degree.  The flood (orbit_census,
-orbit_reps, enumerate_transitive_pairs) is kept as its oracle and for the
-representatives the census command prints.
+side only within blocks of equal degree.  orbit_census lists the orbits
+by their least pairs, for the census command and as graph_census's
+oracle; a test-side flood of every pair's orbit is its own oracle.
 """
 
 from __future__ import annotations
@@ -159,15 +159,13 @@ def _transitive_chunk(args: tuple[int, Perm]) -> list[Perm]:
     return [tuple(s2) for s2 in _itperms(range(n)) if is_transitive_pair(s1, s2)]
 
 
-def enumerate_transitive_pairs(n: int) -> Iterator[tuple[Perm, Perm]]:
-    """All transitive pairs, in lexicographic order of (s1, s2).
-
-    Worker processes (see set_jobs) scan the s2 of each s1 in parallel;
-    the yielded order is always the lexicographic one.
-    """
-    if n < 1:
-        return
-    firsts = [tuple(p) for p in _itperms(range(n))]
+def enumerate_transitive_pairs(n: int, firsts: Sequence[Perm] | None = None
+                               ) -> Iterator[tuple[Perm, Perm]]:
+    """The transitive pairs whose s1 is in firsts (all of S_n by default),
+    in the order of firsts, then of s2.  Worker processes (see set_jobs)
+    scan the s2 of each s1 in parallel without changing the order."""
+    if firsts is None:
+        firsts = list(_itperms(range(n)))
     if _JOBS > 1:
         from multiprocessing import Pool
         with Pool(_JOBS) as pool:
@@ -188,12 +186,9 @@ def stabilizer_perms(n: int) -> list[Perm]:
     return [tuple(p) + (n - 1,) for p in _itperms(range(n - 1))]
 
 
-def pair_orbit(a: Perm, b: Perm, stab: list[Perm] | None = None
-               ) -> set[tuple[Perm, Perm]]:
-    n = len(a)
-    if stab is None:
-        stab = stabilizer_perms(n)
-    return {(conjugate(pi, a), conjugate(pi, b)) for pi in stab}
+def pair_orbit(a: Perm, b: Perm) -> set[tuple[Perm, Perm]]:
+    return {(conjugate(pi, a), conjugate(pi, b))
+            for pi in stabilizer_perms(len(a))}
 
 
 def canonical_orbit_rep(a: Perm, b: Perm) -> tuple[Perm, Perm]:
@@ -207,24 +202,27 @@ _CENSUS_CACHE: dict[int, list] = {}
 
 
 def orbit_census(n: int) -> list[tuple[tuple[Perm, Perm], int]]:
-    """All orbits of transitive pairs as (canonical rep, orbit size).
+    """All orbits of transitive pairs as (least pair, orbit size), sorted.
 
-    Walks the pairs in lexicographic order and floods each new orbit, so a
-    representative is found exactly once; output is sorted by representative.
+    The least pair (a, b) of an orbit has a least among its conjugates by
+    the stabilizer and b least among its conjugates by C(a), the
+    centralizer of a there, so only such a are scanned, in order.  The
+    orbit size is |stabilizer| / |{pi in C(a) : pi b pi**-1 = b}|.
     """
     hit = _CENSUS_CACHE.get(n)
     if hit is not None:
         return hit
     stab = stabilizer_perms(n)
-    seen: set[bytes] = set()  # pairs packed as bytes to keep n=6 in memory
+    firsts = [a for a in _itperms(range(n))
+              if all(conjugate(pi, a) >= a for pi in stab)]
+    centralizer = {a: [pi for pi in stab if conjugate(pi, a) == a]
+                   for a in firsts}
     out = []
-    for a, b in enumerate_transitive_pairs(n):
-        if bytes(a + b) in seen:
-            continue
-        orbit = pair_orbit(a, b, stab=stab)
-        seen.update(bytes(pa + pb) for pa, pb in orbit)
-        out.append((min(orbit), len(orbit)))
-    out.sort()
+    for a, b in enumerate_transitive_pairs(n, firsts):
+        fixers = centralizer[a]
+        if all(conjugate(pi, b) >= b for pi in fixers):
+            fixing = sum(conjugate(pi, b) == b for pi in fixers)
+            out.append(((a, b), len(stab) // fixing))
     _CENSUS_CACHE[n] = out
     return out
 
@@ -584,7 +582,7 @@ def _vector_partitions(lam: Partition) -> Iterator[tuple[tuple[int, ...], ...]]:
 
 
 def graph_census(n: int) -> list[tuple[BicoloredGraph, int]]:
-    """graph_classes(orbit_reps(n)) without the pair flood: each graph class
+    """graph_classes(orbit_reps(n)) without listing pairs: each graph class
     of transitive pairs with its number of orbits, in canonical-key order.
 
     The graph of a pair only depends on the pair up to conjugation, so s1 is

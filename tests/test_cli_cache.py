@@ -142,15 +142,31 @@ def test_warm_cache_identical_output(tmp_path, capsys):
 
 def test_jobs_do_not_change_output(capsys):
     from jacktop import maps
-    maps._CENSUS_CACHE.clear()
-    _, out1 = run_cli(capsys, "census", "3")
+    for n in ("3", "5"):
+        maps._CENSUS_CACHE.clear()
+        _, out1 = run_cli(capsys, "census", n)
+        maps._CENSUS_CACHE.clear()
+        try:
+            _, out2 = run_cli(capsys, "--jobs", "2", "census", n)
+        finally:
+            maps._CENSUS_CACHE.clear()
+        assert out1 == out2, n
+
+
+def test_jobs_do_not_leak_into_later_calls(capsys, monkeypatch):
+    import multiprocessing
+    from jacktop import maps
+    assert run_cli(capsys, "--jobs", "2", "census", "3")[0] == 0
+    assert maps._JOBS == 1
+    pools = []
+    monkeypatch.setattr(multiprocessing, "Pool",
+                        lambda *args, **kwargs: pools.append(args))
     maps._CENSUS_CACHE.clear()
     try:
-        _, out2 = run_cli(capsys, "--jobs", "2", "census", "3")
+        assert run_cli(capsys, "census", "3")[0] == 0
     finally:
-        maps.set_jobs(1)
         maps._CENSUS_CACHE.clear()
-    assert out1 == out2
+    assert pools == []
 
 
 @pytest.mark.parametrize("argv", [["--jobs", "0", "census", "3"],

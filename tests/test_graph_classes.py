@@ -1,4 +1,4 @@
-"""The graph-class census against the orbit flood, the scan of S_n by cycle
+"""The graph-class census against the orbit census, the scan of S_n by cycle
 type, the census over unpruned vector partitions, and the per-orbit and
 per-pair sums it replaced, which are kept here as oracles."""
 
@@ -202,11 +202,11 @@ def indecomposable_permutations(m):
 
 
 def test_graph_census_matches_flood():
-    for n in range(1, 7):
+    for n in range(1, 8):
         census = [(g.canonical_key(), count) for g, count in graph_census(n)]
-        flood = [(g.canonical_key(), count)
-                 for g, count in graph_classes(orbit_reps(n))]
-        assert census == flood, n
+        orbits = [(g.canonical_key(), count)
+                  for g, count in graph_classes(orbit_reps(n))]
+        assert census == orbits, n
         assert sum(count for _, count in census) == \
             indecomposable_permutations(n + 1)
 

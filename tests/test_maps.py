@@ -88,6 +88,18 @@ def test_orbit_sizes_factorial_n_le_5():
         assert all(s == factorial(n - 1) for _, s in orbit_census(n))
 
 
+def orbit_census_flood(n):
+    """The census by flooding: the least pair and the size of the orbit of
+    every transitive pair, sorted."""
+    orbits = (pair_orbit(a, b) for a, b in enumerate_transitive_pairs(n))
+    return sorted({(min(orbit), len(orbit)) for orbit in orbits})
+
+
+def test_orbit_census_matches_flood():
+    for n in range(1, 6):
+        assert orbit_census(n) == orbit_census_flood(n), n
+
+
 def test_canonical_rep_idempotent():
     for a, b in enumerate_transitive_pairs(3):
         rep = canonical_orbit_rep(a, b)
