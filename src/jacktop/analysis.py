@@ -18,7 +18,7 @@ from .exact import KLPoly, Laurent, addmul_ints, gamma_power_A, int_coeffs
 from .functionals import free_cumulant
 from .jackref import jack_character
 from .young import (Partition, enumerate_partitions, partition,
-                    partitions_of, size)
+                    partitions_of, size, transpose)
 
 Evaluator = Callable[[Partition], Laurent]
 
@@ -275,16 +275,19 @@ def _kl_key_values(keys, lam: Partition, n: int) -> list[dict[int, int]]:
 def kl_expand_full(n: int) -> KLPoly:
     """Expand the one-row character of index n in the g/R ring.
 
-    Matches oracle values coefficient-wise in A on all diagrams of size
-    <= n+2, then insists on a zero residual on held-out diagrams of size
-    n+3; RankDeficient if either fails.  The solution is unique by the
-    linear independence of the g/R monomials.
+    Fits the g/R keys to the oracle on one diagram of each transpose pair
+    of size <= n+2 (see _kl_fit), then insists on a zero residual on
+    held-out diagrams: the first three of size n+3 and their transposes,
+    so the side of the duality the fit does not read is checked too.
+    RankDeficient if either fails.  The solution is unique by the linear
+    independence of the g/R monomials.
     """
     keys = kl_expansion_keys(n)
     coeffs = _kl_fit(keys, n)
     result = KLPoly({k: c for k, c in zip(keys, coeffs) if c})
 
-    for lam in list(partitions_of(n + 3))[:3]:
+    held_out = list(partitions_of(n + 3))[:3]
+    for lam in dict.fromkeys(held_out + [transpose(lam) for lam in held_out]):
         lhs: dict[int, Fraction] = {}
         for value, c in zip(_kl_key_values(keys, lam, n), coeffs):
             if c:
@@ -296,19 +299,80 @@ def kl_expand_full(n: int) -> KLPoly:
 
 
 def _kl_fit(keys, n: int) -> list[Fraction]:
-    """One row per diagram of size <= n+2 and power of A: the integer key
-    coefficients against the oracle's coefficient."""
-    rows: list[list[int]] = []
-    rhs: list[Fraction] = []
+    """The key coefficients, fitted on the diagrams lam of size <= n+2 with
+    lam >= transpose(lam): one row per diagram and power A**d, the integer
+    key coefficients against the oracle's coefficient.
+
+    A -> -1/A maps the oracle and every key value at lam to their values at
+    transpose(lam), so the row (lam', -d) is (-1)**d times the row (lam, d)
+    and is not read.  A key g**k R_mu takes only exponents of the parity of
+    its grading k + |mu| (AssertionError otherwise), so the rows fall into
+    two blocks by the parity of d.  The main block, d of the parity of
+    n + 1, is solved exactly.  The other block's right-hand sides are the
+    oracle's coefficients of the other parity, all zero unless the oracle
+    is wrong; then a full rank modulo a prime proves that block's solution
+    is 0, as a nonzero minor mod p is nonzero over Z.  Otherwise it is
+    solved exactly too, so the outcome, coefficients or RankDeficient, is
+    that of one fit of all keys on the rows read.
+    """
+    parities = [(g + sum(mu)) % 2 for g, mu in keys]
+    columns = ([], [])  # key indices per parity
+    for i, b in enumerate(parities):
+        columns[b].append(i)
+    rows: tuple[list[list[int]], ...] = ([], [])
+    rhs: tuple[list[Fraction], ...] = ([], [])
     for lam in enumerate_partitions(n + 2):
-        lhs_values = _kl_key_values(keys, lam, n)
+        if lam < transpose(lam):
+            continue
+        values = _kl_key_values(keys, lam, n)
+        for key, b, value in zip(keys, parities, values):
+            if any((e - b) % 2 for e in value):
+                raise AssertionError(
+                    f"key {key} at {lam} has an exponent of the wrong parity")
         target = jack_character((n,), lam, bound=n + 3)
-        exponents = {e for v in lhs_values for e in v}
+        exponents = {e for v in values for e in v}
         exponents.update(e for e, _ in target.items())
         for d in sorted(exponents):
-            rows.append([v.get(d, 0) for v in lhs_values])
-            rhs.append(target.coeff(d))
-    return _solve_rational_system(rows, rhs, len(keys))
+            b = d % 2
+            rows[b].append([values[i].get(d, 0) for i in columns[b]])
+            rhs[b].append(target.coeff(d))
+
+    other = n % 2
+    unknowns = len(columns[other])
+    blocks = [1 - other]
+    if any(rhs[other]) or _rank_mod_p(rows[other], unknowns) < unknowns:
+        blocks.append(other)
+    coeffs = [Fraction(0)] * len(keys)
+    for b in blocks:
+        solution = _solve_rational_system(rows[b], rhs[b], len(columns[b]))
+        for i, x in zip(columns[b], solution):
+            coeffs[i] = x
+    return coeffs
+
+
+#: The prime of _rank_mod_p, 2**61 - 1.
+_PRIME = (1 << 61) - 1
+
+
+def _rank_mod_p(rows: list[list[int]], unknowns: int) -> int:
+    """Rank modulo _PRIME of the integer rows of `unknowns` columns, by
+    elimination in input order; stops once it reaches `unknowns`."""
+    pivots: dict[int, list[int]] = {}  # pivot column -> row, pivot entry 1
+    for row in rows:
+        if len(pivots) == unknowns:
+            break
+        r = [x % _PRIME for x in row]
+        for col in range(unknowns):
+            x = r[col]
+            if not x:
+                continue
+            e = pivots.get(col)
+            if e is None:
+                inv = pow(x, -1, _PRIME)
+                pivots[col] = [y * inv % _PRIME for y in r]
+                break
+            r = [(y - x * z) % _PRIME for y, z in zip(r, e)]
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -274,12 +274,17 @@ def suite_top_vs_full(n_max: int = 5) -> dict:
 
 
 def suite_positivity(n_max: int = 6) -> dict:
+    """Nonnegative integer g/R coefficients: of kl_top(n), which holds by
+    construction, and of the whole character from the oracle fit
+    kl_expand_full(n), Lassalle's integrality and positivity conjecture."""
     witnesses = []
     for n in range(1, n_max + 1):
-        for (g, mu), coeff in kl_top(n).items():
-            if coeff.denominator != 1 or coeff < 0:
-                witnesses.append({"n": n, "gamma": g, "mu": mu,
-                                  "coeff": str(coeff)})
+        for expansion, poly in (("top", kl_top(n)), ("full", kl_expand_full(n))):
+            for (g, mu), coeff in poly.items():
+                if coeff.denominator != 1 or coeff < 0:
+                    witnesses.append({"n": n, "expansion": expansion,
+                                      "gamma": g, "mu": mu,
+                                      "coeff": str(coeff)})
     return _report("positivity", {"n_max": n_max}, witnesses)
 
 

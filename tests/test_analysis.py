@@ -5,15 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacktop import analysis
-from jacktop.analysis import (RankDeficient, _solve_rational_system,
+from jacktop.analysis import (RankDeficient, _kl_fit, _kl_key_values,
+                              _solve_rational_system,
                               check_K_conditions, check_p1top, check_T3,
                               fit_row_polynomial, iterated_delta,
                               kl_expand_full, kl_expansion_keys, sym_eval,
                               t3_cases)
 from jacktop.exact import KLPoly, Laurent
+from jacktop.functionals import free_cumulant
 from jacktop.jackref import jack_character
 from jacktop.topdegree import ch_top_eval, kl_top
-from jacktop.young import size
+from jacktop.young import enumerate_partitions, size, transpose
 
 
 def size_eval(lam):
@@ -225,6 +227,140 @@ def test_solver_matches_all_rows_gauss_jordan_on_kl_fits(monkeypatch):
         got = _solve_rational_system(rows, rhs, unknowns)
         assert got == gauss_jordan_all_rows(rows, rhs, unknowns)
         assert all(type(x) is Fraction for x in got)
+
+
+def s_image(value: dict[int, int]) -> dict[int, int]:
+    """A -> -1/A on an exponent -> int dict."""
+    return {-e: -v if e % 2 else v for e, v in value.items()}
+
+
+def test_oracle_and_key_values_dual_under_transpose():
+    # The fit reads one diagram of each transpose pair on the strength of
+    # this duality; the held-out transposes check it only at size n+3.
+    for n in range(1, 8):
+        keys = kl_expansion_keys(n)
+        for lam in enumerate_partitions(n + 2):
+            dual = transpose(lam)
+            assert jack_character((n,), dual, bound=n + 3) == \
+                jack_character((n,), lam, bound=n + 3).s_involution(), (n, lam)
+            assert _kl_key_values(keys, dual, n) == \
+                [s_image(v) for v in _kl_key_values(keys, lam, n)], (n, lam)
+
+
+def test_free_cumulants_dual_under_transpose():
+    for lam in enumerate_partitions(9):
+        for k in range(2, 10):
+            assert free_cumulant(k, transpose(lam)) == \
+                free_cumulant(k, lam).s_involution(), (k, lam)
+
+
+def test_key_values_have_the_parity_of_their_grading():
+    for n in range(1, 9):
+        keys = kl_expansion_keys(n)
+        for lam in enumerate_partitions(n + 2):
+            for (g, mu), value in zip(keys, _kl_key_values(keys, lam, n)):
+                assert all((e - g - sum(mu)) % 2 == 0 for e in value), \
+                    (n, lam, g, mu)
+
+
+def unsplit_kl_system(n):
+    """The fit as one system: every diagram of size <= n+2, every power of
+    A, every key."""
+    keys = kl_expansion_keys(n)
+    rows, rhs = [], []
+    for lam in enumerate_partitions(n + 2):
+        values = _kl_key_values(keys, lam, n)
+        target = jack_character((n,), lam, bound=n + 3)
+        exponents = {e for v in values for e in v}
+        exponents.update(e for e, _ in target.items())
+        for d in sorted(exponents):
+            rows.append([v.get(d, 0) for v in values])
+            rhs.append(target.coeff(d))
+    return keys, rows, rhs
+
+
+def test_kl_expand_full_matches_unsplit_gauss_jordan():
+    for n in range(1, 8):
+        keys, rows, rhs = unsplit_kl_system(n)
+        coeffs = gauss_jordan_all_rows(rows, rhs, len(keys))
+        expected = KLPoly({k: c for k, c in zip(keys, coeffs) if c})
+        assert kl_expand_full(n) == expected, n
+
+
+def test_short_mod_p_rank_falls_back_to_exact_solve(monkeypatch):
+    expected = {n: kl_expand_full(n) for n in range(1, 7)}
+    calls = []
+
+    def record(rows, rhs, unknowns):
+        calls.append(unknowns)
+        return _solve_rational_system(rows, rhs, unknowns)
+
+    monkeypatch.setattr(analysis, "_solve_rational_system", record)
+    monkeypatch.setattr(analysis, "_rank_mod_p", lambda rows, unknowns: 0)
+    for n, want in expected.items():
+        calls.clear()
+        assert kl_expand_full(n) == want, n
+        assert len(calls) == 2, n  # both blocks solved exactly
+
+
+def test_rank_mod_p():
+    assert analysis._rank_mod_p([], 0) == 0
+    assert analysis._rank_mod_p([[1, 2], [2, 4], [0, 3]], 2) == 2
+    assert analysis._rank_mod_p([[1, 2], [2, 4], [3, 6]], 2) == 1
+    # A multiple of the prime is zero modulo it.
+    assert analysis._rank_mod_p([[analysis._PRIME, 0], [0, 1]], 2) == 1
+
+
+def test_duplicated_other_parity_key_is_rank_deficient():
+    for n in (3, 6):
+        keys = kl_expansion_keys(n)
+        dup = next(k for k in keys if (k[0] + sum(k[1]) - n) % 2 == 0)
+        with pytest.raises(RankDeficient):
+            _kl_fit(keys + [dup], n)
+
+
+def perturb_oracle(monkeypatch, bad, term: Laurent):
+    """Add term to the oracle's value on the diagram bad, as the fit sees
+    it."""
+    real = analysis.jack_character
+
+    def perturbed(pi, lam, bound=None):
+        value = real(pi, lam, bound=bound)
+        return value + term if lam == bad else value
+
+    monkeypatch.setattr(analysis, "jack_character", perturbed)
+
+
+def test_wrong_parity_oracle_term_is_rank_deficient(monkeypatch):
+    n, bad = 5, (4, 2, 1)
+    assert bad > transpose(bad)  # a diagram the fit reads
+    perturb_oracle(monkeypatch, bad, Laurent.monomial(n, 1))
+    with pytest.raises(RankDeficient):
+        _kl_fit(kl_expansion_keys(n), n)
+
+
+def test_held_out_transpose_is_checked(monkeypatch):
+    n = 4
+    # A term of the right parity on the transpose of the held-out (7).
+    perturb_oracle(monkeypatch, (1,) * 7, Laurent.monomial(n + 1, 1))
+    with pytest.raises(RankDeficient,
+                       match=r"^held-out residual nonzero at \(1, 1, 1"):
+        kl_expand_full(n)
+
+
+def test_wrong_parity_key_value_raises(monkeypatch):
+    real = analysis._kl_key_values
+
+    def perturbed(keys, lam, n):
+        values = real(keys, lam, n)
+        g, mu = keys[-1]
+        values[-1] = {**values[-1], g + sum(mu) + 1: 1}
+        return values
+
+    monkeypatch.setattr(analysis, "_kl_key_values", perturbed)
+    for n in (3, 4):
+        with pytest.raises(AssertionError, match="wrong parity"):
+            kl_expand_full(n)
 
 
 def test_check_k_conditions():

@@ -1,13 +1,15 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from jacktop import cache, cli, jackref, topdegree
+from jacktop import cache, cli, jackref, topdegree, verify
 from jacktop.cache import Cache
+from jacktop.exact import KLPoly
 from jacktop.jackref import jack_powersum
 from jacktop.topdegree import kl_top
 from jacktop.verify import SUITES
@@ -94,6 +96,22 @@ def test_verify_suite_exit(capsys):
     code, out = run_cli(capsys, "verify", "catalan", "5")
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+def test_verify_positivity_reports_bad_oracle_coefficients(capsys,
+                                                           monkeypatch):
+    bad = {2: KLPoly({(0, (3,)): -1, (1, (2,)): 1}),
+           3: KLPoly({(0, (4,)): Fraction(1, 2)})}
+    monkeypatch.setattr(verify, "kl_expand_full",
+                        lambda n: bad.get(n, KLPoly({(0, (2,)): 1})))
+    code, out = run_cli(capsys, "verify", "positivity", "3")
+    assert code == 3
+    report = json.loads(out)
+    assert report["pass"] is False
+    assert report["witnesses"] == [
+        {"n": 2, "expansion": "full", "gamma": 0, "mu": [3], "coeff": "-1"},
+        {"n": 3, "expansion": "full", "gamma": 0, "mu": [4], "coeff": "1/2"},
+    ]
 
 
 def test_census_output(capsys):
