@@ -28,7 +28,7 @@ from math import factorial, prod
 from typing import Iterable, Iterator, Sequence
 
 from .exact import Laurent
-from .young import Partition, partitions_of, z_factor
+from .young import Partition, levels, partitions_of, z_factor
 
 Perm = tuple  # tuple[int, ...], images of 0..n-1
 
@@ -391,7 +391,12 @@ def count_embeddings(g: BicoloredGraph, lam: Partition) -> int:
 
     since a column c with v_{i+1} < c <= v_i fits in exactly the first M_i
     rows.  Both take the least neighbor value (v falls and M rises with
-    the level), which _level_sum sums.
+    the level), which _level_sum sums.  Counts are cached per (class, lam).
+
+    These counts serve moment_M and cumulant_K, through
+    normalized_embeddings, and the labeled oracle.  topdegree.ch_top_eval
+    reads the same sums from its chain expansion of the census, and this
+    function, class by class, is that route's test oracle.
     """
     key = (g.canonical_key(), lam)
     hit = _EMBED_CACHE.get(key)
@@ -407,14 +412,7 @@ def count_embeddings(g: BicoloredGraph, lam: Partition) -> int:
     elif not lam:
         result = 0
     else:
-        values: list[int] = []
-        mult: list[int] = []
-        for row in lam:
-            if values and values[-1] == row:
-                mult[-1] += 1
-            else:
-                values.append(row)
-                mult.append(1)
+        values, mult = levels(lam)
         if g.whites >= g.blacks:
             result = _level_sum(g.blacks, g.adjacency, mult, values)
         else:

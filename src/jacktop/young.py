@@ -21,26 +21,50 @@ class NotDecreasing(ValueError):
 
 
 def partition(parts) -> Partition:
-    """Validate and canonicalize an iterable of parts into a Partition."""
-    p = tuple(int(x) for x in parts if int(x) != 0)
+    """Validate and canonicalize an iterable of parts into a Partition.
+
+    The parts must weakly decrease; trailing zeros are dropped, and a zero
+    followed by a positive part is NotDecreasing."""
+    p = tuple(int(x) for x in parts)
     for a, b in zip(p, p[1:]):
         if a < b:
             raise NotDecreasing(f"not weakly decreasing: {p}")
     if p and p[-1] < 0:
         raise ValueError(f"negative part: {p}")
-    return p
+    return p[:p.index(0)] if 0 in p else p
 
 
 def parse_partition(text: str) -> Partition:
-    """Parse the text syntax '4,2,2'; '0' or '' is the empty diagram."""
+    """Parse the text syntax '4,2,2'; '0' or '' is the empty diagram.
+
+    Each part is ASCII digits, with optional surrounding spaces; any other
+    part is a ValueError worded as int()'s for a non-numeric string."""
     text = text.strip()
     if text in ("", "0"):
         return ()
-    return partition(int(x) for x in text.split(","))
+    parts = [x.strip() for x in text.split(",")]
+    for x in parts:
+        if not (x.isascii() and x.isdigit()):
+            raise ValueError(f"invalid literal for int() with base 10: {x!r}")
+    return partition(int(x) for x in parts)
 
 
 def format_partition(p: Partition) -> str:
     return ",".join(str(x) for x in p) if p else "0"
+
+
+def levels(p: Partition) -> tuple[list[int], list[int]]:
+    """The distinct row lengths v_1 > ... > v_t of p and their
+    multiplicities m_1, ..., m_t."""
+    values: list[int] = []
+    mult: list[int] = []
+    for row in p:
+        if values and values[-1] == row:
+            mult[-1] += 1
+        else:
+            values.append(row)
+            mult.append(1)
+    return values, mult
 
 
 def size(p: Partition) -> int:

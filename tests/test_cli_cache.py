@@ -47,6 +47,12 @@ def test_budget_exit_code(capsys):
     ("eval chtop 7 2,1", 2, "budget: n = 7 exceeds budget 6"),
     # The diagram is parsed before the index is held to the budget.
     ("eval chtop 9 x", 1, "error: invalid literal for int() with base 10: 'x'"),
+    # A diagram is ASCII digit parts, weakly decreasing; zeros only trail.
+    ("eval chtop 2 3,0,2", 1, "error: not weakly decreasing: (3, 0, 2)"),
+    ("eval chtop 2 1_0", 1, "error: invalid literal for int() with base 10: '1_0'"),
+    ("eval chtop 2 \u0663", 1,
+     "error: invalid literal for int() with base 10: '\u0663'"),
+    ("eval chtop 2 +3", 1, "error: invalid literal for int() with base 10: '+3'"),
     ("census 0", 1, "error: n must be >= 1, got 0"),
     ("census 7", 2, "budget: n = 7 exceeds budget 6"),
     ("eval R 9 2,1", 2, "budget: R index 9 exceeds budget"),

@@ -1,12 +1,15 @@
+from math import comb
+
 import pytest
 
-from jacktop.exact import KLPoly, Laurent
+from jacktop import topdegree
+from jacktop.exact import GAMMA_A, KLPoly, Laurent
 from jacktop.functionals import kl_evaluate
-from jacktop.maps import BicoloredGraph, perm_from_cycle_type
-from jacktop.topdegree import (DomainMismatch, ch_top_eval, ch_top_eval_labeled,
-                               cumulant_K, expander_weights, is_expander,
-                               kl_top, moment_M, restricted_perm,
-                               set_partitions_above)
+from jacktop.maps import BicoloredGraph, count_embeddings, perm_from_cycle_type
+from jacktop.topdegree import (DomainMismatch, _census, _step_sequences,
+                               ch_top_eval, ch_top_eval_labeled, cumulant_K,
+                               expander_weights, is_expander, kl_top,
+                               moment_M, restricted_perm, set_partitions_above)
 from jacktop.young import enumerate_partitions, partitions_of, size
 
 
@@ -18,6 +21,71 @@ def test_ch_top_n1_is_size():
 def test_ch_top_examples():
     assert ch_top_eval(2, (1,)).is_zero()
     assert ch_top_eval(2, (2,)) == Laurent({1: 2})
+
+
+def ch_top_by_class(n, lam):
+    """The class-by-class sum of -count_G * g**(n+1-w-b) * A**(w-b) *
+    (-1)**b * count_embeddings(G, lam) over the census."""
+    by_shape = {}
+    for g, count in _census(n):
+        shape = (g.whites, g.blacks)
+        by_shape[shape] = by_shape.get(shape, 0) + \
+            count * count_embeddings(g, lam)
+    total = Laurent.zero()
+    for (w, b), value in by_shape.items():
+        sign = -1 if b % 2 == 0 else 1
+        total = total + (GAMMA_A ** (n + 1 - w - b) *
+                         Laurent({w - b: sign * value}))
+    return total
+
+
+def test_chain_route_matches_class_sum():
+    for n in range(1, 8):
+        for lam in enumerate_partitions(10):
+            assert ch_top_eval(n, lam) == ch_top_by_class(n, lam), (n, lam)
+
+
+# n = 8: one to five levels, a rectangle, a row, a column, the staircase
+# and the empty diagram.
+N8_DIAGRAMS = [(), (9,), (1,) * 7, (3, 3, 3), (4, 4, 1, 1), (5, 3, 3, 1),
+               (6, 4, 2, 1), (5, 4, 3, 2, 1), (7, 5, 4, 2, 2, 1)]
+
+
+@pytest.mark.parametrize("lam", N8_DIAGRAMS)
+def test_chain_route_matches_class_sum_n8(lam):
+    assert ch_top_eval(8, lam) == ch_top_by_class(8, lam)
+
+
+def test_chain_counts_are_ordered_set_partitions():
+    # Each class has one chain per ordered set partition of its smaller
+    # side, and a step sequence's a_i add up to that side's size.
+    fubini = [1]
+    for k in range(1, 6):
+        fubini.append(sum(comb(k, i) * fubini[k - i] for i in range(1, k + 1)))
+    for g, _ in _census(6):
+        covered = g.whites >= g.blacks
+        small = g.blacks if covered else g.whites
+        sets = g.adjacency if covered else g.black_neighbors()
+        chains = _step_sequences(small, sets, covered)
+        assert sum(chains.values()) == fubini[small]
+        for seq in chains:
+            assert sum(a for a, _ in seq) == small
+            assert sum(c for _, c in seq) == len(sets)
+
+
+def test_ch_top_eval_memo(monkeypatch):
+    monkeypatch.setattr(topdegree, "_CH_TOP_CACHE",
+                        {(0, (1,)): Laurent.const(7), (-1, ()): Laurent.zero()})
+    for n, lam in ((0, (1,)), (-1, ())):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            ch_top_eval(n, lam)
+    lam = (4, 2, 1)
+    hit = ch_top_eval(5, lam)
+    assert ch_top_eval(5, lam) is hit
+    topdegree._CH_TOP_CACHE.clear()
+    topdegree._chain_expansion.cache_clear()
+    assert ch_top_eval(5, lam) is not hit
+    assert ch_top_eval(5, lam) == hit == ch_top_by_class(5, lam)
 
 
 def test_labeled_sum_matches_orbit_sum():

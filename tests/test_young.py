@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from jacktop.exact import Laurent
 from jacktop.young import (NotDecreasing, boxes, content, enumerate_partitions,
-                           format_partition, length, multiplicities,
+                           format_partition, length, levels, multiplicities,
                            parse_partition, partition, partitions_of, size,
                            to_partition, transpose, z_factor)
 
@@ -19,6 +19,31 @@ def test_parse_and_format():
         parse_partition("1,2")
 
 
+@pytest.mark.parametrize("text,parts", [
+    (" 3,2 ", (3, 2)), ("3, 2", (3, 2)), ("3,2,0", (3, 2)),
+    ("3,2,0,0", (3, 2)), ("0", ()), ("", ()), (" ", ()),
+])
+def test_parse_accepts(text, parts):
+    assert parse_partition(text) == parts
+
+
+@pytest.mark.parametrize("text,error", [
+    ("3,0,2", NotDecreasing), ("0,1", NotDecreasing), ("1_0", ValueError),
+    ("\u0663", ValueError), ("+3", ValueError), ("-1", ValueError),
+    ("3,,2", ValueError), ("2,x", ValueError),
+])
+def test_parse_rejects(text, error):
+    with pytest.raises(error):
+        parse_partition(text)
+
+
+def test_partition_zeros():
+    assert partition((3, 2, 0, 0)) == (3, 2)
+    assert partition((0,)) == ()
+    with pytest.raises(NotDecreasing):
+        partition((3, 0, 2))
+
+
 def test_partition_stats():
     p = (2, 1, 1)
     assert (size(p), length(p)) == (4, 3)
@@ -27,6 +52,11 @@ def test_partition_stats():
     assert (size(()), length(()), multiplicities(()), z_factor(())) == \
         (0, 0, {}, 1)
     assert z_factor((3,)) == 3
+
+
+def test_levels():
+    assert levels((4, 4, 2, 1, 1, 1)) == ([4, 2, 1], [2, 1, 3])
+    assert levels(()) == ([], [])
 
 
 def test_boxes_row_major():
