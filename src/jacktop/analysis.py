@@ -1,6 +1,7 @@
 """Verification layer: difference operators, characterization suites, row
 polynomial fitting, and the full g/R expansion of the one-row character by
-exact interpolation against the oracle.
+exact interpolation against the oracle, on the g/R values of
+functionals.kl_values.
 
 Evaluators are plain callables from partitions to Laurent values; their
 symmetrized extensions sort the arguments decreasingly before evaluating,
@@ -14,8 +15,8 @@ from itertools import chain, product as _itproduct
 from math import gcd, lcm
 from typing import Callable, Sequence
 
-from .exact import KLPoly, Laurent, addmul_ints, gamma_power_A, int_coeffs
-from .functionals import free_cumulant
+from .exact import KLPoly, Laurent
+from .functionals import kl_evaluate, kl_values
 from .jackref import jack_character
 from .young import (Partition, enumerate_partitions, partition,
                     partitions_of, size, transpose)
@@ -258,27 +259,14 @@ def kl_expansion_keys(n: int) -> list[tuple[int, tuple[int, ...]]]:
     return keys
 
 
-def _kl_key_values(keys, lam: Partition, n: int) -> list[dict[int, int]]:
-    """Values of the g/R keys on lam as exponent -> int dicts.  Keys come in
-    graded order, so each (g, mu) is its prefix (g, mu[:-1]) times
-    R_{mu[-1]}; the first cumulant asked for is the largest, R_{n+1}, whose
-    pass fills all the others."""
-    cumulants = {m: int_coeffs(free_cumulant(m, lam))
-                 for m in range(n + 1, 1, -1)}
-    values: dict = {}
-    for g, mu in keys:
-        values[g, mu] = (addmul_ints({}, values[g, mu[:-1]], cumulants[mu[-1]])
-                         if mu else int_coeffs(gamma_power_A(g)))
-    return [values[key] for key in keys]
-
-
 def kl_expand_full(n: int) -> KLPoly:
     """Expand the one-row character of index n in the g/R ring.
 
     Fits the g/R keys to the oracle on one diagram of each transpose pair
-    of size <= n+2 (see _kl_fit), then insists on a zero residual on
-    held-out diagrams: the first three of size n+3 and their transposes,
-    so the side of the duality the fit does not read is checked too.
+    of size <= n+2 (see _kl_fit), then insists that kl_evaluate of the
+    result equals the oracle on held-out diagrams: the first three of size
+    n+3 and their transposes, so the side of the duality the fit does not
+    read is checked too.
     RankDeficient if either fails.  The solution is unique by the linear
     independence of the g/R monomials.
     """
@@ -288,12 +276,7 @@ def kl_expand_full(n: int) -> KLPoly:
 
     held_out = list(partitions_of(n + 3))[:3]
     for lam in dict.fromkeys(held_out + [transpose(lam) for lam in held_out]):
-        lhs: dict[int, Fraction] = {}
-        for value, c in zip(_kl_key_values(keys, lam, n), coeffs):
-            if c:
-                for e, v in value.items():
-                    lhs[e] = lhs.get(e, 0) + c * v
-        if Laurent(lhs) != jack_character((n,), lam, bound=n + 3):
+        if kl_evaluate(result, lam) != jack_character((n,), lam, bound=n + 3):
             raise RankDeficient(f"held-out residual nonzero at {lam}")
     return result
 
@@ -301,7 +284,7 @@ def kl_expand_full(n: int) -> KLPoly:
 def _kl_fit(keys, n: int) -> list[Fraction]:
     """The key coefficients, fitted on the diagrams lam of size <= n+2 with
     lam >= transpose(lam): one row per diagram and power A**d, the integer
-    key coefficients against the oracle's coefficient.
+    kl_values coefficients of the keys against the oracle's coefficient.
 
     A -> -1/A maps the oracle and every key value at lam to their values at
     transpose(lam), so the row (lam', -d) is (-1)**d times the row (lam, d)
@@ -324,7 +307,7 @@ def _kl_fit(keys, n: int) -> list[Fraction]:
     for lam in enumerate_partitions(n + 2):
         if lam < transpose(lam):
             continue
-        values = _kl_key_values(keys, lam, n)
+        values = kl_values(keys, lam)
         for key, b, value in zip(keys, parities, values):
             if any((e - b) % 2 for e in value):
                 raise AssertionError(

@@ -8,10 +8,11 @@ polynomial coefficients in g.  Free cumulants R_k come in closed form from
 Kerov's transition measure of the anisotropic diagram (boxes A wide and 1/A
 tall): its moments are the power series of prod(1 - y w) / prod(1 - x w)
 over the minima x and maxima y of the profile, and R_2..R_k follow from the
-moment-cumulant recursion, all on integer Laurent coefficients.  KLPoly
-elements are evaluated on diagrams through them.  The tree pairs (minimal
-two-factorizations of a full cycle) remain for their Catalan counts; their
-signed embedding sum, the combinatorial form of R_k, is the test oracle.
+moment-cumulant recursion, all on integer Laurent coefficients.  kl_values
+evaluates g/R monomials through them, for kl_evaluate and the oracle fit.
+The tree pairs (minimal two-factorizations of a full cycle) remain for
+their Catalan counts; their signed embedding sum, the combinatorial form of
+R_k, is the test oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import lru_cache
 from itertools import permutations as _itperms
 
 from .exact import (GammaPoly, KLPoly, Laurent, addmul_ints, gamma_power_A,
-                    gamma_recover)
+                    gamma_recover, int_coeffs)
 from .maps import compose, cycles, full_cycle, inverse
 from .young import Partition, binom, boxes, content
 
@@ -185,15 +186,31 @@ def free_cumulant_pair_count(k: int) -> int:
     return count
 
 
+def kl_values(keys, lam: Partition) -> list[dict[int, int]]:
+    """Values of the g/R monomials (g, mu) on lam as exponent -> int dicts:
+    (g, mu) is (g, mu[:-1]) times R_mu[-1], and each prefix is computed once,
+    key or not.  The largest R_k, asked for first, fills the others."""
+    top = max((m for _, mu in keys for m in mu), default=1)
+    cumulants = {m: int_coeffs(free_cumulant(m, lam))
+                 for m in range(top, 1, -1)}
+    values: dict = {}
+
+    def value(g, mu):
+        v = values.get((g, mu))
+        if v is None:
+            v = values[g, mu] = (
+                addmul_ints({}, value(g, mu[:-1]), cumulants[mu[-1]])
+                if mu else int_coeffs(gamma_power_A(g)))
+        return v
+
+    return [value(g, mu) for g, mu in keys]
+
+
 def kl_evaluate(p: KLPoly, lam: Partition) -> Laurent:
-    """Evaluate a g/R-polynomial on a diagram."""
-    top = max((m for (_, mu), _ in p.items() for m in mu), default=0)
-    if top:
-        free_cumulant(top, lam)  # one pass fills every lower R_j
-    total = Laurent.zero()
-    for (g, mu), coeff in p.items():
-        term = gamma_power_A(g).scale(coeff)
-        for m in mu:
-            term = term * free_cumulant(m, lam)
-        total = total + term
-    return total
+    """A g/R-polynomial on a diagram: the sum of coefficient x kl_values."""
+    terms = list(p.items())
+    total: dict[int, Fraction] = {}
+    for (_, c), value in zip(terms, kl_values([k for k, _ in terms], lam)):
+        for e, v in value.items():
+            total[e] = total.get(e, 0) + c * v
+    return Laurent(total)

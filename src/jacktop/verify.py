@@ -12,7 +12,7 @@ from math import factorial
 from typing import Callable, Sequence
 
 from .analysis import check_p1top, check_T3, kl_expand_full
-from .exact import GammaPoly, KLPoly, Laurent, subst_gamma
+from .exact import GAMMA_A, GammaPoly, KLPoly, Laurent, subst_gamma
 from .functionals import (conversion_P, conversion_Q,
                           free_cumulant_pair_count, kl_evaluate, s_functional,
                           t_functional)
@@ -64,7 +64,7 @@ def _report(check: str, params, witnesses: list) -> dict:
             "witnesses": witnesses}
 
 
-def suite_prologue_tables(n: int = 4) -> dict:
+def suite_prologue_tables(n: int) -> dict:
     witnesses = []
     for k in range(1, min(n, 4) + 1):
         got = kl_top(k)
@@ -76,7 +76,6 @@ def suite_prologue_tables(n: int = 4) -> dict:
 def closed_form_character(pi: Partition, lam: Partition) -> Laurent:
     """The printed content-sum formulas for pi in {(), (1), (2), (3), (1,1)}."""
     n = size(lam)
-    gamma = subst_gamma(GammaPoly.var())
     if pi == ():
         return Laurent.const(1)
     if pi == (1,):
@@ -84,20 +83,20 @@ def closed_form_character(pi: Partition, lam: Partition) -> Laurent:
     if pi == (2,):
         total = Laurent.zero()
         for box in boxes(lam):
-            total = total + (content(box) + gamma).scale(2)
+            total = total + (content(box) + GAMMA_A).scale(2)
         return total
     if pi == (3,):
         total = Laurent.const(Fraction(3, 2) * n - Fraction(3, 2) * n * n)
         for box in boxes(lam):
             c = content(box)
-            total = total + ((c + gamma) * (c + gamma + gamma)).scale(3)
+            total = total + ((c + GAMMA_A) * (c + GAMMA_A + GAMMA_A)).scale(3)
         return total
     if pi == (1, 1):
         return Laurent.const(n * n - n)
     raise ValueError(f"no closed form for {pi}")
 
 
-def suite_jack_examples(max_size: int = 6) -> dict:
+def suite_jack_examples(max_size: int) -> dict:
     witnesses = []
     for pi in ((), (1,), (2,), (3,), (1, 1)):
         for lam in enumerate_partitions(max_size):
@@ -125,10 +124,9 @@ def stanley_ch1(p_prime, q_prime) -> Laurent:
 
 def stanley_ch2(p_prime, q_prime) -> Laurent:
     ps, qs = _stanley_coordinates(p_prime, q_prime)
-    gamma = subst_gamma(GammaPoly.var())
     total = Laurent.zero()
     for i in range(len(ps)):
-        total = total + ps[i] * qs[i] * (qs[i] - ps[i] + gamma)
+        total = total + ps[i] * qs[i] * (qs[i] - ps[i] + GAMMA_A)
     for i in range(len(ps)):
         for j in range(i + 1, len(ps)):
             total = total - (ps[i] * ps[j] * qs[j]).scale(2)
@@ -137,18 +135,17 @@ def stanley_ch2(p_prime, q_prime) -> Laurent:
 
 def stanley_ch3(p_prime, q_prime) -> Laurent:
     ps, qs = _stanley_coordinates(p_prime, q_prime)
-    gamma = subst_gamma(GammaPoly.var())
     one = Laurent.const(1)
     total = Laurent.zero()
     for i in range(len(ps)):
         p, q = ps[i], qs[i]
         bracket = (q * q - (p * q).scale(3) + p * p
-                   + (gamma * (q - p)).scale(3) + (gamma * gamma).scale(2) + one)
+                   + GAMMA_A * ((q - p).scale(3) + GAMMA_A.scale(2)) + one)
         total = total + p * q * bracket
     for i in range(len(ps)):
         for j in range(i + 1, len(ps)):
             pi_, pj, qi, qj = ps[i], ps[j], qs[i], qs[j]
-            bracket = (qi - pi_ + gamma) + (qj - pj + gamma)
+            bracket = (qi - pi_ + GAMMA_A) + (qj - pj + GAMMA_A)
             total = total - (pi_ * pj * qj * bracket).scale(3)
     for i in range(len(ps)):
         for j in range(i + 1, len(ps)):
@@ -157,16 +154,15 @@ def stanley_ch3(p_prime, q_prime) -> Laurent:
     return total
 
 
-def stanley_test_diagrams(max_entry: int = 3, max_len: int = 3,
-                          max_size: int = 8) -> list[tuple[tuple, tuple]]:
-    """Multirectangular coordinate pairs with diagrams inside the oracle bound."""
+def stanley_test_diagrams(max_entry: int) -> list[tuple[tuple, tuple]]:
+    """Multirectangular pairs of at most 3 rectangles, of size 1..8."""
     out = []
     rng = range(1, max_entry + 1)
-    for ell in range(1, max_len + 1):
+    for ell in range(1, 4):
         def rec(idx, p_acc, q_acc, last_q):
             if idx == ell:
                 lam = to_partition(p_acc, q_acc)
-                if 0 < size(lam) <= max_size:
+                if 0 < size(lam) <= 8:
                     out.append((tuple(p_acc), tuple(q_acc)))
                 return
             for q in range(min(last_q, max_entry), 0, -1):
@@ -176,9 +172,9 @@ def stanley_test_diagrams(max_entry: int = 3, max_len: int = 3,
     return out
 
 
-def suite_stanley(max_entry: int = 3) -> dict:
+def suite_stanley(max_entry: int) -> dict:
     witnesses = []
-    cases = stanley_test_diagrams(max_entry=max_entry)
+    cases = stanley_test_diagrams(max_entry)
     for p_prime, q_prime in cases:
         lam = to_partition(p_prime, q_prime)
         for k, formula in ((1, stanley_ch1), (2, stanley_ch2), (3, stanley_ch3)):
@@ -191,7 +187,7 @@ def suite_stanley(max_entry: int = 3) -> dict:
                    witnesses)
 
 
-def suite_vanishing(pi_max: int = 5) -> dict:
+def suite_vanishing(pi_max: int) -> dict:
     witnesses = []
     for s in range(1, pi_max + 1):
         for pi in partitions_of(s):
@@ -203,7 +199,8 @@ def suite_vanishing(pi_max: int = 5) -> dict:
     return _report("vanishing", {"pi_max": pi_max}, witnesses)
 
 
-def suite_laurent_degree(pi_max: int = 5, lam_max: int = 6) -> dict:
+def suite_laurent_degree(pi_max: int) -> dict:
+    lam_max = 6
     witnesses = []
     for s in range(0, pi_max + 1):
         for pi in partitions_of(s):
@@ -217,7 +214,8 @@ def suite_laurent_degree(pi_max: int = 5, lam_max: int = 6) -> dict:
                    witnesses)
 
 
-def suite_st_conversion(n_max: int = 6, lam_max: int = 8) -> dict:
+def suite_st_conversion(n_max: int) -> dict:
+    lam_max = 8
     witnesses = []
     for n in range(2, min(n_max, 4) + 1):
         if conversion_P(n) != P_TABLES[n]:
@@ -245,7 +243,8 @@ def suite_st_conversion(n_max: int = 6, lam_max: int = 8) -> dict:
                    witnesses)
 
 
-def suite_equivalence(n_max: int = 5, lam_max: int = 6) -> dict:
+def suite_equivalence(n_max: int) -> dict:
+    lam_max = 6
     witnesses = []
     for n in range(1, n_max + 1):
         table = kl_top(n)
@@ -260,7 +259,7 @@ def suite_equivalence(n_max: int = 5, lam_max: int = 6) -> dict:
                    witnesses)
 
 
-def suite_top_vs_full(n_max: int = 5) -> dict:
+def suite_top_vs_full(n_max: int) -> dict:
     witnesses = []
     for n in range(1, n_max + 1):
         full = kl_expand_full(n)
@@ -273,7 +272,7 @@ def suite_top_vs_full(n_max: int = 5) -> dict:
     return _report("top-vs-full", {"n_max": n_max}, witnesses)
 
 
-def suite_positivity(n_max: int = 6) -> dict:
+def suite_positivity(n_max: int) -> dict:
     """Nonnegative integer g/R coefficients: of kl_top(n), which holds by
     construction, and of the whole character from the oracle fit
     kl_expand_full(n), Lassalle's integrality and positivity conjecture."""
@@ -288,7 +287,7 @@ def suite_positivity(n_max: int = 6) -> dict:
     return _report("positivity", {"n_max": n_max}, witnesses)
 
 
-def suite_t3(n_max: int = 4) -> dict:
+def suite_t3(n_max: int) -> dict:
     witnesses = []
     for n in range(1, n_max + 1):
         for name, fn in (("chtop", lambda lam, n=n: ch_top_eval(n, lam)),
@@ -299,7 +298,7 @@ def suite_t3(n_max: int = 4) -> dict:
     return _report("t3", {"n_max": n_max}, witnesses)
 
 
-def suite_p1top(n_max: int = 6) -> dict:
+def suite_p1top(n_max: int) -> dict:
     witnesses = []
     for n in range(2, n_max + 1):
         if not check_p1top(n):
@@ -307,7 +306,7 @@ def suite_p1top(n_max: int = 6) -> dict:
     return _report("p1top", {"n_max": n_max}, witnesses)
 
 
-def suite_orbits(n_max: int = 6) -> dict:
+def suite_orbits(n_max: int) -> dict:
     witnesses = []
     for n in range(1, n_max + 1):
         expected = factorial(n - 1)
@@ -322,7 +321,8 @@ def suite_orbits(n_max: int = 6) -> dict:
     return _report("orbits", {"n_max": n_max}, witnesses)
 
 
-def suite_moment_cumulant(n_max: int = 4, lam_max: int = 4) -> dict:
+def suite_moment_cumulant(n_max: int) -> dict:
+    lam_max = 4
     witnesses = []
     diagrams = list(enumerate_partitions(lam_max))
     for n in range(1, n_max + 1):
@@ -343,7 +343,7 @@ def suite_moment_cumulant(n_max: int = 4, lam_max: int = 4) -> dict:
                    witnesses)
 
 
-def suite_catalan(k_max: int = 7) -> dict:
+def suite_catalan(k_max: int) -> dict:
     witnesses = []
     for k in range(2, k_max + 1):
         m = k - 1
@@ -354,8 +354,8 @@ def suite_catalan(k_max: int = 7) -> dict:
     return _report("catalan", {"k_max": k_max}, witnesses)
 
 
-SUITES: dict[str, tuple[Callable[..., dict], int, int]] = {
-    # name -> (runner, default parameter, least meaningful parameter)
+SUITES: dict[str, tuple[Callable[[int], dict], int, int]] = {
+    # name -> (runner of one parameter, its default, its least meaningful)
     "prologue-tables": (suite_prologue_tables, 4, 1),
     "jack-examples": (suite_jack_examples, 6, 1),
     "stanley": (suite_stanley, 3, 2),

@@ -5,16 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacktop import analysis
-from jacktop.analysis import (RankDeficient, _kl_fit, _kl_key_values,
-                              _solve_rational_system,
+from jacktop.analysis import (RankDeficient, _kl_fit, _solve_rational_system,
                               check_K_conditions, check_p1top, check_T3,
                               fit_row_polynomial, iterated_delta,
                               kl_expand_full, kl_expansion_keys, sym_eval,
                               t3_cases)
 from jacktop.exact import KLPoly, Laurent
-from jacktop.functionals import free_cumulant
+from jacktop.functionals import free_cumulant, kl_values
 from jacktop.jackref import jack_character
 from jacktop.topdegree import ch_top_eval, kl_top
+from jacktop.verify import PROLOGUE_REMAINDERS, PROLOGUE_TABLES
 from jacktop.young import enumerate_partitions, size, transpose
 
 
@@ -103,11 +103,9 @@ def test_kl_expansion_keys_grading_bound():
 
 
 def test_kl_expand_full_tables():
-    assert kl_expand_full(1) == KLPoly({(0, (2,)): 1})
-    assert kl_expand_full(3) == KLPoly({(0, (4,)): 1, (1, (3,)): 3,
-                                        (2, (2,)): 2, (0, (2,)): 1})
-    assert kl_expand_full(4) == kl_top(4) + KLPoly({(0, (3,)): 5,
-                                                    (1, (2,)): 7})
+    for n in range(1, 5):
+        assert kl_expand_full(n) == \
+            PROLOGUE_TABLES[n] + PROLOGUE_REMAINDERS[n], n
 
 
 def test_kl_expand_full_top_and_gap():
@@ -243,8 +241,8 @@ def test_oracle_and_key_values_dual_under_transpose():
             dual = transpose(lam)
             assert jack_character((n,), dual, bound=n + 3) == \
                 jack_character((n,), lam, bound=n + 3).s_involution(), (n, lam)
-            assert _kl_key_values(keys, dual, n) == \
-                [s_image(v) for v in _kl_key_values(keys, lam, n)], (n, lam)
+            assert kl_values(keys, dual) == \
+                [s_image(v) for v in kl_values(keys, lam)], (n, lam)
 
 
 def test_free_cumulants_dual_under_transpose():
@@ -258,7 +256,7 @@ def test_key_values_have_the_parity_of_their_grading():
     for n in range(1, 9):
         keys = kl_expansion_keys(n)
         for lam in enumerate_partitions(n + 2):
-            for (g, mu), value in zip(keys, _kl_key_values(keys, lam, n)):
+            for (g, mu), value in zip(keys, kl_values(keys, lam)):
                 assert all((e - g - sum(mu)) % 2 == 0 for e in value), \
                     (n, lam, g, mu)
 
@@ -269,7 +267,7 @@ def unsplit_kl_system(n):
     keys = kl_expansion_keys(n)
     rows, rhs = [], []
     for lam in enumerate_partitions(n + 2):
-        values = _kl_key_values(keys, lam, n)
+        values = kl_values(keys, lam)
         target = jack_character((n,), lam, bound=n + 3)
         exponents = {e for v in values for e in v}
         exponents.update(e for e, _ in target.items())
@@ -349,15 +347,15 @@ def test_held_out_transpose_is_checked(monkeypatch):
 
 
 def test_wrong_parity_key_value_raises(monkeypatch):
-    real = analysis._kl_key_values
+    real = analysis.kl_values
 
-    def perturbed(keys, lam, n):
-        values = real(keys, lam, n)
+    def perturbed(keys, lam):
+        values = real(keys, lam)
         g, mu = keys[-1]
         values[-1] = {**values[-1], g + sum(mu) + 1: 1}
         return values
 
-    monkeypatch.setattr(analysis, "_kl_key_values", perturbed)
+    monkeypatch.setattr(analysis, "kl_values", perturbed)
     for n in (3, 4):
         with pytest.raises(AssertionError, match="wrong parity"):
             kl_expand_full(n)

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jacktop.analysis import kl_expand_full
 from jacktop.exact import GammaPoly, KLPoly, Laurent, subst_gamma
 from jacktop.functionals import (BadIndex, conversion_P, conversion_Q,
                                  free_cumulant, free_cumulant_pair_count,
                                  kl_evaluate, s_functional, t_functional)
 from jacktop.maps import normalized_embeddings_graph
+from jacktop.topdegree import kl_top
 from jacktop.young import enumerate_partitions, partitions_of, size, transpose
 from tests_support_graphs import tree_pair_classes
 
@@ -163,3 +165,40 @@ def test_kl_evaluate():
     # Ch_2 = R_3 + R_2 g vanishes on the one-box diagram
     ch2 = KLPoly({(0, (3,)): 1, (1, (2,)): 1})
     assert kl_evaluate(ch2, (1,)).is_zero()
+
+
+def laurent_kl_evaluate(p, lam):
+    """Reference evaluation of a g/R-polynomial: each term multiplied out
+    as a product of Fraction Laurent polynomials, without kl_values."""
+    total = Laurent.zero()
+    for (g, mu), coeff in p.items():
+        term = (GAMMA ** g).scale(coeff)
+        for m in mu:
+            term = term * free_cumulant(m, lam)
+        total = total + term
+    return total
+
+
+def test_kl_evaluate_matches_laurent_products_on_tables():
+    tables = [kl_top(n) for n in range(1, 8)]
+    tables += [kl_expand_full(n) for n in range(1, 7)]
+    for lam in enumerate_partitions(9):
+        for i, table in enumerate(tables):
+            assert kl_evaluate(table, lam) == laurent_kl_evaluate(table, lam), \
+                (i, lam)
+
+
+def test_kl_evaluate_matches_laurent_products_on_hand_inputs():
+    polys = [
+        KLPoly({(0, (3, 2)): Fraction(-5, 6), (2, ()): Fraction(1, 3)}),
+        KLPoly({(1, (4, 3)): 1, (0, (5, 5, 2)): 2}),  # prefixes absent
+        KLPoly({(3, ()): 7}),  # a pure g power
+        KLPoly({(0, ()): 1}),
+        KLPoly.zero(),
+    ]
+    for lam in [(), (1,)] + list(partitions_of(5)) + [(4, 4, 1)]:
+        for p in polys:
+            assert kl_evaluate(p, lam) == laurent_kl_evaluate(p, lam), (p, lam)
+    assert kl_evaluate(KLPoly({(3, ()): 7}), ()) == (GAMMA ** 3).scale(7)
+    assert kl_evaluate(KLPoly.zero(), ()).is_zero()
+
