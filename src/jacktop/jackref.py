@@ -18,15 +18,19 @@ integer coefficients, so each one is an exact division in Z[alpha] of its
 accumulator by the integer linear eigenvalue difference, done on Python
 ints.  No step needs a rational function or a gcd; a remainder, or a
 bottom coefficient other than n!, raises.  The vector, a list of integer
-coefficient lists, is then converted to the power-sum basis by the inverse
-of the power-sum to monomial matrix.  That matrix is triangular, and each
+coefficient lists, is read in the power-sum basis through the inverse of
+the power-sum to monomial matrix.  That matrix is triangular, and each
 column of its inverse is found once per degree by forward substitution on
-ints, as integer numerators over one reduced denominator; so the
-conversion too runs on ints and divides once per coefficient.  Its results,
-the first values with Fraction coefficients, are AlphaPoly polynomials in
-alpha.  These expansion coefficients are the unnormalized characters, which
-the normalized character wraps per the classical binomial/z-factor
-prescription: an integer factor, and alpha**e carried to A**(2e).
+ints, as integer numerators over one reduced denominator; so a power-sum
+coefficient is one column against the vector, summed on ints and divided
+once.  These coefficients are the unnormalized
+characters, which the normalized character wraps per the classical
+binomial/z-factor prescription: an integer factor, and alpha**e carried to
+A**(2e).  A character reads only the one column it needs, against the
+diagram's vector (kept on the basis of its degree), and builds its Laurent
+polynomial from the integer numerators; the whole expansion, as AlphaPoly
+polynomials in alpha, is built only by `jack_powersum`, which the disk
+cache stores.
 
 A Gram-Schmidt construction against the deformed power-sum inner product
 is provided as an independent cross-check of the same polynomials.
@@ -241,6 +245,8 @@ class _Basis:
             row = _p_row(pi)
             self.p_in_m.append([row.get(mu, 0) for mu in self.parts])
         self._theta_solver = _lower_inverse_columns(self.p_in_m)
+        # The Jack vectors in the monomial basis read so far, by diagram.
+        self._m_vectors: dict[Partition, list[list[int]]] = {}
 
     @cached_property
     def m_in_p(self) -> list[list[Fraction]]:
@@ -254,24 +260,38 @@ class _Basis:
         """The eigenvalue on m_nu as the integer pair (d0, d1) of d0 + d1*alpha."""
         return self.u_cols[nu_idx].get(nu_idx, 0), self.alpha_diag[nu_idx]
 
+    def m_vector(self, lam: Partition) -> list[list[int]]:
+        """`_jack_m_vector(lam)`, computed once per diagram of this degree."""
+        v = self._m_vectors.get(lam)
+        if v is None:
+            v = self._m_vectors[lam] = _jack_m_vector(lam)
+        return v
+
+    def theta_column(self, rhs: list[list[int]], col: int
+                     ) -> tuple[list[int], int]:
+        """The power-sum coefficient at parts[col] of a monomial-basis
+        vector (one integer coefficient list per partition): sum over mu of
+        m_in_p[mu][col] * rhs[mu], as the integer numerators of its alpha
+        coefficients (trimmed) over their one denominator."""
+        entries, den = self._theta_solver[col]
+        acc: list[int] = []
+        for mu, c in entries:
+            _add_scaled(acc, c, rhs[mu])
+        return acc, den
+
     def theta_from_m(self, rhs: list[list[int]]) -> list[AlphaPoly]:
         """Convert a monomial-basis vector, one integer coefficient list (a
         polynomial in alpha, [] for zero) per partition, to power-sum
-        coefficients: theta_pi = sum over mu of m_in_p[mu][pi] * rhs[mu],
-        summed on ints and divided once.  Raises ValueError on an entry
-        that is not a list of ints."""
+        coefficients, one `theta_column` each.  Raises ValueError on an
+        entry that is not a list of ints."""
         for value in rhs:
             if type(value) is not list or any(type(x) is not int
                                               for x in value):
                 raise ValueError(
                     f"not an integer coefficient list: {value!r}")
-        width = max(map(len, rhs), default=0)
         out = []
-        for entries, den in self._theta_solver:
-            acc = [0] * width
-            for mu, c in entries:
-                for e, x in enumerate(rhs[mu]):
-                    acc[e] += c * x
+        for col in range(len(self.parts)):
+            acc, den = self.theta_column(rhs, col)
             out.append(AlphaPoly({e: Fraction(x, den)
                                   for e, x in enumerate(acc) if x}))
         return out
@@ -503,7 +523,9 @@ def jack_character(pi: Partition, lam: Partition, bound: int | None = None) -> L
 
     Zero when the diagram is smaller than pi; otherwise the power-sum
     coefficient at pi padded with fixed points, times the binomial and
-    z-factor normalizations, carried to A via alpha = A**2.
+    z-factor normalizations, carried to A via alpha = A**2.  With no disk
+    cache, and lam's expansion not built yet, only that one coefficient is
+    computed, from the diagram's monomial-basis vector.
     """
     pi = partition(pi)
     lam = partition(lam)
@@ -516,10 +538,16 @@ def jack_character(pi: Partition, lam: Partition, bound: int | None = None) -> L
         return hit
     extra = size(lam) - size(pi)
     padded = tuple(sorted(pi + (1,) * extra, reverse=True))
-    theta = jack_powersum(lam, bound=bound).get(padded)
     m1 = multiplicities(pi).get(1, 0)
     factor = binom(extra + m1, m1) * z_factor(pi)
     shift = size(pi) - length(pi)
-    result = theta.at_A_squared(-shift, factor) if theta else Laurent.zero()
+    if cache.ACTIVE is None and lam and lam not in _POWERSUM_CACHE:
+        basis = _basis(size(lam))
+        nums, den = basis.theta_column(basis.m_vector(lam), basis.index[padded])
+        result = Laurent({2 * e - shift: Fraction(x * factor, den)
+                          for e, x in enumerate(nums) if x})
+    else:
+        theta = jack_powersum(lam, bound=bound).get(padded)
+        result = theta.at_A_squared(-shift, factor) if theta else Laurent.zero()
     _CHARACTER_CACHE[key] = result
     return result

@@ -58,6 +58,9 @@ def test_budget_exit_code(capsys):
     ("eval R 9 2,1", 2, "budget: R index 9 exceeds budget"),
     ("eval M 4,3 2,1", 2, "budget: |pi| = 7 exceeds budget"),
     ("--budget 7 kl-top 7", 0, ""),
+    # The prologue tables stop at n = 4, so a larger n would check nothing more.
+    ("verify prologue-tables 9", 1,
+     "error: prologue-tables parameter must be <= 4, got 9"),
 ])
 def test_budget_and_usage_errors(capsys, argv, code, err):
     assert cli.main(argv.split()) == code

@@ -1,9 +1,10 @@
+import hashlib
 from fractions import Fraction
 from math import factorial, gcd
 
 import pytest
 
-from jacktop import jackref
+from jacktop import cache, jackref
 from jacktop.exact import AlphaPoly, Laurent, RatFunc, alpha_to_A
 from jacktop.jackref import (BoundExceeded, _apply_U, _basis, _collect_m,
                              _j_leading, _m_expand, _mul_power_sum, _p_row,
@@ -356,6 +357,87 @@ def test_character_matches_ratfunc_normalization():
         for pi in pis:
             assert jack_character(pi, lam, bound=9) == \
                 ratfunc_character(pi, lam), (pi, lam)
+
+
+def whole_expansion_character(pi, lam):
+    """The character as the whole-expansion route computes it: the
+    jack_powersum coefficient at pi padded with fixed points, normalized by
+    at_A_squared."""
+    extra = size(lam) - size(pi)
+    padded = tuple(sorted(pi + (1,) * extra, reverse=True))
+    theta = jack_powersum(lam).get(padded)
+    m1 = multiplicities(pi).get(1, 0)
+    factor = binom(extra + m1, m1) * z_factor(pi)
+    shift = size(pi) - length(pi)
+    return theta.at_A_squared(-shift, factor) if theta else Laurent.zero()
+
+
+# Every pi with |pi| <= |lam|, for every lam with |lam| <= 8.
+ROUTE_PAIRS = [(pi, lam) for lam in enumerate_partitions(8)
+               for s in range(size(lam) + 1) for pi in partitions_of(s)]
+
+# SHA-256 of the jack_*.json files that the whole-expansion route writes
+# for the diagrams of ROUTE_PAIRS, hashed as in `cache_digest`.
+JACK_FILES_DIGEST = \
+    "85aa9d81508a1a6279b9464d1ff1338ac4435c8588ebbacd04d223e6a305d5f0"
+
+
+def cache_digest(directory):
+    digest = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+@pytest.fixture
+def empty_memos(monkeypatch):
+    """No character, expansion or monomial-basis vector known yet (the
+    module's memos come back after the test)."""
+    monkeypatch.setattr(jackref, "_POWERSUM_CACHE", {})
+    monkeypatch.setattr(jackref, "_CHARACTER_CACHE", {})
+    for n in range(1, 9):
+        monkeypatch.setattr(_basis(n), "_m_vectors", {})
+
+
+@pytest.fixture(scope="module")
+def whole_expansion_characters():
+    return {pair: whole_expansion_character(*pair) for pair in ROUTE_PAIRS}
+
+
+def test_one_column_route_matches_whole_expansion(empty_memos,
+                                                  whole_expansion_characters):
+    for pi, lam in ROUTE_PAIRS:
+        assert jack_character(pi, lam) == \
+            whole_expansion_characters[pi, lam], (pi, lam)
+
+
+def test_character_after_jack_powersum(empty_memos,
+                                       whole_expansion_characters):
+    for pi, lam in ROUTE_PAIRS:
+        jack_powersum(lam)
+        assert jack_character(pi, lam) == \
+            whole_expansion_characters[pi, lam], (pi, lam)
+
+
+def test_character_with_disk_cache_writes_whole_expansion(
+        empty_memos, whole_expansion_characters, tmp_path, monkeypatch):
+    monkeypatch.setattr(cache, "ACTIVE", cache.Cache(str(tmp_path)))
+    for pi, lam in ROUTE_PAIRS:
+        assert jack_character(pi, lam) == \
+            whole_expansion_characters[pi, lam], (pi, lam)
+    assert cache_digest(tmp_path) == JACK_FILES_DIGEST
+
+
+def test_cold_character_never_converts_whole_expansion(empty_memos,
+                                                       monkeypatch):
+    def whole_conversion(self, rhs):
+        raise AssertionError("theta_from_m called")
+
+    monkeypatch.setattr(jackref._Basis, "theta_from_m", whole_conversion)
+    for pi, lam in ROUTE_PAIRS:
+        jack_character(pi, lam)
+    # Only the empty diagram goes through jack_powersum.
+    assert list(jackref._POWERSUM_CACHE) == [()]
 
 
 def test_character_closed_forms_small():
