@@ -23,7 +23,7 @@ from .jackref import BoundExceeded, jack_character
 from .maps import format_perm, orbit_census, perm_from_cycle_type, set_jobs
 from .topdegree import ch_top_eval, cumulant_K, kl_top, moment_M
 from .verify import SUITES, run_suite
-from .young import NotDecreasing, parse_partition
+from .young import NotDecreasing, parse_partition, size
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -120,9 +120,9 @@ def _cmd_eval(args) -> int:
     elif kind == "S":
         value = s_functional(index, lam)
     else:
+        if size(index) > args.budget:
+            raise BudgetExceeded(f"|pi| = {size(index)} exceeds budget")
         perm = perm_from_cycle_type(index)
-        if len(perm) > args.budget:
-            raise BudgetExceeded(f"|pi| = {len(perm)} exceeds budget")
         value = moment_M(perm, lam) if kind == "M" else cumulant_K(perm, lam)
     _print(value, args.format)
     return EXIT_OK

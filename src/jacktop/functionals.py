@@ -61,6 +61,7 @@ def s_functional(n: int, lam: Partition) -> Laurent:
     return total.scale(Fraction(-1, n))
 
 
+# Hit only by the verify suites: 8 times over all 14 at their defaults.
 @lru_cache(maxsize=None)
 def conversion_P(n: int) -> dict[int, GammaPoly]:
     """Coefficients P_2..P_n with S_n = sum of P_k(g) * T_k.
@@ -86,6 +87,7 @@ def conversion_P(n: int) -> dict[int, GammaPoly]:
     return out
 
 
+# Hit only by the verify suites: 13 times over all 14 at their defaults.
 @lru_cache(maxsize=None)
 def conversion_Q(n: int) -> dict[int, GammaPoly]:
     """Coefficients Q_2..Q_n with T_n = sum of Q_k(g) * S_k.
@@ -159,6 +161,7 @@ def _coefficient(p: list[dict], q: list[dict], j: int) -> dict[int, int]:
     return acc
 
 
+# Hit 220 times per oracle-full round, by kl_values in kl_expand_full.
 _FREE_CUMULANT_CACHE: dict[tuple[int, Partition], Laurent] = {}
 
 

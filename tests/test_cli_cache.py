@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from jacktop import cache, cli, jackref, topdegree, verify
+from jacktop import cache, cli, jackref, verify
 from jacktop.cache import Cache
 from jacktop.exact import KLPoly
 from jacktop.jackref import jack_powersum
@@ -69,13 +69,27 @@ def test_budget_and_usage_errors(capsys, argv, code, err):
     assert bool(captured.out) == (code == 0)
 
 
+@pytest.mark.parametrize("argv,err", [
+    ("eval M 4,3 2,1", "budget: |pi| = 7 exceeds budget"),
+    ("eval K 1000000 1", "budget: |pi| = 1000000 exceeds budget"),
+])
+def test_moment_budget_is_held_before_the_permutation(capsys, monkeypatch,
+                                                       argv, err):
+    # An index near 10**9 would exhaust memory building its permutation.
+    def no_perm(index):
+        raise AssertionError(f"perm_from_cycle_type({index}) called")
+
+    monkeypatch.setattr(cli, "perm_from_cycle_type", no_perm)
+    assert cli.main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.err == err + "\n" and captured.out == ""
+
+
 def test_cache_dir_does_not_outlive_its_call(tmp_path, capsys):
-    topdegree._KL_TOP_CACHE.pop(2, None)
     assert cli.main(["--cache-dir", str(tmp_path), "kl-top", "2"]) == 0
     assert cache.ACTIVE is None
     written = sorted(tmp_path.iterdir())
     assert written == [tmp_path / "kltop_2.json"]
-    topdegree._KL_TOP_CACHE.pop(3, None)
     assert cli.main(["kl-top", "3"]) == 0
     assert cache.ACTIVE is None
     assert sorted(tmp_path.iterdir()) == written
@@ -159,8 +173,6 @@ def test_cache_schema_versioning(tmp_path):
 def test_warm_cache_identical_output(tmp_path, capsys):
     argv = ["--cache-dir", str(tmp_path), "kl-top", "3"]
     code1, out1 = run_cli(capsys, *argv)
-    # force the memory caches away so the second run reads from disk
-    topdegree._KL_TOP_CACHE.pop(3, None)
     code2, out2 = run_cli(capsys, *argv)
     assert code1 == code2 == 0
     assert out1 == out2
@@ -168,15 +180,9 @@ def test_warm_cache_identical_output(tmp_path, capsys):
 
 
 def test_jobs_do_not_change_output(capsys):
-    from jacktop import maps
     for n in ("3", "5"):
-        maps._CENSUS_CACHE.clear()
         _, out1 = run_cli(capsys, "census", n)
-        maps._CENSUS_CACHE.clear()
-        try:
-            _, out2 = run_cli(capsys, "--jobs", "2", "census", n)
-        finally:
-            maps._CENSUS_CACHE.clear()
+        _, out2 = run_cli(capsys, "--jobs", "2", "census", n)
         assert out1 == out2, n
 
 
@@ -188,11 +194,7 @@ def test_jobs_do_not_leak_into_later_calls(capsys, monkeypatch):
     pools = []
     monkeypatch.setattr(multiprocessing, "Pool",
                         lambda *args, **kwargs: pools.append(args))
-    maps._CENSUS_CACHE.clear()
-    try:
-        assert run_cli(capsys, "census", "3")[0] == 0
-    finally:
-        maps._CENSUS_CACHE.clear()
+    assert run_cli(capsys, "census", "3")[0] == 0
     assert pools == []
 
 
@@ -243,7 +245,6 @@ def test_verify_param_below_one_is_usage_error(capsys, argv):
 def test_wrong_shape_kl_top_file_is_a_miss(tmp_path, capsys, bad):
     path = tmp_path / "kltop_3.json"
     path.write_text(bad)
-    topdegree._KL_TOP_CACHE.pop(3, None)
     code, out = run_cli(capsys, "--cache-dir", str(tmp_path),
                         "kl-top", "3", "--format", "text")
     assert code == 0
@@ -260,7 +261,6 @@ def test_wrong_shape_kl_top_file_is_a_miss(tmp_path, capsys, bad):
 def test_implausible_kl_top_file_is_a_miss(tmp_path, capsys, n, terms):
     path = tmp_path / "kltop_3.json"
     path.write_text(json.dumps({"schema": 1, "n": n, "terms": terms}))
-    topdegree._KL_TOP_CACHE.pop(3, None)
     code, out = run_cli(capsys, "--cache-dir", str(tmp_path),
                         "kl-top", "3", "--format", "text")
     assert code == 0
@@ -278,7 +278,6 @@ def test_coefficient_not_in_written_form_is_a_miss(tmp_path, capsys, coeff):
     terms[0]["coeff"] = coeff
     path = tmp_path / "kltop_3.json"
     path.write_text(json.dumps({"schema": 1, "n": 3, "terms": terms}))
-    topdegree._KL_TOP_CACHE.pop(3, None)
     code, out = run_cli(capsys, "--cache-dir", str(tmp_path),
                         "kl-top", "3", "--format", "text")
     assert code == 0
@@ -290,7 +289,6 @@ def test_coefficient_not_in_written_form_is_a_miss(tmp_path, capsys, coeff):
 def test_wrong_shape_jack_file_is_a_miss(tmp_path, capsys, bad):
     def run_cold():
         jackref._POWERSUM_CACHE.clear()
-        jackref._CHARACTER_CACHE.clear()
         return run_cli(capsys, "--cache-dir", str(tmp_path),
                        "eval", "ch", "2", "3,1")
 
@@ -321,7 +319,6 @@ def test_implausible_jack_file_is_a_miss(tmp_path, capsys, coeffs, lam):
     path = tmp_path / "jack_2.json"
     path.write_text(json.dumps({"schema": 1, "lambda": lam, "coeffs": coeffs}))
     jackref._POWERSUM_CACHE.clear()
-    jackref._CHARACTER_CACHE.clear()
     code, out = run_cli(capsys, "--cache-dir", str(tmp_path),
                         "eval", "ch", "2", "2")
     assert code == 0 and json.loads(out) == {"1": "2"}
@@ -345,7 +342,6 @@ def test_unusable_cache_dir_is_usage_error(tmp_path, capsys, sub):
 @pytest.mark.parametrize("blocked", ["kltop_2.json.tmp", "kltop_2.json"])
 def test_failed_cache_write_is_skipped(tmp_path, capsys, blocked):
     (tmp_path / blocked).mkdir()
-    topdegree._KL_TOP_CACHE.pop(2, None)
     code = cli.main(["--cache-dir", str(tmp_path), "kl-top", "2",
                      "--format", "text"])
     captured = capsys.readouterr()
@@ -441,8 +437,6 @@ def test_damaged_cache_file_exits_cleanly(tmp_path, valid_cache_files, data):
         damaged = valid[:i] + data.draw(CACHE_BYTES) + valid[j:]
     (tmp_path / name).write_bytes(damaged)
     jackref._POWERSUM_CACHE.pop((3, 1), None)
-    jackref._CHARACTER_CACHE.pop(((2,), (3, 1)), None)
-    topdegree._KL_TOP_CACHE.pop(3, None)
     argv = ["--cache-dir", str(tmp_path), *CACHE_COMMANDS[name]]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

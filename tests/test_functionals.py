@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jacktop import functionals
 from jacktop.analysis import kl_expand_full
 from jacktop.exact import GammaPoly, KLPoly, Laurent, subst_gamma
 from jacktop.functionals import (BadIndex, conversion_P, conversion_Q,
                                  free_cumulant, free_cumulant_pair_count,
-                                 kl_evaluate, s_functional, t_functional)
+                                 kl_evaluate, kl_values, s_functional,
+                                 t_functional)
 from jacktop.maps import normalized_embeddings_graph
 from jacktop.topdegree import kl_top
 from jacktop.young import enumerate_partitions, partitions_of, size, transpose
@@ -202,3 +204,16 @@ def test_kl_evaluate_matches_laurent_products_on_hand_inputs():
     assert kl_evaluate(KLPoly({(3, ()): 7}), ()) == (GAMMA ** 3).scale(7)
     assert kl_evaluate(KLPoly.zero(), ()).is_zero()
 
+
+def test_kl_values_on_one_diagram_expand_the_cumulants_once(monkeypatch):
+    # The first call fills functionals._FREE_CUMULANT_CACHE for every R_k.
+    calls = []
+    real = functionals._free_cumulants
+    monkeypatch.setattr(functionals, "_FREE_CUMULANT_CACHE", {})
+    monkeypatch.setattr(functionals, "_free_cumulants",
+                        lambda k, lam: calls.append(k) or real(k, lam))
+    keys = [key for key, _ in kl_top(4).items()]
+    lam = (4, 2, 1)
+    first = kl_values(keys, lam)
+    assert kl_values(keys, lam) == first
+    assert calls == [5]

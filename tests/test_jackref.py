@@ -391,10 +391,9 @@ def cache_digest(directory):
 
 @pytest.fixture
 def empty_memos(monkeypatch):
-    """No character, expansion or monomial-basis vector known yet (the
+    """No expansion or monomial-basis vector known yet (the
     module's memos come back after the test)."""
     monkeypatch.setattr(jackref, "_POWERSUM_CACHE", {})
-    monkeypatch.setattr(jackref, "_CHARACTER_CACHE", {})
     for n in range(1, 9):
         monkeypatch.setattr(_basis(n), "_m_vectors", {})
 
@@ -438,6 +437,31 @@ def test_cold_character_never_converts_whole_expansion(empty_memos,
         jack_character(pi, lam)
     # Only the empty diagram goes through jack_powersum.
     assert list(jackref._POWERSUM_CACHE) == [()]
+
+
+def test_second_pi_reuses_the_m_vector(empty_memos, monkeypatch):
+    calls = []
+    real = jackref._jack_m_vector
+    monkeypatch.setattr(jackref, "_jack_m_vector",
+                        lambda lam: calls.append(lam) or real(lam))
+    lam = (3, 2, 1)
+    jack_character((2,), lam)
+    jack_character((3, 1), lam)
+    assert calls == [lam]
+
+
+def test_disk_cache_is_read_once_per_diagram(empty_memos, tmp_path,
+                                             monkeypatch):
+    # With a disk cache the expansion is kept in jackref._POWERSUM_CACHE.
+    loads = []
+    real = cache.Cache.load_jack
+    monkeypatch.setattr(cache.Cache, "load_jack",
+                        lambda self, lam: loads.append(lam) or real(self, lam))
+    monkeypatch.setattr(cache, "ACTIVE", cache.Cache(str(tmp_path)))
+    lam = (3, 2, 1)
+    for pi in [(1,), (2,), (1, 1), (3,), (2, 1)]:
+        jack_character(pi, lam)
+    assert loads == [lam]
 
 
 def test_character_closed_forms_small():

@@ -2,7 +2,7 @@ from math import comb
 
 import pytest
 
-from jacktop import topdegree
+from jacktop import maps, topdegree
 from jacktop.exact import GAMMA_A, KLPoly, Laurent
 from jacktop.functionals import kl_evaluate
 from jacktop.maps import BicoloredGraph, count_embeddings, perm_from_cycle_type
@@ -86,6 +86,35 @@ def test_ch_top_eval_memo(monkeypatch):
     topdegree._chain_expansion.cache_clear()
     assert ch_top_eval(5, lam) is not hit
     assert ch_top_eval(5, lam) == hit == ch_top_by_class(5, lam)
+
+
+def test_kl_top_and_ch_top_eval_build_one_census(monkeypatch):
+    # Both top-degree routes read the census memo _census(n).
+    calls = []
+    real = topdegree.graph_census
+    monkeypatch.setattr(topdegree, "graph_census",
+                        lambda n: calls.append(n) or real(n))
+    monkeypatch.setattr(topdegree, "_CH_TOP_CACHE", {})
+    topdegree._census.cache_clear()
+    topdegree._chain_expansion.cache_clear()
+    kl_top(5)
+    ch_top_eval(5, (3, 2, 1))
+    assert calls == [5]
+
+
+def test_repeated_moment_counts_no_embedding_again(monkeypatch):
+    # Embedding counts are memoised per (class, diagram) in maps._EMBED_CACHE.
+    calls = []
+    real = maps._level_sum
+    monkeypatch.setattr(maps, "_EMBED_CACHE", {})
+    monkeypatch.setattr(maps, "_level_sum",
+                        lambda *args: calls.append(args) or real(*args))
+    perm, lam = perm_from_cycle_type((3, 1)), (3, 2)
+    first = moment_M(perm, lam)
+    assert calls
+    count = len(calls)
+    assert moment_M(perm, lam) == first
+    assert len(calls) == count
 
 
 def test_labeled_sum_matches_orbit_sum():
