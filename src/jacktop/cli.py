@@ -111,14 +111,12 @@ def _cmd_eval(args) -> int:
     elif kind == "chtop":
         check_budget(index, args.budget)
         value = ch_top_eval(index, lam)
-    elif kind == "R":
+    elif kind in ("R", "T", "S"):
         if index > args.budget + 2:
-            raise BudgetExceeded(f"R index {index} exceeds budget")
-        value = free_cumulant(index, lam)
-    elif kind == "T":
-        value = t_functional(index, lam)
-    elif kind == "S":
-        value = s_functional(index, lam)
+            raise BudgetExceeded(f"{kind} index {index} exceeds budget")
+        functional = {"R": free_cumulant, "T": t_functional,
+                      "S": s_functional}[kind]
+        value = functional(index, lam)
     else:
         if size(index) > args.budget:
             raise BudgetExceeded(f"|pi| = {size(index)} exceeds budget")

@@ -14,11 +14,14 @@ graph_census counts the orbits of each graph class without listing pairs:
 s1 is fixed to one permutation per cycle type, weighted by the size of its
 conjugacy class, and s2 enters only through the block-count vectors of its
 cycles, a vector partition of the cycle type, weighted by the number of s2
-that give it.  Only the spanning vector partitions (connected graphs) are
-built, and graphs are grouped by a canonical key that relabels the smaller
-side only within blocks of equal degree.  orbit_census lists the orbits
-by their least pairs, for the census command and as graph_census's
-oracle; a test-side flood of every pair's orbit is its own oracle.
+that give it.  Only the spanning vector partitions (connected graphs) with
+at least as many blacks as whites are built, and graphs are grouped by a
+canonical key that relabels the smaller side only within blocks of equal
+degree; a class with more whites than blacks is the color swap of one
+with more blacks than whites, at the same orbit count.  orbit_census lists
+the orbits by their least pairs, for the census command and as
+graph_census's oracle; a test-side flood of every pair's orbit is its own
+oracle.
 """
 
 from __future__ import annotations
@@ -259,6 +262,10 @@ class BicoloredGraph:
                 out[b].add(w)
         return out
 
+    def color_swap(self) -> BicoloredGraph:
+        """The same graph with its blacks as whites and whites as blacks."""
+        return BicoloredGraph(self.blacks, self.whites, self.black_neighbors())
+
     def has_isolated_vertex(self) -> bool:
         if any(not s for s in self.adjacency):
             return True
@@ -495,10 +502,11 @@ def graph_classes(pairs: Iterable[tuple[Perm, Perm]]
 
 
 def _vector_partitions(lam: Partition) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The multisets of nonzero vectors in N**len(lam) that sum to lam and
-    span: with one white per entry of lam and one black per vector, joined
-    where the vector is nonzero, the bicolored graph is connected.  Each
-    multiset comes once, as its parts in one fixed order.
+    """The multisets of at least len(lam) nonzero vectors in N**len(lam)
+    that sum to lam and span: with one white per entry of lam and one black
+    per vector, joined where the vector is nonzero, the bicolored graph is
+    connected and has blacks >= whites.  Each multiset comes once, as its
+    parts in one fixed order.
 
     A part's leading index is the first nonzero coordinate of what remains,
     and parts with the same leading index come in non-increasing
@@ -508,7 +516,10 @@ def _vector_partitions(lam: Partition) -> Iterator[tuple[tuple[int, ...], ...]]:
     part only takes from whites with something left, so a component short
     of all whites with nothing left on any of its whites can never be
     joined to the rest: its branch is cut as the component forms.  Nothing
-    is left at a leaf, so every leaf that is reached spans."""
+    is left at a leaf, so every leaf that is reached spans.  Every part
+    takes at least one from what remains, so at most sum(rem) parts are
+    still to come: a part after which the parts placed and that bound fall
+    short of len(lam) is dropped with its branch."""
     ell = len(lam)
     full = (1 << ell) - 1
     # (lead, rem[lead + 1:]) -> the tails (coordinates after lead) in
@@ -562,6 +573,8 @@ def _vector_partitions(lam: Partition) -> Iterator[tuple[tuple[int, ...], ...]]:
     stack = [branch(tuple(lam), full, 0, None, [])]
     while stack:
         for v, rem, left, lead, comps in stack[-1]:
+            if len(stack) + sum(rem) < ell:
+                continue
             del parts[len(stack) - 1:]
             parts.append(v)
             if not left:
@@ -592,6 +605,12 @@ def graph_census(n: int) -> list[tuple[BicoloredGraph, int]]:
     canonical_key, which relabels the smaller side only within blocks of
     equal degree.  Each class total counts labeled pairs; it must divide
     exactly by the orbit size (n-1)!, and a remainder raises.
+
+    (s1, s2) -> (s2, s1) swaps whites and blacks and maps the transitive
+    pairs of a class one to one onto those of its color swap.  So only
+    vector partitions with at least len(lam) parts (blacks >= whites) are
+    enumerated, and each class with blacks > whites also gives its color
+    swap, at the same orbit count.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -633,6 +652,9 @@ def graph_census(n: int) -> list[tuple[BicoloredGraph, int]]:
                 f"{g!r}: {pairs} labeled pairs is not a whole number of "
                 f"orbits of size {orbit}")
         out.append((g, count))
+        if g.blacks > g.whites:
+            out.append((g.color_swap(), count))
+    out.sort(key=lambda entry: entry[0].canonical_key())
     return out
 
 

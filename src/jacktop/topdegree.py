@@ -6,7 +6,9 @@ permutation pairs, grouped up to isomorphism, each with its orbit count
 (counting orbits cancels the (n-1)! division exactly).  The census
 (maps.graph_census) fixes one first permutation per cycle type, weighted
 by its class size, and enumerates the block-count vector partitions of
-the second instead of the permutations themselves.
+the second instead of the permutations themselves; only the classes with
+at least as many blacks as whites are enumerated, and the others are their
+color swaps (s1 and s2 exchanged), at the same orbit count.
 Direct evaluation on a diagram reads the chain expansion of the census,
 built once per n on the first query: per shape (whites, blacks), integer
 coefficients of step sequences, each standing for a sum over increasing

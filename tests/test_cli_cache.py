@@ -56,6 +56,9 @@ def test_budget_exit_code(capsys):
     ("census 0", 1, "error: n must be >= 1, got 0"),
     ("census 7", 2, "budget: n = 7 exceeds budget 6"),
     ("eval R 9 2,1", 2, "budget: R index 9 exceeds budget"),
+    ("eval S 9 2,1", 2, "budget: S index 9 exceeds budget"),
+    ("eval T 9 2,1", 2, "budget: T index 9 exceeds budget"),
+    ("eval T 8 2,1", 0, ""),
     ("eval M 4,3 2,1", 2, "budget: |pi| = 7 exceeds budget"),
     ("--budget 7 kl-top 7", 0, ""),
     # The prologue tables stop at n = 4, so a larger n would check nothing more.
