@@ -14,11 +14,12 @@ graph_census counts the orbits of each graph class without listing pairs:
 s1 is fixed to one permutation per cycle type, weighted by the size of its
 conjugacy class, and s2 enters only through the block-count vectors of its
 cycles, a vector partition of the cycle type, weighted by the number of s2
-that give it.  Only the spanning vector partitions (connected graphs) with
-at least as many blacks as whites are built, and graphs are grouped by a
-canonical key that relabels the smaller side only within blocks of equal
-degree; a class with more whites than blacks is the color swap of one
-with more blacks than whites, at the same orbit count.  orbit_census lists
+that give it.  Exchanging s1 and s2 swaps the colors of a class at the same
+orbit count, so the census keeps only the classes with at least as many
+whites as blacks: the cycles of s2 are its whites, and only the spanning
+vector partitions (connected graphs) with at least as many parts as the
+cycle type are built.  Graphs are grouped by a canonical key that relabels
+the smaller side only within blocks of equal degree.  orbit_census lists
 the orbits by their least pairs, for the census command and as
 graph_census's oracle; a test-side flood of every pair's orbit is its own
 oracle.
@@ -26,12 +27,12 @@ oracle.
 
 from __future__ import annotations
 
-from itertools import accumulate, permutations as _itperms, product
+from itertools import permutations as _itperms, product
 from math import factorial, prod
 from typing import Iterable, Iterator, Sequence
 
 from .exact import Laurent
-from .young import Partition, levels, partitions_of, z_factor
+from .young import Partition, levels, partitions_of, transpose, z_factor
 
 Perm = tuple  # tuple[int, ...], images of 0..n-1
 
@@ -262,10 +263,6 @@ class BicoloredGraph:
                 out[b].add(w)
         return out
 
-    def color_swap(self) -> BicoloredGraph:
-        """The same graph with its blacks as whites and whites as blacks."""
-        return BicoloredGraph(self.blacks, self.whites, self.black_neighbors())
-
     def has_isolated_vertex(self) -> bool:
         if any(not s for s in self.adjacency):
             return True
@@ -377,22 +374,18 @@ def count_embeddings(g: BicoloredGraph, lam: Partition) -> int:
     """Number of embeddings of g into lam: a column c_w <= lam[0] for each
     white and a row r_b for each black, with c_w <= lam[r_b] on every edge.
 
-    Equal rows form levels: v_1 > ... > v_t are the distinct row lengths,
-    m_i rows have length v_i, M_i = m_1 + ... + m_i rows have length at
-    least v_i, and v_{t+1} = 0.  Only the smaller side is enumerated.  When
-    whites >= blacks the count is the sum over f: blacks -> levels of
+    Equal rows form levels: v_1 > ... > v_t are the distinct row lengths
+    and m_i rows have length v_i.  When whites >= blacks the count is the
+    sum over f: blacks -> levels of
 
         prod_b m[f(b)] * prod_w v[max f(N(w))],
 
     since a white may take exactly the columns of the shortest row among
-    its neighbors.  When whites < blacks it is the column-level dual, the
-    sum over h: whites -> levels of
-
-        prod_w (v[h(w)] - v[h(w) + 1]) * prod_b M[min h(N(b))],
-
-    since a column c with v_{i+1} < c <= v_i fits in exactly the first M_i
-    rows.  Both take the least neighbor value (v falls and M rises with
-    the level), which _level_sum sums.  Counts are cached per (class, lam).
+    its neighbors; _level_sum sums it.  Exchanging whites and blacks
+    exchanges columns and rows, so when whites < blacks the count is that
+    of the color swap on the conjugate diagram: the same sum, over
+    f: whites -> levels of lam'.  Either way only the smaller side is
+    enumerated.  Counts are cached per (class, lam).
 
     These counts serve moment_M and cumulant_K, through
     normalized_embeddings, and the labeled oracle.  topdegree.ch_top_eval
@@ -412,14 +405,12 @@ def count_embeddings(g: BicoloredGraph, lam: Partition) -> int:
         result = 1  # vacuous graph
     elif not lam:
         result = 0
-    else:
+    elif g.whites >= g.blacks:
         values, mult = levels(lam)
-        if g.whites >= g.blacks:
-            result = _level_sum(g.blacks, g.adjacency, mult, values)
-        else:
-            widths = [v - w for v, w in zip(values, values[1:] + [0])]
-            result = _level_sum(g.whites, g.black_neighbors(), widths,
-                                list(accumulate(mult)))
+        result = _level_sum(g.blacks, g.adjacency, mult, values)
+    else:
+        values, mult = levels(transpose(lam))
+        result = _level_sum(g.whites, g.black_neighbors(), mult, values)
 
     _EMBED_CACHE[key] = result
     return result
@@ -503,18 +494,18 @@ def graph_classes(pairs: Iterable[tuple[Perm, Perm]]
 
 def _vector_partitions(lam: Partition) -> Iterator[tuple[tuple[int, ...], ...]]:
     """The multisets of at least len(lam) nonzero vectors in N**len(lam)
-    that sum to lam and span: with one white per entry of lam and one black
+    that sum to lam and span: with one black per entry of lam and one white
     per vector, joined where the vector is nonzero, the bicolored graph is
-    connected and has blacks >= whites.  Each multiset comes once, as its
+    connected and has whites >= blacks.  Each multiset comes once, as its
     parts in one fixed order.
 
     A part's leading index is the first nonzero coordinate of what remains,
     and parts with the same leading index come in non-increasing
     lexicographic order; so equal parts are adjacent, and every part chosen
     leaves a remainder that can be finished (by unit vectors at least).
-    The parts placed so far join their whites into components.  A later
-    part only takes from whites with something left, so a component short
-    of all whites with nothing left on any of its whites can never be
+    The parts placed so far join their blacks into components.  A later
+    part only takes from blacks with something left, so a component short
+    of all blacks with nothing left on any of its blacks can never be
     joined to the rest: its branch is cut as the component forms.  Nothing
     is left at a leaf, so every leaf that is reached spans.  Every part
     takes at least one from what remains, so at most sum(rem) parts are
@@ -523,14 +514,14 @@ def _vector_partitions(lam: Partition) -> Iterator[tuple[tuple[int, ...], ...]]:
     ell = len(lam)
     full = (1 << ell) - 1
     # (lead, rem[lead + 1:]) -> the tails (coordinates after lead) in
-    # decreasing lexicographic order, each with its white mask and the mask
-    # of the whites it empties.
+    # decreasing lexicographic order, each with its black mask and the mask
+    # of the blacks it empties.
     tails_of: dict[tuple, list[tuple[tuple[int, ...], int, int]]] = {}
 
     def branch(rem: tuple[int, ...], left: int, lead: int,
                prev: tuple[int, ...] | None, comps: list[int]):
         """The parts that may follow prev, each with the remainder, the
-        whites with something left and the components after it."""
+        blacks with something left and the components after it."""
         while not rem[lead]:
             lead, prev = lead + 1, None
         bit = 1 << lead
@@ -587,48 +578,47 @@ def _vector_partitions(lam: Partition) -> Iterator[tuple[tuple[int, ...], ...]]:
 
 
 def graph_census(n: int) -> list[tuple[BicoloredGraph, int]]:
-    """graph_classes(orbit_reps(n)) without listing pairs: each graph class
-    of transitive pairs with its number of orbits, in canonical-key order.
+    """The graph classes of transitive pairs with at least as many whites
+    as blacks, each with its number of orbits, in canonical-key order.
+    (s1, s2) -> (s2, s1) maps the pairs of a class one to one onto those of
+    its color swap, so these are graph_classes(orbit_reps(n)) with the
+    others left out, found without listing pairs.
 
     The graph of a pair only depends on the pair up to conjugation, so s1 is
     one permutation per cycle type lam, weighted by its class size n!/z_lam.
-    The graph then depends on s2 only through the block-count vector of
-    each cycle b of s2, whose entry w counts the elements b takes from the
-    w-th cycle of s1.  These vectors form a vector partition of lam, and
-    prod_w lam_w! * prod_b (|c_b| - 1)! / (prod_{b,w} c_{b,w}! * prod_v r_v!)
-    permutations s2 share a multiset of vectors c_b, where r_v counts the
+    The census takes the cycles of s1 as blacks and those of s2 as whites,
+    each white a block-count vector whose entry b counts the elements the
+    cycle takes from the b-th cycle of s1.  These vectors form a vector
+    partition of lam, and
+    prod_b lam_b! * prod_w (|c_w| - 1)! / (prod_{w,b} c_{w,b}! * prod_v r_v!)
+    permutations s2 share a multiset of vectors c_w, where r_v counts the
     repeats of the vector v.  The pair is transitive exactly when its graph
-    is connected, so only spanning vector partitions are enumerated; a
-    branch that cannot span any more is cut as it is built.  A labeled
-    graph is the white count (the cycles of s1) and the sorted white masks
-    (the supports of the vectors).  Labeled graphs are grouped by
-    canonical_key, which relabels the smaller side only within blocks of
-    equal degree.  Each class total counts labeled pairs; it must divide
-    exactly by the orbit size (n-1)!, and a remainder raises.
-
-    (s1, s2) -> (s2, s1) swaps whites and blacks and maps the transitive
-    pairs of a class one to one onto those of its color swap.  So only
-    vector partitions with at least len(lam) parts (blacks >= whites) are
-    enumerated, and each class with blacks > whites also gives its color
-    swap, at the same orbit count.
+    is connected, so only spanning vector partitions with at least len(lam)
+    parts (whites >= blacks) are enumerated; a branch that cannot span or
+    reach len(lam) parts any more is cut as it is built.  A labeled graph
+    is the black count and the sorted masks of the whites (the supports of
+    the vectors).  Labeled graphs are grouped by canonical_key, which
+    relabels the smaller side only within blocks of equal degree.  Each
+    class total counts labeled pairs; it must divide exactly by the orbit
+    size (n-1)!, and a remainder raises.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     labeled: dict[tuple, int] = {}
     for lam in partitions_of(n):
         base = factorial(n) // z_factor(lam) * prod(map(factorial, lam))
-        # vector -> (white mask, (|v| - 1)!, prod of v_w!)
+        # vector -> (black mask, (|v| - 1)!, prod of v_b!)
         terms: dict[tuple[int, ...], tuple[int, int, int]] = {}
         for parts in _vector_partitions(lam):
             for v in parts:
                 if v not in terms:
-                    terms[v] = (sum(1 << w for w, x in enumerate(v) if x),
+                    terms[v] = (sum(1 << b for b, x in enumerate(v) if x),
                                 factorial(sum(v) - 1), prod(map(factorial, v)))
             masks = [terms[v][0] for v in parts]
             num, den, run = base, 1, 1
-            for b, v in enumerate(parts):
+            for w, v in enumerate(parts):
                 _, cyclic, shares = terms[v]
-                run = run + 1 if b and parts[b - 1] == v else 1
+                run = run + 1 if w and parts[w - 1] == v else 1
                 num *= cyclic
                 den *= shares * run
             pairs, rest = divmod(num, den)
@@ -639,10 +629,10 @@ def graph_census(n: int) -> list[tuple[BicoloredGraph, int]]:
             key = (len(lam), tuple(sorted(masks)))
             labeled[key] = labeled.get(key, 0) + pairs
 
-    graphs = ((BicoloredGraph(whites, len(masks),
-                              [[b for b, m in enumerate(masks) if m >> w & 1]
-                               for w in range(whites)]), pairs)
-              for (whites, masks), pairs in labeled.items())
+    graphs = ((BicoloredGraph(len(masks), blacks,
+                              [[b for b in range(blacks) if m >> b & 1]
+                               for m in masks]), pairs)
+              for (blacks, masks), pairs in labeled.items())
     orbit = factorial(n - 1)
     out = []
     for g, pairs in _by_class(graphs):
@@ -652,9 +642,6 @@ def graph_census(n: int) -> list[tuple[BicoloredGraph, int]]:
                 f"{g!r}: {pairs} labeled pairs is not a whole number of "
                 f"orbits of size {orbit}")
         out.append((g, count))
-        if g.blacks > g.whites:
-            out.append((g.color_swap(), count))
-    out.sort(key=lambda entry: entry[0].canonical_key())
     return out
 
 

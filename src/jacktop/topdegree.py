@@ -6,25 +6,27 @@ permutation pairs, grouped up to isomorphism, each with its orbit count
 (counting orbits cancels the (n-1)! division exactly).  The census
 (maps.graph_census) fixes one first permutation per cycle type, weighted
 by its class size, and enumerates the block-count vector partitions of
-the second instead of the permutations themselves; only the classes with
-at least as many blacks as whites are enumerated, and the others are their
+the second instead of the permutations themselves.  It keeps only the
+classes with at least as many whites as blacks; the others are their
 color swaps (s1 and s2 exchanged), at the same orbit count.
 Direct evaluation on a diagram reads the chain expansion of the census,
 built once per n on the first query: per shape (whites, blacks), integer
 coefficients of step sequences, each standing for a sum over increasing
 row levels of the diagram of a product of level factors; the embedding
 counts of a class are such sums over the chains of level sets of its
-smaller side.  A query evaluates the sequences in one pass over the levels,
-expands each power of g once, and is memoised per (n, diagram);
-maps.count_embeddings, class by class, is its test oracle.  The
-symbolic expansion in the g/R ring adds up orbit counts as ints, one total
-per power of g and sorted expander weight.  The labeled pair sum is kept
-as an oracle.  The moment and cumulant functions over permutations,
-related by the set-partition formula, live here as well.
+blacks, and those of its color swap are its counts on the conjugate
+diagram, the same sequences reversed.  A query evaluates the sequences in
+one pass over the levels, expands each power of g once, and is memoised
+per (n, diagram); maps.count_embeddings, class by class, is its test
+oracle.  The symbolic expansion in the g/R ring adds up orbit counts as
+ints, one total per power of g and sorted expander weight.  The labeled
+pair sum is kept as an oracle.  The moment and cumulant functions over
+permutations, related by the set-partition formula, live here as well.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, permutations as _itperms
@@ -48,7 +50,8 @@ _CH_TOP_CACHE: dict[tuple[int, Partition], Laurent] = {}
 
 def ch_top_eval(n: int, lam: Partition) -> Laurent:
     """Evaluate the top-degree character part on a diagram: the sum of
-    -count_G * g**(n+1-w-b) * (normalized embeddings of G) over _census(n).
+    -count_G * g**(n+1-w-b) * (normalized embeddings of G) over the graph
+    classes G of size n.
 
     The summand of a class is -count_G * N_G(lam) * g**(n+1-w-b) *
     A**(w-b) * (-1)**b, with count_G its number of orbits, N_G(lam) its
@@ -56,11 +59,14 @@ def ch_top_eval(n: int, lam: Partition) -> Laurent:
     totals of count_G * N_G(lam) are read off _chain_expansion(n): each
     step sequence ((a_1, c_1), ..., (a_j, c_j)) of a shape contributes its
     coefficient times the sum over levels l_1 < ... < l_j of lam of
-    prod_i x[l_i]**a_i * y[l_i]**c_i, with (x, y) = (m, v) when w >= b and
-    (v_l - v_{l+1}, M_l) when w < b (see maps.count_embeddings).  The nonzero
-    shape totals of each power of g are expanded once, on the integer
-    coefficients of (-A + 1/A)**(n+1-w-b).  Values are memoised per
-    (n, lam); n < 1 is a ValueError before the memo is read."""
+    prod_i x[l_i]**a_i * y[l_i]**c_i: (x, y) = (m, v) on the first tree.
+    The second, the color swaps, counts on the conjugate diagram, whose
+    levels are lam's in reverse with v_l - v_{l+1} rows of length M_l =
+    m_1 + ... + m_l; its sequences are reversed, so (x, y) =
+    (v_l - v_{l+1}, M_l).  The nonzero shape totals of each power of g are
+    expanded once, on the integer coefficients of (-A + 1/A)**(n+1-w-b).
+    Values are memoised per (n, lam); n < 1 is a ValueError before the
+    memo is read."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     hit = _CH_TOP_CACHE.get((n, lam))
@@ -89,7 +95,7 @@ def ch_top_eval(n: int, lam: Partition) -> Laurent:
 # (parent, a, c, ends, terms): node 0 is the empty sequence, nodes are
 # ordered by depth, and node i > 0 appends the step (a[i], c[i]) to node
 # parent[i]; ends[d] is one past the last node of depth <= d; terms lists
-# (node, shape, coefficient) for each sequence of a shape.
+# (node, shape, coefficient) for each sequence of a shape, sorted.
 _Chains = tuple
 
 
@@ -115,47 +121,41 @@ def _chain_sums(chains: _Chains, x: list[int], y: list[int],
 # Hit by every cold top-map query after the first: 12 per round.
 @lru_cache(maxsize=None)
 def _chain_expansion(n: int) -> tuple[_Chains, _Chains]:
-    """The embedding counts of _census(n) as level polynomials, for the
-    classes with whites >= blacks and for those with whites < blacks.
+    """The embedding counts of every class of size n as level polynomials:
+    a prefix tree for _census(n), whose classes have whites >= blacks, and
+    one for their color swaps.
 
-    A map f from the smaller side to the levels of a diagram, with used
-    levels l_1 < ... < l_j, is a strict chain U_1 < ... < U_j of the
-    smaller side's level sets U_i = f^-1{l_1..l_i}.  It takes a_i =
-    |U_i| - |U_{i-1}| vertices to level l_i, and in maps.count_embeddings'
-    product the larger-side vertices whose neighborhood is first covered
-    (w >= b: N is a subset of U_i) or first met (w < b: N meets U_i) at
-    step i take level l_i; c_i counts them.  So a class is the sum over
-    its step sequences ((a_i, c_i)) of their chain counts times
-    sum_{l_1 < ... < l_j} prod_i x[l_i]**a_i * y[l_i]**c_i, and a shape's
-    coefficient of a sequence is the sum of count_G times chain count over
-    its classes."""
-    coeffs: tuple[dict, dict] = ({}, {})
+    A map f from the blacks to the levels of a diagram, with used levels
+    l_1 < ... < l_j, is a strict chain U_1 < ... < U_j of the level sets
+    U_i = f^-1{l_1..l_i}.  It takes a_i = |U_i| - |U_{i-1}| blacks to level
+    l_i, and in maps.count_embeddings' product the whites whose
+    neighborhood is first covered by U_i take level l_i; c_i counts them.
+    So a class is the sum over its step sequences ((a_i, c_i)) of their
+    chain counts times sum_{l_1 < ... < l_j} prod_i x[l_i]**a_i *
+    y[l_i]**c_i, and a shape's coefficient of a sequence is the sum of
+    count_G times chain count over its classes.  A color swap counts its
+    class's embeddings into the conjugate diagram, whose levels come in
+    reverse: it takes the swapped shape and the reversed sequences."""
+    stored: dict[tuple, Counter] = defaultdict(Counter)
+    swaps: dict[tuple, Counter] = defaultdict(Counter)
     for g, count in _census(n):
-        covered = g.whites >= g.blacks
-        if covered:
-            small, sets = g.blacks, g.adjacency
-        else:
-            small, sets = g.whites, g.black_neighbors()
-        shape = (g.whites, g.blacks)
-        side = coeffs[0 if covered else 1]
-        for seq, chains in _step_sequences(small, sets, covered).items():
-            by_shape = side.setdefault(seq, {})
-            by_shape[shape] = by_shape.get(shape, 0) + count * chains
-    return _prefix_tree(coeffs[0]), _prefix_tree(coeffs[1])
+        w, b = g.whites, g.blacks
+        for seq, chains in _step_sequences(b, g.adjacency).items():
+            stored[seq][w, b] += count * chains
+            if w > b:
+                swaps[seq[::-1]][b, w] += count * chains
+    return _prefix_tree(stored), _prefix_tree(swaps)
 
 
-def _step_sequences(small: int, sets: Sequence[Iterable[int]],
-                    covered: bool) -> dict[tuple[tuple[int, int], ...], int]:
+def _step_sequences(small: int, sets: Sequence[Iterable[int]]
+                    ) -> dict[tuple[tuple[int, int], ...], int]:
     """The number of strict chains {} < U_1 < ... < U_j = range(small) of
     each step sequence ((a_i, c_i)): a_i vertices join at step i, and c_i
-    of the sets are first covered by U_i (covered) or first meet U_i (not
-    covered).  One pass over the pairs U < U' of subsets."""
+    of the sets are first covered by U_i.  One pass over the pairs U < U'
+    of subsets."""
     full = (1 << small) - 1
     masks = [sum(1 << v for v in s) for s in sets]
-    if covered:
-        reached = [sum(1 for m in masks if not m & ~u) for u in range(full + 1)]
-    else:
-        reached = [sum(1 for m in masks if m & u) for u in range(full + 1)]
+    reached = [sum(1 for m in masks if not m & ~u) for u in range(full + 1)]
     ending: list[dict] = [{} for _ in range(full + 1)]
     ending[0][()] = 1
     for u in range(full):
@@ -184,9 +184,9 @@ def _prefix_tree(coeffs: dict[tuple, dict[tuple[int, int], int]]) -> _Chains:
     c = (0,) + tuple(seq[-1][1] for seq in prefixes[1:])
     ends = tuple(sum(1 for seq in prefixes if len(seq) <= d)
                  for d in range(depth + 1))
-    terms = tuple((node[seq], shape, coeff)
-                  for seq, by_shape in coeffs.items()
-                  for shape, coeff in by_shape.items())
+    terms = tuple(sorted((node[seq], shape, coeff)
+                         for seq, by_shape in coeffs.items()
+                         for shape, coeff in by_shape.items()))
     return parent, a, c, ends, terms
 
 
@@ -285,7 +285,9 @@ def kl_top(n: int) -> KLPoly:
 # Hit once per top-map round and 5 times over the verify suites.
 @lru_cache(maxsize=None)
 def _census(n: int) -> tuple[tuple[BicoloredGraph, int], ...]:
-    """Graph classes of size n with orbit counts; both routes read it."""
+    """The graph classes of size n with whites >= blacks and their orbit
+    counts; both routes read it (a class with whites < blacks has no
+    expander weight, and _chain_expansion reverses its color swap's)."""
     return tuple(graph_census(n))
 
 

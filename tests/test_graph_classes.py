@@ -21,7 +21,8 @@ from jacktop.maps import (BicoloredGraph, _by_class, _vector_partitions,
 from jacktop.topdegree import ch_top_eval, expander_weights, kl_top
 from jacktop.young import (enumerate_partitions, multiplicities,
                            partitions_of, z_factor)
-from tests_support_graphs import (spans, tree_pair_classes, tree_pairs,
+from tests_support_graphs import (color_swap, full_census, spans,
+                                  tree_pair_classes, tree_pairs,
                                   vector_partitions)
 
 
@@ -203,7 +204,7 @@ def indecomposable_permutations(m):
 
 def test_graph_census_matches_flood():
     for n in range(1, 8):
-        census = [(g.canonical_key(), count) for g, count in graph_census(n)]
+        census = [(g.canonical_key(), count) for g, count in full_census(n)]
         orbits = [(g.canonical_key(), count)
                   for g, count in graph_classes(orbit_reps(n))]
         assert census == orbits, n
@@ -213,7 +214,7 @@ def test_graph_census_matches_flood():
 
 def test_graph_census_matches_cycle_type_scan():
     for n in range(1, 8):
-        census = [(g.canonical_key(), count) for g, count in graph_census(n)]
+        census = [(g.canonical_key(), count) for g, count in full_census(n)]
         scan = [(g.canonical_key(), count)
                 for g, count in graph_census_scan(n)]
         assert census == scan, n
@@ -234,8 +235,8 @@ def test_vector_partitions_count_permutations():
 
 
 def test_census_enumerator_yields_the_spanning_partitions():
-    # Each spanning vector partition with at least len(lam) parts (blacks
-    # >= whites) once, in the reference's part order, and no other.  There
+    # Each spanning vector partition with at least len(lam) parts (whites
+    # >= blacks) once, in the reference's part order, and no other.  There
     # are none when lam is all ones and n > 1.
     for n in range(1, 9):
         for lam in partitions_of(n):
@@ -250,24 +251,35 @@ def test_census_enumerator_yields_the_spanning_partitions():
 
 def test_unpruned_census_is_closed_under_color_swap():
     # Swapping s1 and s2 swaps whites and blacks: every class has its color
-    # swap in the census, with the same orbit count.  graph_census builds
-    # the classes with whites > blacks from this.
+    # swap in the census, with the same orbit count.  graph_census keeps
+    # only the classes with whites >= blacks because of this.
     for n in range(1, 9):
         classes = graph_census_unpruned(n)
         census = {g.canonical_key(): count for g, count in classes}
-        swapped = {g.color_swap().canonical_key(): count
+        swapped = {color_swap(g).canonical_key(): count
                    for g, count in classes}
         assert census == swapped, n
         assert any(w > b for w, b, _ in census) == (n > 1), n
         for g, _ in classes:
-            h = g.color_swap()
+            h = color_swap(g)
             assert (h.whites, h.blacks) == (g.blacks, g.whites), g
-            assert h.color_swap() == g, g
+            assert color_swap(h) == g, g
+
+
+def test_graph_census_is_the_half_with_whites_at_least_blacks():
+    sizes = {}
+    for n in range(1, 9):
+        census = [(g.canonical_key(), count) for g, count in graph_census(n)]
+        full = [(g.canonical_key(), count) for g, count in full_census(n)]
+        assert census == [(key, count) for key, count in full
+                          if key[0] >= key[1]], n
+        sizes[n] = (len(census), len(full))
+    assert (sizes[6], sizes[7]) == ((34, 57), (76, 124))
 
 
 def test_graph_census_matches_unpruned():
     for n in range(1, 9):
-        census = [(g.canonical_key(), count) for g, count in graph_census(n)]
+        census = [(g.canonical_key(), count) for g, count in full_census(n)]
         unpruned = [(g.canonical_key(), count)
                     for g, count in graph_census_unpruned(n)]
         assert census == unpruned, n
@@ -275,7 +287,7 @@ def test_graph_census_matches_unpruned():
 
 def test_graph_census_totals_through_9():
     for n in range(1, 10):
-        census = graph_census(n)
+        census = full_census(n)
         assert sum(count for _, count in census) == \
             indecomposable_permutations(n + 1), n
         for g, _ in census:
@@ -284,7 +296,7 @@ def test_graph_census_totals_through_9():
 
 def test_graph_census_rejects_partial_orbits(monkeypatch):
     # Half the class size of the 3-cycles leaves 3/2 orbits of the graph
-    # with one white and two blacks.
+    # with two whites and one black.
     monkeypatch.setattr(maps, "z_factor",
                         lambda lam: z_factor(lam) * (2 if lam == (3,) else 1))
     with pytest.raises(AssertionError):
@@ -292,7 +304,7 @@ def test_graph_census_rejects_partial_orbits(monkeypatch):
 
 
 def test_kl_top_7():
-    census = graph_census(7)
+    census = full_census(7)
     assert len(census) == 124
     assert sum(count for _, count in census) == \
         indecomposable_permutations(8) == 29093

@@ -10,11 +10,10 @@ from jacktop.maps import (BicoloredGraph, IsolatedVertex, NotTransitive,
                           SizeMismatch, canonical_orbit_rep, compose,
                           count_embeddings, count_embeddings_naive, cycles,
                           cycle_type, enumerate_transitive_pairs, full_cycle,
-                          graph_census, graph_of_pair, identity, inverse,
-                          is_transitive_pair, normalized_embeddings,
-                          orbit_census, pair_orbit, parse_perm,
-                          perm_from_cycle_type)
-from jacktop.young import enumerate_partitions
+                          graph_of_pair, identity, inverse, is_transitive_pair,
+                          normalized_embeddings, orbit_census, pair_orbit,
+                          parse_perm, perm_from_cycle_type)
+from jacktop.young import enumerate_partitions, transpose
 
 
 def test_cycles_and_compose():
@@ -177,7 +176,7 @@ def test_census_embeddings_match_black_side_reference(monkeypatch):
     # diagram with at most ten boxes, against the black-side recursion the
     # smaller-side count replaced, and against the raw enumeration up to
     # five boxes.  Each count enumerates the smaller side.
-    from tests_support_graphs import count_embeddings_black_side
+    from tests_support_graphs import count_embeddings_black_side, full_census
     sizes = []
     real = maps._level_sum
     monkeypatch.setattr(maps, "_EMBED_CACHE", {})
@@ -185,7 +184,7 @@ def test_census_embeddings_match_black_side_reference(monkeypatch):
                         lambda size, *rest: sizes.append(size) or
                         real(size, *rest))
     classes = {g.canonical_key(): g for n in range(1, 7)
-               for g, _ in graph_census(n)}
+               for g, _ in full_census(n)}
     shapes = {(g.whites > g.blacks) - (g.whites < g.blacks)
               for g in classes.values()}
     assert shapes == {-1, 0, 1}
@@ -197,6 +196,19 @@ def test_census_embeddings_match_black_side_reference(monkeypatch):
             assert got == count_embeddings_black_side(g, lam), (g, lam)
             if sum(lam) <= 5:
                 assert got == count_embeddings_naive(g, lam), (g, lam)
+
+
+def test_embeddings_of_color_swap_on_conjugate(monkeypatch):
+    # N_G(lam) = N_{swap G}(lam'): exchanging whites and blacks exchanges
+    # columns and rows.  count_embeddings uses it when whites < blacks.
+    from tests_support_graphs import color_swap, full_census
+    monkeypatch.setattr(maps, "_EMBED_CACHE", {})
+    for n in range(1, 7):
+        for g, _ in full_census(n):
+            for lam in enumerate_partitions(5):
+                got = count_embeddings(g, lam)
+                assert got == count_embeddings(color_swap(g), transpose(lam)) \
+                    == count_embeddings_naive(g, lam), (g, lam)
 
 
 @st.composite

@@ -6,11 +6,13 @@ from jacktop import maps, topdegree
 from jacktop.exact import GAMMA_A, KLPoly, Laurent
 from jacktop.functionals import kl_evaluate
 from jacktop.maps import BicoloredGraph, count_embeddings, perm_from_cycle_type
-from jacktop.topdegree import (DomainMismatch, _census, _step_sequences,
-                               ch_top_eval, ch_top_eval_labeled, cumulant_K,
+from jacktop.topdegree import (DomainMismatch, _chain_expansion,
+                               _prefix_tree, _step_sequences, ch_top_eval,
+                               ch_top_eval_labeled, cumulant_K,
                                expander_weights, is_expander, kl_top,
                                moment_M, restricted_perm, set_partitions_above)
 from jacktop.young import enumerate_partitions, partitions_of, size
+from tests_support_graphs import full_census
 
 
 def test_ch_top_n1_is_size():
@@ -25,9 +27,9 @@ def test_ch_top_examples():
 
 def ch_top_by_class(n, lam):
     """The class-by-class sum of -count_G * g**(n+1-w-b) * A**(w-b) *
-    (-1)**b * count_embeddings(G, lam) over the census."""
+    (-1)**b * count_embeddings(G, lam) over every class."""
     by_shape = {}
-    for g, count in _census(n):
+    for g, count in full_census(n):
         shape = (g.whites, g.blacks)
         by_shape[shape] = by_shape.get(shape, 0) + \
             count * count_embeddings(g, lam)
@@ -56,21 +58,69 @@ def test_chain_route_matches_class_sum_n8(lam):
     assert ch_top_eval(8, lam) == ch_top_by_class(8, lam)
 
 
+def step_sequences_first_met(small, sets):
+    """The number of strict chains {} < U_1 < ... < U_j = range(small) of
+    each step sequence ((a_i, c_i)): a_i vertices join at step i, and c_i
+    of the sets first meet U_i.  _step_sequences counts the sets first
+    covered instead; the complements of a chain, in reverse order, turn
+    one into the other with the sequence reversed."""
+    full = (1 << small) - 1
+    masks = [sum(1 << v for v in s) for s in sets]
+    reached = [sum(1 for m in masks if m & u) for u in range(full + 1)]
+    ending = [{} for _ in range(full + 1)]
+    ending[0][()] = 1
+    for u in range(full):
+        rest = full ^ u
+        step = rest
+        while step:
+            v = u | step
+            key = (step.bit_count(), reached[v] - reached[u])
+            into = ending[v]
+            for seq, chains in ending[u].items():
+                seq += (key,)
+                into[seq] = into.get(seq, 0) + chains
+            step = (step - 1) & rest
+    return ending[full]
+
+
+def chain_sequences(g):
+    """The smaller side of a class, its larger side's neighborhoods in it,
+    and their step sequences: first covered when whites >= blacks, first
+    met otherwise."""
+    if g.whites >= g.blacks:
+        return g.blacks, g.adjacency, _step_sequences(g.blacks, g.adjacency)
+    sets = g.black_neighbors()
+    return g.whites, sets, step_sequences_first_met(g.whites, sets)
+
+
 def test_chain_counts_are_ordered_set_partitions():
     # Each class has one chain per ordered set partition of its smaller
     # side, and a step sequence's a_i add up to that side's size.
     fubini = [1]
     for k in range(1, 6):
         fubini.append(sum(comb(k, i) * fubini[k - i] for i in range(1, k + 1)))
-    for g, _ in _census(6):
-        covered = g.whites >= g.blacks
-        small = g.blacks if covered else g.whites
-        sets = g.adjacency if covered else g.black_neighbors()
-        chains = _step_sequences(small, sets, covered)
+    for g, _ in full_census(6):
+        small, sets, chains = chain_sequences(g)
         assert sum(chains.values()) == fubini[small]
         for seq in chains:
             assert sum(a for a, _ in seq) == small
             assert sum(c for _, c in seq) == len(sets)
+
+
+def test_chain_expansion_matches_both_sides_of_every_class():
+    # The two trees from the sequences of every class on its own smaller
+    # side: first covered for whites >= blacks, first met for whites <
+    # blacks.  _chain_expansion steps only the first, and reverses the
+    # sequences of whites > blacks into the second at the swapped shape.
+    for n in range(1, 9):
+        sides = ({}, {})
+        for g, count in full_census(n):
+            side = sides[g.whites < g.blacks]
+            for seq, chains in chain_sequences(g)[2].items():
+                by_shape = side.setdefault(seq, {})
+                shape = (g.whites, g.blacks)
+                by_shape[shape] = by_shape.get(shape, 0) + count * chains
+        assert _chain_expansion(n) == tuple(map(_prefix_tree, sides)), n
 
 
 def test_ch_top_eval_memo(monkeypatch):

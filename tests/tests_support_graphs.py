@@ -1,14 +1,15 @@
 """Shared test helpers: brute enumeration of small bicolored graphs, the
 black-side embedding count that production replaced, as a reference, the
-tree pairs of the free cumulants with their graph classes, and the
-unpruned vector partitions with the connectivity test that the census
-enumerator replaced."""
+color swap and the full class list of the census, the tree pairs of the
+free cumulants with their graph classes, and the unpruned vector
+partitions with the connectivity test that the census enumerator
+replaced."""
 
 from functools import lru_cache
 from itertools import permutations, product
 
 from jacktop.maps import (BicoloredGraph, IsolatedVertex, compose, cycles,
-                          full_cycle, graph_classes, inverse)
+                          full_cycle, graph_census, graph_classes, inverse)
 
 
 def _nonempty_subsets(b):
@@ -85,6 +86,23 @@ def count_embeddings_black_side(g: BicoloredGraph, lam) -> int:
 
     rec(0, 1)
     return total
+
+
+def color_swap(g: BicoloredGraph) -> BicoloredGraph:
+    """The same graph with its blacks as whites and whites as blacks."""
+    return BicoloredGraph(g.blacks, g.whites, g.black_neighbors())
+
+
+def full_census(n: int) -> list[tuple[BicoloredGraph, int]]:
+    """Every graph class of transitive pairs of size n with its orbit
+    count, in canonical-key order.  (s1, s2) -> (s2, s1) maps the pairs of
+    a class one to one onto those of its color swap, and graph_census(n)
+    keeps the classes with whites >= blacks; the others are the color
+    swaps of those with whites > blacks, at the same orbit count."""
+    census = graph_census(n)
+    swaps = [(color_swap(g), count) for g, count in census
+             if g.whites > g.blacks]
+    return sorted(census + swaps, key=lambda entry: entry[0].canonical_key())
 
 
 def tree_pairs(k: int) -> list[tuple]:
