@@ -32,10 +32,8 @@ EXIT_VERIFY = 3
 
 DEFAULT_BUDGET = 6
 
-# The most boxes of the diagram of eval S, T, M and K.  S and T take one
-# Laurent power per box (`eval S 8 1000` takes about 0.9 s), and M and K
-# count a graph with fewer whites than blacks on the conjugate diagram,
-# which has as many parts as the first row has boxes.
+# The most boxes of the diagram of eval S and T, which take one Laurent
+# power per box (`eval S 8 1000` takes about 0.9 s).
 MAX_BOXES = 1000
 
 
@@ -112,7 +110,7 @@ def _cmd_eval(args) -> int:
         index = parse_partition(args.index)
     else:
         index = int(args.index)
-    if kind in ("S", "T", "M", "K") and size(lam) > MAX_BOXES:
+    if kind in ("S", "T") and size(lam) > MAX_BOXES:
         raise BudgetExceeded(f"|lambda| = {size(lam)} exceeds bound {MAX_BOXES}")
     if kind == "ch":
         value = jack_character(index, lam, bound=jack_bound)

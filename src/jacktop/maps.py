@@ -15,11 +15,11 @@ s1 is fixed to one permutation per cycle type, weighted by the size of its
 conjugacy class, and s2 enters only through the block-count vectors of its
 cycles, a vector partition of the cycle type, weighted by the number of s2
 that give it.  Exchanging s1 and s2 swaps the colors of a class at the same
-orbit count, so the census keeps only the classes with at least as many
-whites as blacks: the cycles of s2 are its whites, and only the spanning
-vector partitions (connected graphs) with at least as many parts as the
-cycle type are built.  Graphs are grouped by a canonical key that relabels
-the smaller side only within blocks of equal degree.  orbit_census lists
+orbit count, so the census keeps the classes with whites >= blacks: the
+cycles of s2 are its whites, and only the spanning vector partitions
+(connected graphs) with at least as many parts as the cycle type are
+built.  Graphs are grouped by a canonical key that relabels the smaller
+side only within blocks of equal degree.  orbit_census lists
 the orbits by their least pairs, for the census command and as
 graph_census's oracle; a test-side flood of every pair's orbit is its own
 oracle.
@@ -32,7 +32,7 @@ from math import factorial, prod
 from typing import Iterable, Iterator, Sequence
 
 from .exact import Laurent
-from .young import Partition, levels, partitions_of, transpose, z_factor
+from .young import Partition, conjugate_levels, levels, partitions_of, z_factor
 
 Perm = tuple  # tuple[int, ...], images of 0..n-1
 
@@ -382,10 +382,9 @@ def count_embeddings(g: BicoloredGraph, lam: Partition) -> int:
 
     since a white may take exactly the columns of the shortest row among
     its neighbors; _level_sum sums it.  Exchanging whites and blacks
-    exchanges columns and rows, so when whites < blacks the count is that
-    of the color swap on the conjugate diagram: the same sum, over
-    f: whites -> levels of lam'.  Either way only the smaller side is
-    enumerated.  Counts are cached per (class, lam).
+    exchanges columns and rows, so when whites < blacks it is the same sum
+    over f: whites -> levels of lam' (young.conjugate_levels).  Either way
+    only the smaller side is enumerated.  Counts are cached per (class, lam).
 
     These counts serve moment_M and cumulant_K, through
     normalized_embeddings, and the labeled oracle.  topdegree.ch_top_eval
@@ -406,18 +405,17 @@ def count_embeddings(g: BicoloredGraph, lam: Partition) -> int:
     elif not lam:
         result = 0
     elif g.whites >= g.blacks:
-        values, mult = levels(lam)
-        result = _level_sum(g.blacks, g.adjacency, mult, values)
+        result = _level_sum(g.blacks, g.adjacency, *levels(lam))
     else:
-        values, mult = levels(transpose(lam))
-        result = _level_sum(g.whites, g.black_neighbors(), mult, values)
+        result = _level_sum(g.whites, g.black_neighbors(),
+                            *conjugate_levels(lam))
 
     _EMBED_CACHE[key] = result
     return result
 
 
 def _level_sum(size: int, nbrs: Sequence[Iterable[int]],
-               weight: list[int], value: list[int]) -> int:
+               value: list[int], weight: list[int]) -> int:
     """The sum over f: range(size) -> levels of prod_s weight[f(s)] times,
     for each neighborhood in nbrs, the least value[f(s)] over its s.
 
@@ -578,11 +576,10 @@ def _vector_partitions(lam: Partition) -> Iterator[tuple[tuple[int, ...], ...]]:
 
 
 def graph_census(n: int) -> list[tuple[BicoloredGraph, int]]:
-    """The graph classes of transitive pairs with at least as many whites
-    as blacks, each with its number of orbits, in canonical-key order.
-    (s1, s2) -> (s2, s1) maps the pairs of a class one to one onto those of
-    its color swap, so these are graph_classes(orbit_reps(n)) with the
-    others left out, found without listing pairs.
+    """The graph classes of transitive pairs with whites >= blacks, each
+    with its number of orbits, in canonical-key order: (s1, s2) -> (s2, s1)
+    maps the pairs of a class one to one onto those of its color swap, so
+    the others of graph_classes(orbit_reps(n)) are left out.
 
     The graph of a pair only depends on the pair up to conjugation, so s1 is
     one permutation per cycle type lam, weighted by its class size n!/z_lam.

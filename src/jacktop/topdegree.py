@@ -6,22 +6,22 @@ permutation pairs, grouped up to isomorphism, each with its orbit count
 (counting orbits cancels the (n-1)! division exactly).  The census
 (maps.graph_census) fixes one first permutation per cycle type, weighted
 by its class size, and enumerates the block-count vector partitions of
-the second instead of the permutations themselves.  It keeps only the
-classes with at least as many whites as blacks; the others are their
-color swaps (s1 and s2 exchanged), at the same orbit count.
+the second instead of the permutations themselves.  It keeps the classes
+with whites >= blacks; the others are their color swaps (s1 and s2
+exchanged), at the same orbit count.
 Direct evaluation on a diagram reads the chain expansion of the census,
 built once per n on the first query: per shape (whites, blacks), integer
 coefficients of step sequences, each standing for a sum over increasing
 row levels of the diagram of a product of level factors; the embedding
 counts of a class are such sums over the chains of level sets of its
-blacks, and those of its color swap are its counts on the conjugate
-diagram, the same sequences reversed.  A query evaluates the sequences in
-one pass over the levels, expands each power of g once, and is memoised
-per (n, diagram); maps.count_embeddings, class by class, is its test
-oracle.  The symbolic expansion in the g/R ring adds up orbit counts as
-ints, one total per power of g and sorted expander weight.  The labeled
-pair sum is kept as an oracle.  The moment and cumulant functions over
-permutations, related by the set-partition formula, live here as well.
+blacks, and its color swap's are the reversed sums on the conjugate
+diagram.  A query evaluates the sequences in one pass over the levels,
+expands each power of g once, and is memoised per (n, diagram);
+maps.count_embeddings, class by class, is its test oracle.  The symbolic
+expansion in the g/R ring adds up orbit counts as ints, one total per
+power of g and sorted expander weight.  The labeled pair sum is kept as
+an oracle.  The moment and cumulant functions over permutations, related
+by the set-partition formula, live here as well.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, permutations as _itperms
+from itertools import permutations as _itperms
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
@@ -37,7 +37,7 @@ from . import cache
 from .exact import KLPoly, Laurent, addmul_ints, gamma_power_A, int_coeffs
 from .maps import (BicoloredGraph, Perm, compose, cycles, graph_census,
                    inverse, is_transitive_pair, normalized_embeddings)
-from .young import Partition, levels
+from .young import Partition, conjugate_levels, levels
 
 
 class DomainMismatch(ValueError):
@@ -60,24 +60,23 @@ def ch_top_eval(n: int, lam: Partition) -> Laurent:
     step sequence ((a_1, c_1), ..., (a_j, c_j)) of a shape contributes its
     coefficient times the sum over levels l_1 < ... < l_j of lam of
     prod_i x[l_i]**a_i * y[l_i]**c_i: (x, y) = (m, v) on the first tree.
-    The second, the color swaps, counts on the conjugate diagram, whose
-    levels are lam's in reverse with v_l - v_{l+1} rows of length M_l =
-    m_1 + ... + m_l; its sequences are reversed, so (x, y) =
-    (v_l - v_{l+1}, M_l).  The nonzero shape totals of each power of g are
-    expanded once, on the integer coefficients of (-A + 1/A)**(n+1-w-b).
-    Values are memoised per (n, lam); n < 1 is a ValueError before the
-    memo is read."""
+    The second, the color swaps, counts on the conjugate diagram: its
+    sequences are reversed, and (x, y) = (v_l - v_{l+1}, M_l) are the
+    levels of lam' in reverse (young.conjugate_levels).  The nonzero shape
+    totals of each power of g are expanded once, on the integer
+    coefficients of (-A + 1/A)**(n+1-w-b).  Values are memoised per
+    (n, lam); n < 1 is a ValueError before the memo is read."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     hit = _CH_TOP_CACHE.get((n, lam))
     if hit is not None:
         return hit
-    values, mult = levels(lam)
-    widths = [v - w for v, w in zip(values, values[1:] + [0])]
     shapes: dict[tuple[int, int], int] = {}
     by_blacks, by_whites = _chain_expansion(n)
+    values, mult = levels(lam)
     _chain_sums(by_blacks, mult, values, shapes)
-    _chain_sums(by_whites, widths, list(accumulate(mult)), shapes)
+    values, mult = conjugate_levels(lam)
+    _chain_sums(by_whites, mult, values, shapes)
     by_power: dict[int, dict[int, int]] = {}
     for (w, b), value in shapes.items():
         if value:
@@ -95,7 +94,7 @@ def ch_top_eval(n: int, lam: Partition) -> Laurent:
 # (parent, a, c, ends, terms): node 0 is the empty sequence, nodes are
 # ordered by depth, and node i > 0 appends the step (a[i], c[i]) to node
 # parent[i]; ends[d] is one past the last node of depth <= d; terms lists
-# (node, shape, coefficient) for each sequence of a shape, sorted.
+# (node, shape, coefficient) for each sequence of a shape.
 _Chains = tuple
 
 
@@ -133,9 +132,9 @@ def _chain_expansion(n: int) -> tuple[_Chains, _Chains]:
     So a class is the sum over its step sequences ((a_i, c_i)) of their
     chain counts times sum_{l_1 < ... < l_j} prod_i x[l_i]**a_i *
     y[l_i]**c_i, and a shape's coefficient of a sequence is the sum of
-    count_G times chain count over its classes.  A color swap counts its
-    class's embeddings into the conjugate diagram, whose levels come in
-    reverse: it takes the swapped shape and the reversed sequences."""
+    count_G times chain count over its classes.  A color swap counts on
+    the conjugate diagram, whose levels come in reverse, so it takes the
+    swapped shape and the reversed sequences."""
     stored: dict[tuple, Counter] = defaultdict(Counter)
     swaps: dict[tuple, Counter] = defaultdict(Counter)
     for g, count in _census(n):
@@ -184,9 +183,9 @@ def _prefix_tree(coeffs: dict[tuple, dict[tuple[int, int], int]]) -> _Chains:
     c = (0,) + tuple(seq[-1][1] for seq in prefixes[1:])
     ends = tuple(sum(1 for seq in prefixes if len(seq) <= d)
                  for d in range(depth + 1))
-    terms = tuple(sorted((node[seq], shape, coeff)
-                         for seq, by_shape in coeffs.items()
-                         for shape, coeff in by_shape.items()))
+    terms = tuple((node[seq], shape, coeff)
+                  for seq, by_shape in coeffs.items()
+                  for shape, coeff in by_shape.items())
     return parent, a, c, ends, terms
 
 
@@ -286,8 +285,7 @@ def kl_top(n: int) -> KLPoly:
 @lru_cache(maxsize=None)
 def _census(n: int) -> tuple[tuple[BicoloredGraph, int], ...]:
     """The graph classes of size n with whites >= blacks and their orbit
-    counts; both routes read it (a class with whites < blacks has no
-    expander weight, and _chain_expansion reverses its color swap's)."""
+    counts; both routes read it."""
     return tuple(graph_census(n))
 
 

@@ -8,6 +8,7 @@ iff x <= lam[y-1].
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import factorial
 from typing import Iterator
 
@@ -65,6 +66,14 @@ def levels(p: Partition) -> tuple[list[int], list[int]]:
             values.append(row)
             mult.append(1)
     return values, mult
+
+
+def conjugate_levels(p: Partition) -> tuple[list[int], list[int]]:
+    """levels(p') in the reverse order, read off levels(p) = (v, m): rows
+    of length M_l = m_1 + ... + m_l, v_l - v_{l+1} of each (v_{t+1} = 0)."""
+    values, mult = levels(p)
+    return (list(accumulate(mult)),
+            [v - w for v, w in zip(values, values[1:] + [0])])
 
 
 def size(p: Partition) -> int:

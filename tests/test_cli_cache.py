@@ -59,13 +59,13 @@ def test_budget_exit_code(capsys):
     ("eval S 9 2,1", 2, "budget: S index 9 exceeds budget"),
     ("eval T 9 2,1", 2, "budget: T index 9 exceeds budget"),
     ("eval T 8 2,1", 0, ""),
-    # S, T, M and K hold |lambda| to cli.MAX_BOXES; R needs no such cap.
+    # S and T hold |lambda| to cli.MAX_BOXES; R, M and K need no such cap.
     ("eval S 3 100000", 2, "budget: |lambda| = 100000 exceeds bound 1000"),
     ("eval T 3 1001", 2, "budget: |lambda| = 1001 exceeds bound 1000"),
     ("eval T 3 1000", 0, ""),
-    ("eval M 2 1001", 2, "budget: |lambda| = 1001 exceeds bound 1000"),
-    ("eval K 2 1000", 0, ""),
     ("eval R 3 100000", 0, ""),
+    ("eval M 2 100000", 0, ""),
+    ("eval K 2,1 100000", 0, ""),
     ("eval M 4,3 2,1", 2, "budget: |pi| = 7 exceeds budget"),
     ("--budget 7 kl-top 7", 0, ""),
     # The prologue tables stop at n = 4, so a larger n would check nothing more.

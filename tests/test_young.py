@@ -3,10 +3,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jacktop.exact import Laurent
-from jacktop.young import (NotDecreasing, boxes, content, enumerate_partitions,
-                           format_partition, length, levels, multiplicities,
-                           parse_partition, partition, partitions_of, size,
-                           to_partition, transpose, z_factor)
+from jacktop.young import (NotDecreasing, boxes, conjugate_levels, content,
+                           enumerate_partitions, format_partition, length,
+                           levels, multiplicities, parse_partition,
+                           partition, partitions_of, size, to_partition,
+                           transpose, z_factor)
 
 
 def test_parse_and_format():
@@ -57,6 +58,14 @@ def test_partition_stats():
 def test_levels():
     assert levels((4, 4, 2, 1, 1, 1)) == ([4, 2, 1], [2, 1, 3])
     assert levels(()) == ([], [])
+
+
+def test_conjugate_levels_are_those_of_the_transpose_reversed():
+    assert conjugate_levels((4, 4, 2, 1, 1, 1)) == ([2, 3, 6], [2, 1, 1])
+    for n in range(9):
+        for p in partitions_of(n):
+            values, mult = conjugate_levels(p)
+            assert (values[::-1], mult[::-1]) == levels(transpose(p)), p
 
 
 def test_boxes_row_major():
