@@ -32,14 +32,16 @@ class Cache:
     def _read(self, name: str, decode):
         """decode(doc) for the named document, or None (a miss, so the
         artifact is recomputed and rewritten) when the file is absent,
-        unreadable, of another schema version or of the wrong shape."""
+        unreadable or nested too deeply to parse, of another schema version
+        or of the wrong shape."""
         path = self._path(name)
         if not os.path.exists(path):
             return None
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+                RecursionError):
             return None
         if not isinstance(doc, dict) or doc.get("schema") != SCHEMA_VERSION:
             return None

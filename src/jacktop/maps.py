@@ -23,6 +23,13 @@ side only within blocks of equal degree.  orbit_census lists
 the orbits by their least pairs, for the census command and as
 graph_census's oracle; a test-side flood of every pair's orbit is its own
 oracle.
+
+The embedding count of a graph in a diagram is a chain sum: the step
+sequences of the smaller side (_step_sequences), each weighted by its
+number of chains of level sets, summed over increasing levels of the
+diagram in one pass of a prefix tree (_prefix_tree, _chain_sums).
+count_embeddings takes it one class at a time, and
+topdegree.ch_top_eval reads the same sums for a whole census.
 """
 
 from __future__ import annotations
@@ -381,15 +388,22 @@ def count_embeddings(g: BicoloredGraph, lam: Partition) -> int:
         prod_b m[f(b)] * prod_w v[max f(N(w))],
 
     since a white may take exactly the columns of the shortest row among
-    its neighbors; _level_sum sums it.  Exchanging whites and blacks
-    exchanges columns and rows, so when whites < blacks it is the same sum
-    over f: whites -> levels of lam' (young.conjugate_levels).  Either way
-    only the smaller side is enumerated.  Counts are cached per (class, lam).
+    its neighbors.  An f with used levels l_1 < ... < l_j is a strict chain
+    U_1 < ... < U_j of the level sets U_i = f^-1{l_1..l_i}: a_i = |U_i| -
+    |U_{i-1}| blacks take level l_i, and so do the c_i whites whose
+    neighborhood U_i covers first.  So the count is the sum over the step
+    sequences ((a_i, c_i)) of the blacks (_step_sequences) of their chain
+    counts times sum_{l_1 < ... < l_j} prod_i m[l_i]**a_i * v[l_i]**c_i,
+    which one _chain_sums pass over the levels adds up.  Exchanging whites
+    and blacks exchanges columns and rows, so when whites < blacks it is
+    the same sum over the whites' sequences on the levels of lam'; those
+    come in reverse (young.conjugate_levels), so the sequences are
+    reversed.  Either way only the smaller side is enumerated.  Counts are
+    cached per (class, lam).
 
     These counts serve moment_M and cumulant_K, through
-    normalized_embeddings, and the labeled oracle.  topdegree.ch_top_eval
-    reads the same sums from its chain expansion of the census, and this
-    function, class by class, is that route's test oracle.
+    normalized_embeddings, and the labeled oracle; topdegree.ch_top_eval
+    reads the same chain sums for a whole census at once.
     """
     key = (g.canonical_key(), lam)
     hit = _EMBED_CACHE.get(key)
@@ -400,51 +414,92 @@ def count_embeddings(g: BicoloredGraph, lam: Partition) -> int:
     if g.has_isolated_vertex():
         raise IsolatedVertex(repr(g))
 
-    if g.blacks == 0:
-        result = 1  # vacuous graph
-    elif not lam:
-        result = 0
-    elif g.whites >= g.blacks:
-        result = _level_sum(g.blacks, g.adjacency, *levels(lam))
+    if g.whites >= g.blacks:
+        chains = _step_sequences(g.blacks, g.adjacency)
+        values, mult = levels(lam)
     else:
-        result = _level_sum(g.whites, g.black_neighbors(),
-                            *conjugate_levels(lam))
+        chains = {seq[::-1]: count for seq, count in
+                  _step_sequences(g.whites, g.black_neighbors()).items()}
+        values, mult = conjugate_levels(lam)
+    shape = (g.whites, g.blacks)
+    total: dict[tuple[int, int], int] = {}
+    _chain_sums(_prefix_tree({seq: {shape: count}
+                              for seq, count in chains.items()}),
+                mult, values, total)
+    result = total.get(shape, 0)
 
     _EMBED_CACHE[key] = result
     return result
 
 
-def _level_sum(size: int, nbrs: Sequence[Iterable[int]],
-               value: list[int], weight: list[int]) -> int:
-    """The sum over f: range(size) -> levels of prod_s weight[f(s)] times,
-    for each neighborhood in nbrs, the least value[f(s)] over its s.
+def _step_sequences(small: int, sets: Sequence[Iterable[int]]
+                    ) -> dict[tuple[tuple[int, int], ...], int]:
+    """The number of strict chains {} < U_1 < ... < U_j = range(small) of
+    each step sequence ((a_i, c_i)): a_i vertices join at step i, and c_i
+    of the sets are first covered by U_i.  One pass over the pairs U < U'
+    of subsets."""
+    full = (1 << small) - 1
+    masks = [sum(1 << v for v in s) for s in sets]
+    reached = [sum(1 for m in masks if not m & ~u) for u in range(full + 1)]
+    ending: list[dict] = [{} for _ in range(full + 1)]
+    ending[0][()] = 1
+    for u in range(full):
+        rest = full ^ u
+        step = rest
+        while step:
+            v = u | step
+            key = (step.bit_count(), reached[v] - reached[u])
+            into = ending[v]
+            for seq, chains in ending[u].items():
+                seq += (key,)
+                into[seq] = into.get(seq, 0) + chains
+            step = (step - 1) & rest
+    return ending[full]
 
-    f is assigned one s at a time, and partial assignments are merged by
-    the running minimum of every neighborhood (variable elimination): a
-    neighborhood's minimum is multiplied in at its largest s, after which,
-    like one not yet met, it holds max(value)."""
-    nbrs = [tuple(nb) for nb in nbrs]
-    last = [max(nb) for nb in nbrs]
-    hi = max(value)
-    states = {(hi,) * len(nbrs): 1}
-    for s in range(size):
-        inner = [o for o, nb in enumerate(nbrs) if s in nb and s < last[o]]
-        final = [o for o, end in enumerate(last) if end == s]
-        merged: dict[tuple[int, ...], int] = {}
-        for state, acc in states.items():
-            for w, v in zip(weight, value):
-                least = list(state)
-                term = acc * w
-                for o in inner:
-                    if v < least[o]:
-                        least[o] = v
-                for o in final:
-                    term *= min(least[o], v)
-                    least[o] = hi
-                key = tuple(least)
-                merged[key] = merged.get(key, 0) + term
-        states = merged
-    return sum(states.values())
+
+# Step sequences as a prefix tree, (parent, a, c, ends, terms): node 0 is
+# the empty sequence, nodes are ordered by depth, and node i > 0 appends
+# the step (a[i], c[i]) to node parent[i]; ends[d] is one past the last
+# node of depth <= d; terms lists (node, shape, coefficient) for each
+# sequence of a shape.
+_Chains = tuple
+
+
+def _prefix_tree(coeffs: dict[tuple, dict[tuple[int, int], int]]) -> _Chains:
+    """The _Chains of {sequence: {shape: coefficient}}."""
+    prefixes = sorted({()} | {seq[:k] for seq in coeffs
+                              for k in range(len(seq) + 1)},
+                      key=lambda seq: (len(seq), seq))
+    node = {seq: i for i, seq in enumerate(prefixes)}
+    depth = len(prefixes[-1])
+    parent = (0,) + tuple(node[seq[:-1]] for seq in prefixes[1:])
+    a = (0,) + tuple(seq[-1][0] for seq in prefixes[1:])
+    c = (0,) + tuple(seq[-1][1] for seq in prefixes[1:])
+    ends = tuple(sum(1 for seq in prefixes if len(seq) <= d)
+                 for d in range(depth + 1))
+    terms = tuple((node[seq], shape, coeff)
+                  for seq, by_shape in coeffs.items()
+                  for shape, coeff in by_shape.items())
+    return parent, a, c, ends, terms
+
+
+def _chain_sums(chains: _Chains, x: list[int], y: list[int],
+                shapes: dict[tuple[int, int], int]) -> None:
+    """Add each term's coefficient times the sum over l_1 < ... < l_j of
+    prod_i x[l_i]**a_i * y[l_i]**c_i to shapes[shape], in one pass over the
+    levels: at level l every node (deepest first) adds its parent's sum over
+    the levels before l times the level-l factor of its own step."""
+    parent, a, c, ends, terms = chains
+    sums = [1] + [0] * (len(parent) - 1)
+    top_a, top_c = max(a), max(c)
+    for level, (xl, yl) in enumerate(zip(x, y)):
+        xp = [xl ** k for k in range(top_a + 1)]
+        yp = [yl ** k for k in range(top_c + 1)]
+        for i in range(ends[min(level + 1, len(ends) - 1)] - 1, 0, -1):
+            sums[i] += sums[parent[i]] * xp[a[i]] * yp[c[i]]
+    for i, shape, coeff in terms:
+        if sums[i]:
+            shapes[shape] = shapes.get(shape, 0) + coeff * sums[i]
 
 
 def count_embeddings_naive(g: BicoloredGraph, lam: Partition) -> int:

@@ -10,18 +10,19 @@ the second instead of the permutations themselves.  It keeps the classes
 with whites >= blacks; the others are their color swaps (s1 and s2
 exchanged), at the same orbit count.
 Direct evaluation on a diagram reads the chain expansion of the census,
-built once per n on the first query: per shape (whites, blacks), integer
-coefficients of step sequences, each standing for a sum over increasing
-row levels of the diagram of a product of level factors; the embedding
-counts of a class are such sums over the chains of level sets of its
-blacks, and its color swap's are the reversed sums on the conjugate
-diagram.  A query evaluates the sequences in one pass over the levels,
-expands each power of g once, and is memoised per (n, diagram);
-maps.count_embeddings, class by class, is its test oracle.  The symbolic
-expansion in the g/R ring adds up orbit counts as ints, one total per
-power of g and sorted expander weight.  The labeled pair sum is kept as
-an oracle.  The moment and cumulant functions over permutations, related
-by the set-partition formula, live here as well.
+built once per n on the first query: per shape (whites, blacks), the
+integer coefficients of the step sequences (maps._step_sequences) of its
+classes, weighted by their orbit counts.  A step sequence stands for a sum
+over increasing levels of the diagram of a product of level factors, and
+the embedding counts of a class are such chain sums (maps.count_embeddings
+takes them one class at a time); its color swap's are the reversed sums
+on the conjugate diagram.  A query evaluates the sequences in one pass
+over the levels, expands each power of g once, and is memoised per (n,
+diagram); the class-by-class sum of a test-side embedding count is its
+oracle.  The symbolic expansion in the g/R ring adds up orbit counts as
+ints, one total per power of g and sorted expander weight.  The labeled
+pair sum is kept as an oracle.  The moment and cumulant functions over
+permutations, related by the set-partition formula, live here as well.
 """
 
 from __future__ import annotations
@@ -31,12 +32,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _itperms
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import cache
 from .exact import KLPoly, Laurent, addmul_ints, gamma_power_A, int_coeffs
-from .maps import (BicoloredGraph, Perm, compose, cycles, graph_census,
-                   inverse, is_transitive_pair, normalized_embeddings)
+from .maps import (BicoloredGraph, Perm, _chain_sums, _Chains, _prefix_tree,
+                   _step_sequences, compose, cycles, graph_census, inverse,
+                   is_transitive_pair, normalized_embeddings)
 from .young import Partition, conjugate_levels, levels
 
 
@@ -90,33 +92,6 @@ def ch_top_eval(n: int, lam: Partition) -> Laurent:
     return result
 
 
-# The step sequences of one side of _chain_expansion(n) as a prefix tree,
-# (parent, a, c, ends, terms): node 0 is the empty sequence, nodes are
-# ordered by depth, and node i > 0 appends the step (a[i], c[i]) to node
-# parent[i]; ends[d] is one past the last node of depth <= d; terms lists
-# (node, shape, coefficient) for each sequence of a shape.
-_Chains = tuple
-
-
-def _chain_sums(chains: _Chains, x: list[int], y: list[int],
-                shapes: dict[tuple[int, int], int]) -> None:
-    """Add each term's coefficient times the sum over l_1 < ... < l_j of
-    prod_i x[l_i]**a_i * y[l_i]**c_i to shapes[shape], in one pass over the
-    levels: at level l every node (deepest first) adds its parent's sum over
-    the levels before l times the level-l factor of its own step."""
-    parent, a, c, ends, terms = chains
-    sums = [1] + [0] * (len(parent) - 1)
-    top_a, top_c = max(a), max(c)
-    for level, (xl, yl) in enumerate(zip(x, y)):
-        xp = [xl ** k for k in range(top_a + 1)]
-        yp = [yl ** k for k in range(top_c + 1)]
-        for i in range(ends[min(level + 1, len(ends) - 1)] - 1, 0, -1):
-            sums[i] += sums[parent[i]] * xp[a[i]] * yp[c[i]]
-    for i, shape, coeff in terms:
-        if sums[i]:
-            shapes[shape] = shapes.get(shape, 0) + coeff * sums[i]
-
-
 # Hit by every cold top-map query after the first: 12 per round.
 @lru_cache(maxsize=None)
 def _chain_expansion(n: int) -> tuple[_Chains, _Chains]:
@@ -124,17 +99,12 @@ def _chain_expansion(n: int) -> tuple[_Chains, _Chains]:
     a prefix tree for _census(n), whose classes have whites >= blacks, and
     one for their color swaps.
 
-    A map f from the blacks to the levels of a diagram, with used levels
-    l_1 < ... < l_j, is a strict chain U_1 < ... < U_j of the level sets
-    U_i = f^-1{l_1..l_i}.  It takes a_i = |U_i| - |U_{i-1}| blacks to level
-    l_i, and in maps.count_embeddings' product the whites whose
-    neighborhood is first covered by U_i take level l_i; c_i counts them.
-    So a class is the sum over its step sequences ((a_i, c_i)) of their
+    A class of shape (w, b) counts sum over its step sequences of their
     chain counts times sum_{l_1 < ... < l_j} prod_i x[l_i]**a_i *
-    y[l_i]**c_i, and a shape's coefficient of a sequence is the sum of
-    count_G times chain count over its classes.  A color swap counts on
-    the conjugate diagram, whose levels come in reverse, so it takes the
-    swapped shape and the reversed sequences."""
+    y[l_i]**c_i (maps.count_embeddings), and a shape's coefficient of a
+    sequence is the sum of count_G times chain count over its classes.  A
+    color swap counts on the conjugate diagram, whose levels come in
+    reverse, so it takes the swapped shape and the reversed sequences."""
     stored: dict[tuple, Counter] = defaultdict(Counter)
     swaps: dict[tuple, Counter] = defaultdict(Counter)
     for g, count in _census(n):
@@ -144,49 +114,6 @@ def _chain_expansion(n: int) -> tuple[_Chains, _Chains]:
             if w > b:
                 swaps[seq[::-1]][b, w] += count * chains
     return _prefix_tree(stored), _prefix_tree(swaps)
-
-
-def _step_sequences(small: int, sets: Sequence[Iterable[int]]
-                    ) -> dict[tuple[tuple[int, int], ...], int]:
-    """The number of strict chains {} < U_1 < ... < U_j = range(small) of
-    each step sequence ((a_i, c_i)): a_i vertices join at step i, and c_i
-    of the sets are first covered by U_i.  One pass over the pairs U < U'
-    of subsets."""
-    full = (1 << small) - 1
-    masks = [sum(1 << v for v in s) for s in sets]
-    reached = [sum(1 for m in masks if not m & ~u) for u in range(full + 1)]
-    ending: list[dict] = [{} for _ in range(full + 1)]
-    ending[0][()] = 1
-    for u in range(full):
-        rest = full ^ u
-        step = rest
-        while step:
-            v = u | step
-            key = (step.bit_count(), reached[v] - reached[u])
-            into = ending[v]
-            for seq, chains in ending[u].items():
-                seq += (key,)
-                into[seq] = into.get(seq, 0) + chains
-            step = (step - 1) & rest
-    return ending[full]
-
-
-def _prefix_tree(coeffs: dict[tuple, dict[tuple[int, int], int]]) -> _Chains:
-    """The _Chains of {sequence: {shape: coefficient}}."""
-    prefixes = sorted({()} | {seq[:k] for seq in coeffs
-                              for k in range(len(seq) + 1)},
-                      key=lambda seq: (len(seq), seq))
-    node = {seq: i for i, seq in enumerate(prefixes)}
-    depth = len(prefixes[-1])
-    parent = (0,) + tuple(node[seq[:-1]] for seq in prefixes[1:])
-    a = (0,) + tuple(seq[-1][0] for seq in prefixes[1:])
-    c = (0,) + tuple(seq[-1][1] for seq in prefixes[1:])
-    ends = tuple(sum(1 for seq in prefixes if len(seq) <= d)
-                 for d in range(depth + 1))
-    terms = tuple((node[seq], shape, coeff)
-                  for seq, by_shape in coeffs.items()
-                  for shape, coeff in by_shape.items())
-    return parent, a, c, ends, terms
 
 
 def ch_top_eval_labeled(n: int, lam: Partition) -> Laurent:

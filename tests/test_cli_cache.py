@@ -262,6 +262,35 @@ def test_wrong_shape_kl_top_file_is_a_miss(tmp_path, capsys, bad):
     assert json.loads(path.read_text())["terms"] == kl_top(3).to_json()
 
 
+DEEP = "[" * 200_000 + "]" * 200_000  # past the JSON parser's recursion limit
+
+
+@pytest.mark.parametrize(
+    "bad", [DEEP, '{"schema": 1, "n": 3, "terms": %s}' % DEEP],
+    ids=["bare", "in-document"])
+def test_deeply_nested_kl_top_file_is_a_miss(tmp_path, capsys, bad):
+    path = tmp_path / "kltop_3.json"
+    path.write_text(bad)
+    code, out = run_cli(capsys, "--cache-dir", str(tmp_path),
+                        "kl-top", "3", "--format", "text")
+    assert code == 0
+    assert out.strip() == "R4 + 3*R3*g + 2*R2*g^2"
+    assert json.loads(path.read_text())["terms"] == kl_top(3).to_json()
+
+
+@pytest.mark.parametrize(
+    "bad", [DEEP, '{"schema": 1, "lambda": "2", "coeffs": {"2": %s}}' % DEEP],
+    ids=["bare", "in-document"])
+def test_deeply_nested_jack_file_is_a_miss(tmp_path, capsys, bad):
+    path = tmp_path / "jack_2.json"
+    path.write_text(bad)
+    jackref._POWERSUM_CACHE.clear()
+    code, out = run_cli(capsys, "--cache-dir", str(tmp_path),
+                        "eval", "ch", "2", "2")
+    assert code == 0 and json.loads(out) == {"1": "2"}
+    assert json.loads(path.read_text())["coeffs"] == {"1,1": "1", "2": "a"}
+
+
 @pytest.mark.parametrize("n,terms", [
     (5, [{"gamma": 0, "mu": [4], "coeff": "7"}]),  # the document of index 5
     (3, [{"gamma": 0, "mu": [4], "coeff": "1"},    # a term of grading 3

@@ -175,12 +175,13 @@ def test_census_embeddings_match_black_side_reference(monkeypatch):
     # Every graph class of the census for n <= 6, counted afresh on every
     # diagram with at most ten boxes, against the black-side recursion the
     # smaller-side count replaced, and against the raw enumeration up to
-    # five boxes.  Each count enumerates the smaller side.
+    # five boxes.  Each count enumerates the step sequences of the smaller
+    # side once, on the empty diagram too.
     from tests_support_graphs import count_embeddings_black_side, full_census
     sizes = []
-    real = maps._level_sum
+    real = maps._step_sequences
     monkeypatch.setattr(maps, "_EMBED_CACHE", {})
-    monkeypatch.setattr(maps, "_level_sum",
+    monkeypatch.setattr(maps, "_step_sequences",
                         lambda size, *rest: sizes.append(size) or
                         real(size, *rest))
     classes = {g.canonical_key(): g for n in range(1, 7)
@@ -192,7 +193,7 @@ def test_census_embeddings_match_black_side_reference(monkeypatch):
         for lam in enumerate_partitions(10):
             sizes.clear()
             got = count_embeddings(g, lam)
-            assert sizes == ([min(g.whites, g.blacks)] if lam else [])
+            assert sizes == [min(g.whites, g.blacks)]
             assert got == count_embeddings_black_side(g, lam), (g, lam)
             if sum(lam) <= 5:
                 assert got == count_embeddings_naive(g, lam), (g, lam)
@@ -209,6 +210,46 @@ def test_embeddings_of_color_swap_on_conjugate(monkeypatch):
                 got = count_embeddings(g, lam)
                 assert got == count_embeddings(color_swap(g), transpose(lam)) \
                     == count_embeddings_naive(g, lam), (g, lam)
+
+
+# One row of a million boxes, a column of a thousand and the 12-row
+# staircase: one level each for the first two, twelve for the last.
+LONG_DIAGRAMS = [(10 ** 6,), (1,) * 1000, tuple(range(12, 0, -1))]
+
+
+def test_census_embeddings_match_level_sum_reference(monkeypatch):
+    # The chain sums against the variable elimination they replaced, which
+    # shares no code with them, on every class for n <= 7 (both sides of
+    # the whites/blacks split) and every diagram with at most ten boxes,
+    # then on a long row, a long column and a staircase.
+    from tests_support_graphs import count_embeddings_level_sum, full_census
+    monkeypatch.setattr(maps, "_EMBED_CACHE", {})
+    classes = [g for n in range(1, 8) for g, _ in full_census(n)]
+    assert {(g.whites > g.blacks) - (g.whites < g.blacks)
+            for g in classes} == {-1, 0, 1}
+    for lam in list(enumerate_partitions(10)) + LONG_DIAGRAMS:
+        for g in classes:
+            assert count_embeddings(g, lam) == \
+                count_embeddings_level_sum(g, lam), (g, lam[:12])
+
+
+def test_empty_graph_and_empty_diagram(monkeypatch):
+    # The empty graph has one embedding in every diagram, the empty one
+    # too; a graph with an edge has none in the empty diagram.  A graph
+    # with an isolated vertex raises, on a miss and on the empty diagram.
+    monkeypatch.setattr(maps, "_EMBED_CACHE", {})
+    empty = BicoloredGraph(0, 0, [])
+    for lam in [(), (1,), (2, 1), (10 ** 6,), (1,) * 1000]:
+        assert count_embeddings(empty, lam) == 1, lam
+    for g in (BicoloredGraph(1, 1, [{0}]), BicoloredGraph(2, 1, [{0}, {0}]),
+              BicoloredGraph(1, 2, [{0, 1}])):
+        assert count_embeddings(g, ()) == 0, g
+    for lonely in (BicoloredGraph(2, 1, [{0}, set()]),
+                   BicoloredGraph(1, 2, [{0}]), BicoloredGraph(1, 0, [set()]),
+                   BicoloredGraph(0, 1, [])):
+        for lam in [(), (1,), (3, 1)]:
+            with pytest.raises(IsolatedVertex):
+                count_embeddings(lonely, lam)
 
 
 @st.composite

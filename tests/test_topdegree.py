@@ -5,14 +5,14 @@ import pytest
 from jacktop import maps, topdegree
 from jacktop.exact import GAMMA_A, KLPoly, Laurent
 from jacktop.functionals import kl_evaluate
-from jacktop.maps import BicoloredGraph, count_embeddings, perm_from_cycle_type
-from jacktop.topdegree import (DomainMismatch, _chain_expansion,
-                               _prefix_tree, _step_sequences, ch_top_eval,
+from jacktop.maps import (BicoloredGraph, _prefix_tree, _step_sequences,
+                          perm_from_cycle_type)
+from jacktop.topdegree import (DomainMismatch, _chain_expansion, ch_top_eval,
                                ch_top_eval_labeled, cumulant_K,
                                expander_weights, is_expander, kl_top,
                                moment_M, restricted_perm, set_partitions_above)
 from jacktop.young import enumerate_partitions, partitions_of, size
-from tests_support_graphs import full_census
+from tests_support_graphs import count_embeddings_level_sum, full_census
 
 
 def test_ch_top_n1_is_size():
@@ -27,12 +27,13 @@ def test_ch_top_examples():
 
 def ch_top_by_class(n, lam):
     """The class-by-class sum of -count_G * g**(n+1-w-b) * A**(w-b) *
-    (-1)**b * count_embeddings(G, lam) over every class."""
+    (-1)**b * N_G(lam) over every class, with N_G(lam) from the variable
+    elimination that shares no code with the chain sums."""
     by_shape = {}
     for g, count in full_census(n):
         shape = (g.whites, g.blacks)
         by_shape[shape] = by_shape.get(shape, 0) + \
-            count * count_embeddings(g, lam)
+            count * count_embeddings_level_sum(g, lam)
     total = Laurent.zero()
     for (w, b), value in by_shape.items():
         sign = -1 if b % 2 == 0 else 1
@@ -161,9 +162,9 @@ def test_kl_top_and_ch_top_eval_build_one_census(monkeypatch):
 def test_repeated_moment_counts_no_embedding_again(monkeypatch):
     # Embedding counts are memoised per (class, diagram) in maps._EMBED_CACHE.
     calls = []
-    real = maps._level_sum
+    real = maps._step_sequences
     monkeypatch.setattr(maps, "_EMBED_CACHE", {})
-    monkeypatch.setattr(maps, "_level_sum",
+    monkeypatch.setattr(maps, "_step_sequences",
                         lambda *args: calls.append(args) or real(*args))
     perm, lam = perm_from_cycle_type((3, 1)), (3, 2)
     first = moment_M(perm, lam)

@@ -1,15 +1,17 @@
-"""Shared test helpers: brute enumeration of small bicolored graphs, the
-black-side embedding count that production replaced, as a reference, the
-color swap and the full class list of the census, the tree pairs of the
-free cumulants with their graph classes, and the unpruned vector
-partitions with the connectivity test that the census enumerator
-replaced."""
+"""Shared test helpers: brute enumeration of small bicolored graphs, two
+embedding counts that production replaced (the black-side recursion and
+the smaller-side variable elimination), as references, the color swap
+and the full class list of the census, the tree pairs of the free
+cumulants with their graph classes, and the unpruned vector partitions
+with the connectivity test that the census enumerator replaced."""
 
 from functools import lru_cache
 from itertools import permutations, product
+from typing import Iterable, Sequence
 
 from jacktop.maps import (BicoloredGraph, IsolatedVertex, compose, cycles,
                           full_cycle, graph_census, graph_classes, inverse)
+from jacktop.young import conjugate_levels, levels
 
 
 def _nonempty_subsets(b):
@@ -86,6 +88,55 @@ def count_embeddings_black_side(g: BicoloredGraph, lam) -> int:
 
     rec(0, 1)
     return total
+
+
+def count_embeddings_level_sum(g: BicoloredGraph, lam) -> int:
+    """Reference embedding count by variable elimination over the smaller
+    side: _level_sum over the blacks on the levels of lam when whites >=
+    blacks, else over the whites on the levels of lam'.  Uncached; raises
+    IsolatedVertex as the production count does."""
+    if g.has_isolated_vertex():
+        raise IsolatedVertex(repr(g))
+    if g.blacks == 0:
+        return 1  # vacuous graph
+    if not lam:
+        return 0
+    if g.whites >= g.blacks:
+        return _level_sum(g.blacks, g.adjacency, *levels(lam))
+    return _level_sum(g.whites, g.black_neighbors(), *conjugate_levels(lam))
+
+
+def _level_sum(size: int, nbrs: Sequence[Iterable[int]],
+               value: list[int], weight: list[int]) -> int:
+    """The sum over f: range(size) -> levels of prod_s weight[f(s)] times,
+    for each neighborhood in nbrs, the least value[f(s)] over its s.
+
+    f is assigned one s at a time, and partial assignments are merged by
+    the running minimum of every neighborhood (variable elimination): a
+    neighborhood's minimum is multiplied in at its largest s, after which,
+    like one not yet met, it holds max(value)."""
+    nbrs = [tuple(nb) for nb in nbrs]
+    last = [max(nb) for nb in nbrs]
+    hi = max(value)
+    states = {(hi,) * len(nbrs): 1}
+    for s in range(size):
+        inner = [o for o, nb in enumerate(nbrs) if s in nb and s < last[o]]
+        final = [o for o, end in enumerate(last) if end == s]
+        merged: dict[tuple[int, ...], int] = {}
+        for state, acc in states.items():
+            for w, v in zip(weight, value):
+                least = list(state)
+                term = acc * w
+                for o in inner:
+                    if v < least[o]:
+                        least[o] = v
+                for o in final:
+                    term *= min(least[o], v)
+                    least[o] = hi
+                key = tuple(least)
+                merged[key] = merged.get(key, 0) + term
+        states = merged
+    return sum(states.values())
 
 
 def color_swap(g: BicoloredGraph) -> BicoloredGraph:
