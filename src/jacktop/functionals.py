@@ -20,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _itperms
+from math import lcm
 
 from .exact import (GammaPoly, KLPoly, Laurent, addmul_ints, gamma_power_A,
                     gamma_recover, int_coeffs)
@@ -210,10 +211,14 @@ def kl_values(keys, lam: Partition) -> list[dict[int, int]]:
 
 
 def kl_evaluate(p: KLPoly, lam: Partition) -> Laurent:
-    """A g/R-polynomial on a diagram: the sum of coefficient x kl_values."""
+    """A g/R-polynomial on a diagram: the sum of coefficient x kl_values,
+    added up as ints over the common denominator of the coefficients and
+    divided by it once per exponent at the end."""
     terms = list(p.items())
-    total: dict[int, Fraction] = {}
+    den = lcm(*(c.denominator for _, c in terms))
+    total: dict[int, int] = {}
     for (_, c), value in zip(terms, kl_values([k for k, _ in terms], lam)):
+        c = c.numerator * (den // c.denominator)
         for e, v in value.items():
             total[e] = total.get(e, 0) + c * v
-    return Laurent(total)
+    return Laurent._of({e: Fraction(v, den) for e, v in total.items() if v})

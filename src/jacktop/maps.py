@@ -27,9 +27,10 @@ oracle.
 The embedding count of a graph in a diagram is a chain sum: the step
 sequences of the smaller side (_step_sequences), each weighted by its
 number of chains of level sets, summed over increasing levels of the
-diagram in one pass of a prefix tree (_prefix_tree, _chain_sums).
-count_embeddings takes it one class at a time, and
-topdegree.ch_top_eval reads the same sums for a whole census.
+diagram.  count_embeddings sums the sequences of one class one at a time
+(_sequence_sums); topdegree.ch_top_eval reads the same sums for a whole
+census in one pass of a prefix tree (_prefix_tree, _chain_sums), which
+shares their prefixes.
 """
 
 from __future__ import annotations
@@ -394,11 +395,11 @@ def count_embeddings(g: BicoloredGraph, lam: Partition) -> int:
     neighborhood U_i covers first.  So the count is the sum over the step
     sequences ((a_i, c_i)) of the blacks (_step_sequences) of their chain
     counts times sum_{l_1 < ... < l_j} prod_i m[l_i]**a_i * v[l_i]**c_i,
-    which one _chain_sums pass over the levels adds up.  Exchanging whites
+    which _sequence_sums adds up one sequence at a time.  Exchanging whites
     and blacks exchanges columns and rows, so when whites < blacks it is
-    the same sum over the whites' sequences on the levels of lam'; those
-    come in reverse (young.conjugate_levels), so the sequences are
-    reversed.  Either way only the smaller side is enumerated.  Counts are
+    the same sum over the whites' sequences on the levels of lam';
+    young.conjugate_levels gives those in reverse, so they are read
+    backwards.  Either way only the smaller side is enumerated.  Counts are
     cached per (class, lam).
 
     These counts serve moment_M and cumulant_K, through
@@ -418,15 +419,11 @@ def count_embeddings(g: BicoloredGraph, lam: Partition) -> int:
         chains = _step_sequences(g.blacks, g.adjacency)
         values, mult = levels(lam)
     else:
-        chains = {seq[::-1]: count for seq, count in
-                  _step_sequences(g.whites, g.black_neighbors()).items()}
+        chains = _step_sequences(g.whites, g.black_neighbors())
         values, mult = conjugate_levels(lam)
-    shape = (g.whites, g.blacks)
-    total: dict[tuple[int, int], int] = {}
-    _chain_sums(_prefix_tree({seq: {shape: count}
-                              for seq, count in chains.items()}),
-                mult, values, total)
-    result = total.get(shape, 0)
+        values.reverse()
+        mult.reverse()
+    result = _sequence_sums(chains, mult, values)
 
     _EMBED_CACHE[key] = result
     return result
@@ -439,8 +436,20 @@ def _step_sequences(small: int, sets: Sequence[Iterable[int]]
     of the sets are first covered by U_i.  One pass over the pairs U < U'
     of subsets."""
     full = (1 << small) - 1
-    masks = [sum(1 << v for v in s) for s in sets]
-    reached = [sum(1 for m in masks if not m & ~u) for u in range(full + 1)]
+    # reached[u]: the sets inside u, summed over the subsets of u one
+    # vertex at a time.
+    reached = [0] * (full + 1)
+    for s in sets:
+        mask = 0
+        for v in s:
+            mask |= 1 << v
+        reached[mask] += 1
+    bit = 1
+    while bit <= full:
+        for u in range(full + 1):
+            if u & bit:
+                reached[u] += reached[u ^ bit]
+        bit <<= 1
     ending: list[dict] = [{} for _ in range(full + 1)]
     ending[0][()] = 1
     for u in range(full):
@@ -457,11 +466,30 @@ def _step_sequences(small: int, sets: Sequence[Iterable[int]]
     return ending[full]
 
 
-# Step sequences as a prefix tree, (parent, a, c, ends, terms): node 0 is
-# the empty sequence, nodes are ordered by depth, and node i > 0 appends
-# the step (a[i], c[i]) to node parent[i]; ends[d] is one past the last
-# node of depth <= d; terms lists (node, shape, coefficient) for each
-# sequence of a shape.
+def _sequence_sums(chains: dict[tuple, int], x: list[int], y: list[int]
+                   ) -> int:
+    """The sum over the sequences ((a_i, c_i)) of chains, times their
+    counts, of sum_{l_1 < ... < l_j} prod_i x[l_i]**a_i * y[l_i]**c_i, one
+    sequence at a time: at level l, step i (last first) adds the sum of
+    steps 1..i-1 over the levels before l times x[l]**a_i * y[l]**c_i.
+    The sequences of one class share few prefixes, so no _prefix_tree is
+    built for them."""
+    total = 0
+    for seq, count in chains.items():
+        sums = [1] + [0] * len(seq)
+        for xl, yl in zip(x, y):
+            for i in range(len(seq), 0, -1):
+                a, c = seq[i - 1]
+                sums[i] += sums[i - 1] * xl ** a * yl ** c
+        total += count * sums[-1]
+    return total
+
+
+# Step sequences as a prefix tree, (parent, step, steps, ends, terms): node
+# 0 is the empty sequence, nodes are ordered by depth, and node i > 0
+# appends the step steps[step[i]] = (a, c) to node parent[i]; ends[d] is
+# one past the last node of depth <= d; terms lists (node, shape,
+# coefficient) for each sequence of a shape.
 _Chains = tuple
 
 
@@ -473,30 +501,31 @@ def _prefix_tree(coeffs: dict[tuple, dict[tuple[int, int], int]]) -> _Chains:
     node = {seq: i for i, seq in enumerate(prefixes)}
     depth = len(prefixes[-1])
     parent = (0,) + tuple(node[seq[:-1]] for seq in prefixes[1:])
-    a = (0,) + tuple(seq[-1][0] for seq in prefixes[1:])
-    c = (0,) + tuple(seq[-1][1] for seq in prefixes[1:])
+    steps: dict[tuple[int, int], int] = {}
+    step = (0,) + tuple(steps.setdefault(seq[-1], len(steps))
+                        for seq in prefixes[1:])
     ends = tuple(sum(1 for seq in prefixes if len(seq) <= d)
                  for d in range(depth + 1))
     terms = tuple((node[seq], shape, coeff)
                   for seq, by_shape in coeffs.items()
                   for shape, coeff in by_shape.items())
-    return parent, a, c, ends, terms
+    return parent, step, tuple(steps), ends, terms
 
 
 def _chain_sums(chains: _Chains, x: list[int], y: list[int],
                 shapes: dict[tuple[int, int], int]) -> None:
     """Add each term's coefficient times the sum over l_1 < ... < l_j of
     prod_i x[l_i]**a_i * y[l_i]**c_i to shapes[shape], in one pass over the
-    levels: at level l every node (deepest first) adds its parent's sum over
-    the levels before l times the level-l factor of its own step."""
-    parent, a, c, ends, terms = chains
+    levels: at level l each distinct step (a, c) gets its factor x[l]**a *
+    y[l]**c once, and every node (deepest first) adds its parent's sum over
+    the levels before l times the factor of its own step."""
+    parent, step, steps, ends, terms = chains
     sums = [1] + [0] * (len(parent) - 1)
-    top_a, top_c = max(a), max(c)
+    last = len(ends) - 1
     for level, (xl, yl) in enumerate(zip(x, y)):
-        xp = [xl ** k for k in range(top_a + 1)]
-        yp = [yl ** k for k in range(top_c + 1)]
-        for i in range(ends[min(level + 1, len(ends) - 1)] - 1, 0, -1):
-            sums[i] += sums[parent[i]] * xp[a[i]] * yp[c[i]]
+        factor = [xl ** a * yl ** c for a, c in steps]
+        for i in range(ends[min(level + 1, last)] - 1, 0, -1):
+            sums[i] += sums[parent[i]] * factor[step[i]]
     for i, shape, coeff in terms:
         if sums[i]:
             shapes[shape] = shapes.get(shape, 0) + coeff * sums[i]

@@ -16,13 +16,16 @@ classes, weighted by their orbit counts.  A step sequence stands for a sum
 over increasing levels of the diagram of a product of level factors, and
 the embedding counts of a class are such chain sums (maps.count_embeddings
 takes them one class at a time); its color swap's are the reversed sums
-on the conjugate diagram.  A query evaluates the sequences in one pass
-over the levels, expands each power of g once, and is memoised per (n,
-diagram); the class-by-class sum of a test-side embedding count is its
-oracle.  The symbolic expansion in the g/R ring adds up orbit counts as
-ints, one total per power of g and sorted expander weight.  The labeled
-pair sum is kept as an oracle.  The moment and cumulant functions over
-permutations, related by the set-partition formula, live here as well.
+on the conjugate diagram.  The same memo holds the integer weight of each
+shape, its sign, power of A and power of g = -A + 1/A expanded.  A query
+evaluates the sequences in one pass over the levels, adds each shape
+total times its weight as ints, builds one Laurent polynomial, and is
+memoised per (n, diagram); the class-by-class sum of a test-side
+embedding count is its oracle.  The symbolic expansion in the g/R ring
+adds up orbit counts as ints, one total per power of g and sorted
+expander weight.  The labeled pair sum is kept as an oracle.  The moment
+and cumulant functions over permutations, related by the set-partition
+formula, live here as well.
 """
 
 from __future__ import annotations
@@ -31,11 +34,11 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _itperms
-from math import factorial
+from math import comb, factorial
 from typing import Iterator, Sequence
 
 from . import cache
-from .exact import KLPoly, Laurent, addmul_ints, gamma_power_A, int_coeffs
+from .exact import KLPoly, Laurent, gamma_power_A
 from .maps import (BicoloredGraph, Perm, _chain_sums, _Chains, _prefix_tree,
                    _step_sequences, compose, cycles, graph_census, inverse,
                    is_transitive_pair, normalized_embeddings)
@@ -55,49 +58,47 @@ def ch_top_eval(n: int, lam: Partition) -> Laurent:
     -count_G * g**(n+1-w-b) * (normalized embeddings of G) over the graph
     classes G of size n.
 
-    The summand of a class is -count_G * N_G(lam) * g**(n+1-w-b) *
-    A**(w-b) * (-1)**b, with count_G its number of orbits, N_G(lam) its
-    embedding count and (w, b) its shape (whites, blacks).  The shape
-    totals of count_G * N_G(lam) are read off _chain_expansion(n): each
-    step sequence ((a_1, c_1), ..., (a_j, c_j)) of a shape contributes its
-    coefficient times the sum over levels l_1 < ... < l_j of lam of
+    The summand of a class is count_G * N_G(lam) times the weight of its
+    shape (w, b), (-1)**(b+1) * A**(w-b) * (-A + 1/A)**(n+1-w-b), with
+    count_G its number of orbits and N_G(lam) its embedding count.  The
+    shape totals of count_G * N_G(lam) are read off _chain_expansion(n):
+    each step sequence ((a_1, c_1), ..., (a_j, c_j)) of a shape contributes
+    its coefficient times the sum over levels l_1 < ... < l_j of lam of
     prod_i x[l_i]**a_i * y[l_i]**c_i: (x, y) = (m, v) on the first tree.
     The second, the color swaps, counts on the conjugate diagram: its
     sequences are reversed, and (x, y) = (v_l - v_{l+1}, M_l) are the
-    levels of lam' in reverse (young.conjugate_levels).  The nonzero shape
-    totals of each power of g are expanded once, on the integer
-    coefficients of (-A + 1/A)**(n+1-w-b).  Values are memoised per
-    (n, lam); n < 1 is a ValueError before the memo is read."""
+    levels of lam' in reverse (young.conjugate_levels).  Each shape total
+    times its integer weight, from the same memo, is added into one
+    exponent -> int dict, and the Laurent polynomial is built from it
+    once.  Values are memoised per (n, lam); n < 1 is a ValueError before
+    the memo is read."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     hit = _CH_TOP_CACHE.get((n, lam))
     if hit is not None:
         return hit
     shapes: dict[tuple[int, int], int] = {}
-    by_blacks, by_whites = _chain_expansion(n)
+    by_blacks, by_whites, weights = _chain_expansion(n)
     values, mult = levels(lam)
     _chain_sums(by_blacks, mult, values, shapes)
     values, mult = conjugate_levels(lam)
     _chain_sums(by_whites, mult, values, shapes)
-    by_power: dict[int, dict[int, int]] = {}
-    for (w, b), value in shapes.items():
-        if value:
-            by_power.setdefault(n + 1 - w - b, {})[w - b] = \
-                value if b % 2 else -value
     total: dict[int, int] = {}
-    for e, part in by_power.items():
-        addmul_ints(total, int_coeffs(gamma_power_A(e)), part)
-    result = Laurent(total)
+    for shape, value in shapes.items():
+        for e, v in weights[shape].items():
+            total[e] = total.get(e, 0) + value * v
+    result = Laurent._of({e: Fraction(v) for e, v in total.items() if v})
     _CH_TOP_CACHE[(n, lam)] = result
     return result
 
 
 # Hit by every cold top-map query after the first: 12 per round.
 @lru_cache(maxsize=None)
-def _chain_expansion(n: int) -> tuple[_Chains, _Chains]:
+def _chain_expansion(n: int
+                     ) -> tuple[_Chains, _Chains, dict[tuple[int, int], dict]]:
     """The embedding counts of every class of size n as level polynomials:
     a prefix tree for _census(n), whose classes have whites >= blacks, and
-    one for their color swaps.
+    one for their color swaps; and the weight of each of their shapes.
 
     A class of shape (w, b) counts sum over its step sequences of their
     chain counts times sum_{l_1 < ... < l_j} prod_i x[l_i]**a_i *
@@ -107,13 +108,25 @@ def _chain_expansion(n: int) -> tuple[_Chains, _Chains]:
     reverse, so it takes the swapped shape and the reversed sequences."""
     stored: dict[tuple, Counter] = defaultdict(Counter)
     swaps: dict[tuple, Counter] = defaultdict(Counter)
+    weights: dict[tuple[int, int], dict[int, int]] = {}
     for g, count in _census(n):
         w, b = g.whites, g.blacks
         for seq, chains in _step_sequences(b, g.adjacency).items():
             stored[seq][w, b] += count * chains
             if w > b:
                 swaps[seq[::-1]][b, w] += count * chains
-    return _prefix_tree(stored), _prefix_tree(swaps)
+        weights[w, b] = _shape_weight(n, w, b)
+        weights[b, w] = _shape_weight(n, b, w)
+    return _prefix_tree(stored), _prefix_tree(swaps), weights
+
+
+def _shape_weight(n: int, w: int, b: int) -> dict[int, int]:
+    """(-1)**(b+1) * A**(w-b) * (-A + 1/A)**k, k = n+1-w-b, as an exponent
+    -> int dict: the binomial expansion puts (-1)**(b+1+i) * C(k, i) at
+    A**(w-b-k+2i)."""
+    k = n + 1 - w - b
+    return {w - b - k + 2 * i: (-1) ** (b + 1 + i) * comb(k, i)
+            for i in range(k + 1)}
 
 
 def ch_top_eval_labeled(n: int, lam: Partition) -> Laurent:

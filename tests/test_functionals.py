@@ -191,18 +191,31 @@ def test_kl_evaluate_matches_laurent_products_on_tables():
 
 
 def test_kl_evaluate_matches_laurent_products_on_hand_inputs():
+    # kl_evaluate adds ints over the common denominator of the
+    # coefficients: 1/2 + R2/3 - 5 R2**2/6 is (3 + 2s - 5s**2)/6 on a
+    # diagram of size s, zero on one box, -13/6 on two and -6 on three.
+    cancel = KLPoly({(0, ()): Fraction(1, 2), (0, (2,)): Fraction(1, 3),
+                     (0, (2, 2)): Fraction(-5, 6)})
     polys = [
         KLPoly({(0, (3, 2)): Fraction(-5, 6), (2, ()): Fraction(1, 3)}),
         KLPoly({(1, (4, 3)): 1, (0, (5, 5, 2)): 2}),  # prefixes absent
         KLPoly({(3, ()): 7}),  # a pure g power
         KLPoly({(0, ()): 1}),
         KLPoly.zero(),
+        cancel,
+        KLPoly({(2, ()): Fraction(1, 2), (0, (3,)): Fraction(1, 3),
+                (1, (2,)): Fraction(-5, 6)}),
+        KLPoly({(1, (3, 2)): Fraction(-5, 6), (3, ()): Fraction(1, 2),
+                (0, (4,)): Fraction(1, 3), (0, (2,)): 4}),
     ]
-    for lam in [(), (1,)] + list(partitions_of(5)) + [(4, 4, 1)]:
+    for lam in [(), (1,), (2,)] + list(partitions_of(5)) + [(4, 4, 1)]:
         for p in polys:
             assert kl_evaluate(p, lam) == laurent_kl_evaluate(p, lam), (p, lam)
     assert kl_evaluate(KLPoly({(3, ()): 7}), ()) == (GAMMA ** 3).scale(7)
     assert kl_evaluate(KLPoly.zero(), ()).is_zero()
+    assert kl_evaluate(cancel, (1,)).is_zero()
+    assert kl_evaluate(cancel, (2,)) == Laurent.const(Fraction(-13, 6))
+    assert kl_evaluate(cancel, (2, 1)) == Laurent.const(-6)
 
 
 def test_kl_values_on_one_diagram_expand_the_cumulants_once(monkeypatch):

@@ -1,4 +1,6 @@
-from itertools import permutations
+import random
+from itertools import combinations, permutations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,15 @@ from hypothesis import strategies as st
 from jacktop import maps
 from jacktop.exact import Laurent
 from jacktop.maps import (BicoloredGraph, IsolatedVertex, NotTransitive,
-                          SizeMismatch, canonical_orbit_rep, compose,
+                          SizeMismatch, _chain_sums, _prefix_tree,
+                          _sequence_sums, canonical_orbit_rep, compose,
                           count_embeddings, count_embeddings_naive, cycles,
                           cycle_type, enumerate_transitive_pairs, full_cycle,
                           graph_of_pair, identity, inverse, is_transitive_pair,
                           normalized_embeddings, orbit_census, pair_orbit,
                           parse_perm, perm_from_cycle_type)
-from jacktop.young import enumerate_partitions, transpose
+from jacktop.young import (conjugate_levels, enumerate_partitions, levels,
+                           transpose)
 
 
 def test_cycles_and_compose():
@@ -231,6 +235,69 @@ def test_census_embeddings_match_level_sum_reference(monkeypatch):
         for g in classes:
             assert count_embeddings(g, lam) == \
                 count_embeddings_level_sum(g, lam), (g, lam[:12])
+
+
+def brute_chain_sum(seq, x, y):
+    """sum over l_1 < ... < l_j of prod_i x[l_i]**a_i * y[l_i]**c_i, one
+    increasing tuple of levels at a time."""
+    return sum(prod(x[l] ** a * y[l] ** c for l, (a, c) in zip(ls, seq))
+               for ls in combinations(range(len(x)), len(seq)))
+
+
+def random_sequences(rng):
+    """{sequence: {shape: coefficient}} over a few steps, so that prefixes
+    are shared, with the empty sequence now and then."""
+    steps = [(1, 0), (1, 2), (2, 1), (3, 0)]
+    coeffs = {}
+    for _ in range(rng.randint(1, 8)):
+        seq = tuple(rng.choice(steps) for _ in range(rng.randint(0, 4)))
+        for shape in rng.sample([(1, 1), (2, 1), (3, 2)], rng.randint(1, 2)):
+            coeffs.setdefault(seq, {})[shape] = rng.choice([-3, -1, 1, 2, 5])
+    return coeffs
+
+
+CHAIN_DIAGRAMS = [(), (4,), (3, 3, 3), (2, 2, 1), (5, 3, 3, 1), (6, 4, 2, 1),
+                  (7, 5, 4, 2, 2, 1)]
+
+
+def test_chain_sums_match_brute_force():
+    # The prefix tree holds every prefix once, by depth, and its chain sums
+    # equal the sums over increasing level tuples: on the levels of the
+    # empty diagram, of one-level diagrams, of lam and of lam' in reverse
+    # (young.conjugate_levels), and on random level lists.  _sequence_sums,
+    # one sequence at a time, gives the same per shape.
+    rng = random.Random(28)
+    level_lists = [f(lam) for lam in CHAIN_DIAGRAMS
+                   for f in (levels, conjugate_levels)]
+    level_lists += [([rng.randint(-2, 4) for _ in range(t)],
+                     [rng.randint(-2, 4) for _ in range(t)])
+                    for t in range(6) for _ in range(3)]
+    for _ in range(60):
+        coeffs = random_sequences(rng)
+        tree = _prefix_tree(coeffs)
+        parent, step, steps, ends, terms = tree
+        prefixes = [()]
+        for i in range(1, len(parent)):
+            prefixes.append(prefixes[parent[i]] + (steps[step[i]],))
+        assert prefixes == sorted({seq[:k] for seq in coeffs
+                                   for k in range(len(seq) + 1)},
+                                  key=lambda seq: (len(seq), seq))
+        assert list(ends) == [sum(len(p) <= d for p in prefixes)
+                              for d in range(len(prefixes[-1]) + 1)]
+        for values, mult in level_lists:
+            expected = {}
+            for seq, by_shape in coeffs.items():
+                chain = brute_chain_sum(seq, mult, values)
+                for shape, coeff in by_shape.items():
+                    expected[shape] = expected.get(shape, 0) + coeff * chain
+            shapes = {}
+            _chain_sums(tree, mult, values, shapes)
+            assert {k: v for k, v in shapes.items() if v} == \
+                {k: v for k, v in expected.items() if v}, (coeffs, mult)
+            for shape in expected:
+                one = {seq: by_shape[shape] for seq, by_shape in coeffs.items()
+                       if shape in by_shape}
+                assert _sequence_sums(one, mult, values) == expected[shape]
 
 
 def test_empty_graph_and_empty_diagram(monkeypatch):

@@ -2,8 +2,9 @@ from math import comb
 
 import pytest
 
-from jacktop import maps, topdegree
-from jacktop.exact import GAMMA_A, KLPoly, Laurent
+from jacktop import exact, maps, topdegree
+from jacktop.exact import (GAMMA_A, KLPoly, Laurent, gamma_power_A,
+                           int_coeffs)
 from jacktop.functionals import kl_evaluate
 from jacktop.maps import (BicoloredGraph, _prefix_tree, _step_sequences,
                           perm_from_cycle_type)
@@ -126,7 +127,8 @@ def test_chain_expansion_matches_both_sides_of_every_class():
                 by_shape = side.setdefault(seq, {})
                 shape = (g.whites, g.blacks)
                 by_shape[shape] = by_shape.get(shape, 0) + count * chains
-        assert [in_order(t) for t in _chain_expansion(n)] == \
+        *trees, _ = _chain_expansion(n)
+        assert [in_order(t) for t in trees] == \
             [in_order(_prefix_tree(side)) for side in sides], n
 
 
@@ -143,6 +145,43 @@ def test_ch_top_eval_memo(monkeypatch):
     topdegree._chain_expansion.cache_clear()
     assert ch_top_eval(5, lam) is not hit
     assert ch_top_eval(5, lam) == hit == ch_top_by_class(5, lam)
+
+
+def test_cold_query_expands_no_power_of_g(monkeypatch):
+    # After the first query at n, a cold query adds its integer shape
+    # totals times the weights of _chain_expansion(n): it expands no power
+    # of g and converts no Laurent polynomial to ints.
+    monkeypatch.setattr(topdegree, "_CH_TOP_CACHE", {})
+    calls = []
+    for module, name in ((exact, "gamma_power_A"), (exact, "int_coeffs"),
+                         (topdegree, "gamma_power_A")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, _name=name, _real=real:
+                            calls.append(_name) or _real(*args))
+    for n in range(1, 8):
+        ch_top_eval(n, (1,))
+        calls.clear()
+        for lam in [(), (2,), (3, 3), (4, 2, 1), (5, 3, 3, 1)]:
+            topdegree._CH_TOP_CACHE.clear()
+            value = ch_top_eval(n, lam)
+            assert calls == [], (n, lam)
+            assert value == ch_top_by_class(n, lam), (n, lam)
+
+
+def test_shape_weights_are_the_powers_of_g():
+    # The weight of a shape (w, b) is -(-1)**b * A**(w-b) * g**(n+1-w-b)
+    # with g = -A + 1/A, as ints; _chain_expansion(n) holds one for each
+    # shape of its two trees.
+    for n in range(1, 10):
+        by_blacks, by_whites, weights = _chain_expansion(n)
+        assert set(weights) == {shape for tree in (by_blacks, by_whites)
+                                for _, shape, _ in tree[-1]}, n
+        for (w, b), weight in weights.items():
+            expected = gamma_power_A(n + 1 - w - b) * \
+                Laurent({w - b: (-1) ** (b + 1)})
+            assert weight == int_coeffs(expected), (n, w, b)
+            assert all(type(v) is int and v for v in weight.values())
 
 
 def test_kl_top_and_ch_top_eval_build_one_census(monkeypatch):
