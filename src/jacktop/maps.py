@@ -27,10 +27,11 @@ oracle.
 The embedding count of a graph in a diagram is a chain sum: the step
 sequences of the smaller side (_step_sequences), each weighted by its
 number of chains of level sets, summed over increasing levels of the
-diagram.  count_embeddings sums the sequences of one class one at a time
-(_sequence_sums); topdegree.ch_top_eval reads the same sums for a whole
-census in one pass of a prefix tree (_prefix_tree, _chain_sums), which
-shares their prefixes.
+diagram in one pass over a tree of the sequences (_chain_sums).
+count_embeddings takes the sequences of one class, each on its own
+nodes (_sequence_tree); topdegree.ch_top_eval reads the same sums for a
+whole census from a prefix tree (_prefix_tree), which shares their
+prefixes.
 """
 
 from __future__ import annotations
@@ -395,7 +396,7 @@ def count_embeddings(g: BicoloredGraph, lam: Partition) -> int:
     neighborhood U_i covers first.  So the count is the sum over the step
     sequences ((a_i, c_i)) of the blacks (_step_sequences) of their chain
     counts times sum_{l_1 < ... < l_j} prod_i m[l_i]**a_i * v[l_i]**c_i,
-    which _sequence_sums adds up one sequence at a time.  Exchanging whites
+    which one _chain_sums pass over the levels adds up.  Exchanging whites
     and blacks exchanges columns and rows, so when whites < blacks it is
     the same sum over the whites' sequences on the levels of lam';
     young.conjugate_levels gives those in reverse, so they are read
@@ -423,7 +424,10 @@ def count_embeddings(g: BicoloredGraph, lam: Partition) -> int:
         values, mult = conjugate_levels(lam)
         values.reverse()
         mult.reverse()
-    result = _sequence_sums(chains, mult, values)
+    shape = (g.whites, g.blacks)
+    total: dict[tuple[int, int], int] = {}
+    _chain_sums(_sequence_tree(chains, shape), mult, values, total)
+    result = total.get(shape, 0)
 
     _EMBED_CACHE[key] = result
     return result
@@ -436,20 +440,8 @@ def _step_sequences(small: int, sets: Sequence[Iterable[int]]
     of the sets are first covered by U_i.  One pass over the pairs U < U'
     of subsets."""
     full = (1 << small) - 1
-    # reached[u]: the sets inside u, summed over the subsets of u one
-    # vertex at a time.
-    reached = [0] * (full + 1)
-    for s in sets:
-        mask = 0
-        for v in s:
-            mask |= 1 << v
-        reached[mask] += 1
-    bit = 1
-    while bit <= full:
-        for u in range(full + 1):
-            if u & bit:
-                reached[u] += reached[u ^ bit]
-        bit <<= 1
+    masks = [sum(1 << v for v in s) for s in sets]
+    reached = [sum(1 for m in masks if not m & ~u) for u in range(full + 1)]
     ending: list[dict] = [{} for _ in range(full + 1)]
     ending[0][()] = 1
     for u in range(full):
@@ -466,30 +458,14 @@ def _step_sequences(small: int, sets: Sequence[Iterable[int]]
     return ending[full]
 
 
-def _sequence_sums(chains: dict[tuple, int], x: list[int], y: list[int]
-                   ) -> int:
-    """The sum over the sequences ((a_i, c_i)) of chains, times their
-    counts, of sum_{l_1 < ... < l_j} prod_i x[l_i]**a_i * y[l_i]**c_i, one
-    sequence at a time: at level l, step i (last first) adds the sum of
-    steps 1..i-1 over the levels before l times x[l]**a_i * y[l]**c_i.
-    The sequences of one class share few prefixes, so no _prefix_tree is
-    built for them."""
-    total = 0
-    for seq, count in chains.items():
-        sums = [1] + [0] * len(seq)
-        for xl, yl in zip(x, y):
-            for i in range(len(seq), 0, -1):
-                a, c = seq[i - 1]
-                sums[i] += sums[i - 1] * xl ** a * yl ** c
-        total += count * sums[-1]
-    return total
-
-
-# Step sequences as a prefix tree, (parent, step, steps, ends, terms): node
-# 0 is the empty sequence, nodes are ordered by depth, and node i > 0
-# appends the step steps[step[i]] = (a, c) to node parent[i]; ends[d] is
-# one past the last node of depth <= d; terms lists (node, shape,
-# coefficient) for each sequence of a shape.
+# Step sequences as a tree, (parent, step, steps, ends, terms): node 0 is
+# the empty sequence, and node i > 0 appends the step steps[step[i]] =
+# (a, c) to node parent[i] < i; every node of depth <= d comes before
+# ends[min(d, len(ends) - 1)]; terms lists (node, shape, coefficient) for
+# each sequence of a shape.  _prefix_tree shares prefixes and orders the
+# nodes by depth, so ends[d] is one past the last node of depth <= d;
+# _sequence_tree gives each sequence its own nodes, and ends is (number of
+# nodes,).
 _Chains = tuple
 
 
@@ -512,13 +488,31 @@ def _prefix_tree(coeffs: dict[tuple, dict[tuple[int, int], int]]) -> _Chains:
     return parent, step, tuple(steps), ends, terms
 
 
+def _sequence_tree(chains: dict[tuple, int], shape: tuple[int, int]
+                   ) -> _Chains:
+    """The _Chains of one shape's {sequence: coefficient}, one sequence
+    after another with no prefix shared: the sequences of one class share
+    few, and this skips the sort of _prefix_tree."""
+    parent, step, terms = [0], [0], []
+    steps: dict[tuple[int, int], int] = {}
+    for seq, coeff in chains.items():
+        node = 0
+        for s in seq:
+            parent.append(node)
+            node = len(step)
+            step.append(steps.setdefault(s, len(steps)))
+        terms.append((node, shape, coeff))
+    return parent, step, tuple(steps), (len(parent),), terms
+
+
 def _chain_sums(chains: _Chains, x: list[int], y: list[int],
                 shapes: dict[tuple[int, int], int]) -> None:
     """Add each term's coefficient times the sum over l_1 < ... < l_j of
     prod_i x[l_i]**a_i * y[l_i]**c_i to shapes[shape], in one pass over the
     levels: at level l each distinct step (a, c) gets its factor x[l]**a *
-    y[l]**c once, and every node (deepest first) adds its parent's sum over
-    the levels before l times the factor of its own step."""
+    y[l]**c once, and every node (last first, so after its children) adds
+    its parent's sum over the levels before l times the factor of its own
+    step."""
     parent, step, steps, ends, terms = chains
     sums = [1] + [0] * (len(parent) - 1)
     last = len(ends) - 1

@@ -10,7 +10,7 @@ from jacktop import maps
 from jacktop.exact import Laurent
 from jacktop.maps import (BicoloredGraph, IsolatedVertex, NotTransitive,
                           SizeMismatch, _chain_sums, _prefix_tree,
-                          _sequence_sums, canonical_orbit_rep, compose,
+                          _sequence_tree, canonical_orbit_rep, compose,
                           count_embeddings, count_embeddings_naive, cycles,
                           cycle_type, enumerate_transitive_pairs, full_cycle,
                           graph_of_pair, identity, inverse, is_transitive_pair,
@@ -264,8 +264,10 @@ def test_chain_sums_match_brute_force():
     # The prefix tree holds every prefix once, by depth, and its chain sums
     # equal the sums over increasing level tuples: on the levels of the
     # empty diagram, of one-level diagrams, of lam and of lam' in reverse
-    # (young.conjugate_levels), and on random level lists.  _sequence_sums,
-    # one sequence at a time, gives the same per shape.
+    # (young.conjugate_levels), and on random level lists.  The tree of one
+    # shape's sequences on their own nodes (_sequence_tree) holds each
+    # sequence on a path of new nodes, parents first, and gives the same
+    # sums for that shape.
     rng = random.Random(28)
     level_lists = [f(lam) for lam in CHAIN_DIAGRAMS
                    for f in (levels, conjugate_levels)]
@@ -284,6 +286,22 @@ def test_chain_sums_match_brute_force():
                                   key=lambda seq: (len(seq), seq))
         assert list(ends) == [sum(len(p) <= d for p in prefixes)
                               for d in range(len(prefixes[-1]) + 1)]
+        by_shape_trees = {}
+        for shape in {shape for by_shape in coeffs.values()
+                      for shape in by_shape}:
+            one = {seq: by_shape[shape] for seq, by_shape in coeffs.items()
+                   if shape in by_shape}
+            one_tree = _sequence_tree(one, shape)
+            parent, step, steps, ends, terms = one_tree
+            assert all(parent[i] < i for i in range(1, len(parent)))
+            assert ends == (len(parent),)
+            paths = [()]
+            for i in range(1, len(parent)):
+                paths.append(paths[parent[i]] + (steps[step[i]],))
+            assert len(parent) == 1 + sum(len(seq) for seq in one)
+            assert [(paths[i], sh, c) for i, sh, c in terms] == \
+                [(seq, shape, c) for seq, c in one.items()]
+            by_shape_trees[shape] = one_tree
         for values, mult in level_lists:
             expected = {}
             for seq, by_shape in coeffs.items():
@@ -294,10 +312,10 @@ def test_chain_sums_match_brute_force():
             _chain_sums(tree, mult, values, shapes)
             assert {k: v for k, v in shapes.items() if v} == \
                 {k: v for k, v in expected.items() if v}, (coeffs, mult)
-            for shape in expected:
-                one = {seq: by_shape[shape] for seq, by_shape in coeffs.items()
-                       if shape in by_shape}
-                assert _sequence_sums(one, mult, values) == expected[shape]
+            for shape, one_tree in by_shape_trees.items():
+                one_shape = {}
+                _chain_sums(one_tree, mult, values, one_shape)
+                assert one_shape.get(shape, 0) == expected[shape]
 
 
 def test_empty_graph_and_empty_diagram(monkeypatch):
