@@ -14,17 +14,18 @@ one part by k.  The back-substitution runs in the J normalization from
 the start: the top entry is the known leading coefficient
 c_lambda(alpha) = prod over boxes of (alpha*arm + leg + 1), and
 by Knop-Sahi integrality every later entry is a polynomial in alpha with
-integer coefficients, so each one is an exact division in Z[alpha] of its
-accumulator by the integer linear eigenvalue difference, done on Python
-ints.  No step needs a rational function or a gcd; a remainder, or a
-bottom coefficient other than n!, raises.  The vector, a list of integer
-coefficient lists, is read in the power-sum basis through the inverse of
-the power-sum to monomial matrix.  That matrix is triangular, and each
-column of its inverse is found once per degree by forward substitution on
-ints, as integer numerators over one reduced denominator; so a power-sum
-coefficient is one column against the vector, summed on ints and divided
-once.  These coefficients are the unnormalized
-characters, which the normalized character wraps per the classical
+integer coefficients.  U is stored by rows, so each entry sums its row's
+products into one list of Python ints and divides it exactly in Z[alpha],
+from the top, by the integer linear eigenvalue difference.  No step needs
+a rational function or a gcd; a remainder, or a bottom coefficient other
+than n!, raises.  The vector, a list of integer coefficient lists, is read
+in the power-sum basis through the inverse of the power-sum to monomial
+matrix.  That matrix is triangular, and each column of its inverse is
+found when first read, by forward substitution on ints, as integer
+numerators over one reduced denominator; so a power-sum coefficient is
+one column against the vector, summed on ints and divided once.  These
+coefficients are the unnormalized characters, which the normalized
+character wraps per the classical
 binomial/z-factor prescription: an integer factor, and alpha**e carried to
 A**(2e).  A character reads only the one column it needs, against the
 diagram's vector (kept on the basis of its degree), and builds its Laurent
@@ -44,7 +45,7 @@ from math import factorial, gcd
 
 from . import cache
 from .exact import AlphaPoly, Laurent, RatFunc
-from .young import (Partition, binom, length, multiplicities, partition,
+from .young import (Partition, binom, length, partition,
                     partitions_of, size, transpose, z_factor)
 
 DEFAULT_SIZE_BOUND = 8
@@ -222,29 +223,38 @@ class _Basis:
         self.n = n
         self.parts: list[Partition] = sorted(partitions_of(n), reverse=True)
         self.index = {mu: i for i, mu in enumerate(self.parts)}
-        # U matrix: column nu holds the m-expansion of U(m_nu), generated
-        # entry by entry.  The operator lowers dominance, which the stored
-        # (lex-descending) order refines, so entries live at row >= column;
-        # back-substitution reads only those, so any other entry raises.
-        self.u_cols: list[dict[int, int]] = []
+        # U matrix by rows, from the m-expansion of each U(m_nu): row mu
+        # holds (nu, coefficient) for its entries left of the diagonal, by
+        # increasing column, and `u_diag` the diagonal.  The operator lowers
+        # dominance, which the stored (lex-descending) order refines, so
+        # entries live at row >= column; any other entry raises.
+        self.u_rows: list[list[tuple[int, int]]] = [[] for _ in self.parts]
+        self.u_diag = [0] * len(self.parts)
         for ci, nu in enumerate(self.parts):
-            col = {self.index[mu]: c for mu, c in _u_col(nu, n).items()}
-            if col and min(col) < ci:
-                raise AssertionError(f"U(m_{nu}) has an entry above the diagonal")
-            self.u_cols.append(col)
+            for mu, c in _u_col(nu, n).items():
+                ri = self.index[mu]
+                if ri < ci:
+                    raise AssertionError(
+                        f"U(m_{nu}) has an entry above the diagonal")
+                if ri == ci:
+                    self.u_diag[ci] = c
+                else:
+                    self.u_rows[ri].append((ci, c))
         # Diagonal alpha coefficient of (alpha/2) sum x**2 d**2 on m_nu; an
         # integer, since sum x(x - 1) is even.
         self.alpha_diag = [sum(x * (x - 1) for x in nu) // 2
                            for nu in self.parts]
         # Power sums in the monomial basis: row pi of `p_in_m`, generated
-        # from its nonzero entries.  Its inverse is kept by column: column pi
-        # as (row, integer numerator) pairs over one reduced denominator, so
-        # the power-sum conversion runs on ints.
+        # from its nonzero entries, and those left of its diagonal.  Its
+        # inverse is kept by column, each built when first read
+        # (`inverse_column`), so the power-sum conversion runs on ints.
         self.p_in_m = []
         for pi in self.parts:
             row = _p_row(pi)
             self.p_in_m.append([row.get(mu, 0) for mu in self.parts])
-        self._theta_solver = _lower_inverse_columns(self.p_in_m)
+        self._p_below = [[(m, x) for m, x in enumerate(row[:i]) if x]
+                         for i, row in enumerate(self.p_in_m)]
+        self._inverse_columns: dict[int, tuple[list[tuple[int, int]], int]] = {}
         # The Jack vectors in the monomial basis read so far, by diagram;
         # hit 36 times by the character queries of an oracle-full round.
         self._m_vectors: dict[Partition, list[list[int]]] = {}
@@ -253,13 +263,19 @@ class _Basis:
     def m_in_p(self) -> list[list[Fraction]]:
         """The inverse of `p_in_m` as Fractions, built when first read (by
         Gram-Schmidt and the tests): row mu is m_mu in the power-sum basis."""
-        cols = [(dict(entries), den) for entries, den in self._theta_solver]
+        cols = [(dict(entries), den) for entries, den
+                in map(self.inverse_column, range(len(self.parts)))]
         return [[Fraction(col.get(mu, 0), den) for col, den in cols]
                 for mu in range(len(cols))]
 
-    def eigenvalue(self, nu_idx: int) -> tuple[int, int]:
-        """The eigenvalue on m_nu as the integer pair (d0, d1) of d0 + d1*alpha."""
-        return self.u_cols[nu_idx].get(nu_idx, 0), self.alpha_diag[nu_idx]
+    def inverse_column(self, col: int) -> tuple[list[tuple[int, int]], int]:
+        """Column col of the inverse of `p_in_m`, built when first read, as
+        (row, integer numerator) pairs over one reduced denominator."""
+        hit = self._inverse_columns.get(col)
+        if hit is None:
+            hit = self._inverse_columns[col] = _lower_inverse_column(
+                self.p_in_m, self._p_below, col)
+        return hit
 
     def m_vector(self, lam: Partition) -> list[list[int]]:
         """`_jack_m_vector(lam)`, computed once per diagram of this degree."""
@@ -274,7 +290,7 @@ class _Basis:
         vector (one integer coefficient list per partition): sum over mu of
         m_in_p[mu][col] * rhs[mu], as the integer numerators of its alpha
         coefficients (trimmed) over their one denominator."""
-        entries, den = self._theta_solver[col]
+        entries, den = self.inverse_column(col)
         acc: list[int] = []
         for mu, c in entries:
             _add_scaled(acc, c, rhs[mu])
@@ -298,35 +314,31 @@ class _Basis:
         return out
 
 
-def _lower_inverse_columns(low: list[list[int]]
-                           ) -> list[tuple[list[tuple[int, int]], int]]:
-    """The columns of the inverse of an integer lower-triangular matrix,
-    each as (row, integer numerator) pairs over one reduced denominator
-    (positive, coprime to the numerators), by forward substitution on ints.
+def _lower_inverse_column(low: list[list[int]],
+                          below: list[list[tuple[int, int]]], j: int
+                          ) -> tuple[list[tuple[int, int]], int]:
+    """Column j of the inverse of an integer lower-triangular matrix, as
+    (row, integer numerator) pairs over one reduced denominator (positive,
+    coprime to the numerators), by forward substitution on ints; `below`
+    holds the nonzero entries of `low` left of the diagonal, row by row.
 
     `p_in_m` is one: p_pi expands into the m_mu whose parts are unions of
     parts of pi, which come no later in `parts` order, and its diagonal
     entry is prod m_i(pi)!."""
-    # The nonzero entries left of the diagonal, row by row.
-    below = [[(m, x) for m, x in enumerate(row[:i]) if x]
-             for i, row in enumerate(low)]
-    cols = []
-    for j in range(len(low)):
-        # Column j is num / den, from num[j] = 1 over den = low[j][j]; each
-        # later entry is -sum_m low[i][m] num[m] / low[i][i], and den widens
-        # when that division is not exact.
-        den, num = low[j][j], {j: 1}
-        for i in range(j + 1, len(low)):
-            acc = -sum(x * num[m] for m, x in below[i] if m in num)
-            if acc:
-                g = gcd(acc, low[i][i])
-                if low[i][i] > g:
-                    num = {m: x * (low[i][i] // g) for m, x in num.items()}
-                    den *= low[i][i] // g
-                num[i] = acc // g
-        g = gcd(den, *num.values())
-        cols.append(([(m, x // g) for m, x in num.items()], den // g))
-    return cols
+    # The column is num / den, from num[j] = 1 over den = low[j][j]; each
+    # later entry is -sum_m low[i][m] num[m] / low[i][i], and den widens
+    # when that division is not exact.
+    den, num = low[j][j], {j: 1}
+    for i in range(j + 1, len(low)):
+        acc = -sum(x * num[m] for m, x in below[i] if m in num)
+        if acc:
+            g = gcd(acc, low[i][i])
+            if low[i][i] > g:
+                num = {m: x * (low[i][i] // g) for m, x in num.items()}
+                den *= low[i][i] // g
+            num[i] = acc // g
+    g = gcd(den, *num.values())
+    return [(m, x // g) for m, x in num.items()], den // g
 
 
 def _add_scaled(acc: list[int], c: int, poly: list[int]) -> None:
@@ -364,22 +376,6 @@ def _j_leading(lam: Partition) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _div_exact(acc: list[int], div: list[int]) -> list[int] | None:
-    """acc / div in Z[alpha] by synthetic division from the top (div
-    trimmed), or None when some step leaves a remainder."""
-    top = len(div) - 1
-    rem = acc[:]
-    quo = [0] * (len(acc) - top)
-    for i in range(len(quo) - 1, -1, -1):
-        q, r = divmod(rem[i + top], div[top])
-        if r:
-            return None
-        quo[i] = q
-        for j in range(top):
-            rem[i + j] -= q * div[j]
-    return None if any(rem[:top]) else quo
-
-
 def _jack_m_vector(lam: Partition) -> list[list[int]]:
     """J-normalized Jack polynomial of lam in the monomial basis, by
     back-substitution in Z[alpha] with exact division: the integer
@@ -387,24 +383,45 @@ def _jack_m_vector(lam: Partition) -> list[list[int]]:
     n = size(lam)
     basis = _basis(n)
     li = basis.index[lam]
-    e0, e1 = basis.eigenvalue(li)
-    k = len(basis.parts)
-    v: list[list[int]] = [[] for _ in range(k)]
+    u_rows, u_diag, alpha_diag = basis.u_rows, basis.u_diag, basis.alpha_diag
+    e0, e1 = u_diag[li], alpha_diag[li]
+    v: list[list[int]] = [[] for _ in basis.parts]
     v[li] = list(_j_leading(lam))
-    for idx in range(li + 1, k):
+    for idx in range(li + 1, len(v)):
+        # acc = sum of c * v[nu] over the row's entries at columns nu >= li.
         acc: list[int] = []
-        for nu_idx in range(li, idx):
-            c = basis.u_cols[nu_idx].get(idx, 0)
-            if c and v[nu_idx]:
-                _add_scaled(acc, c, v[nu_idx])
+        for nu_idx, c in u_rows[idx]:
+            if nu_idx >= li and v[nu_idx]:
+                poly = v[nu_idx]
+                if not acc:
+                    acc = [c * x for x in poly]
+                    continue
+                if len(poly) > len(acc):
+                    acc += [0] * (len(poly) - len(acc))
+                for e, x in enumerate(poly):
+                    acc[e] += c * x
+        while acc and not acc[-1]:
+            acc.pop()
         if not acc:
             continue
-        f0, f1 = basis.eigenvalue(idx)
-        if e0 == f0 and e1 == f1:
+        d0, d1 = e0 - u_diag[idx], e1 - alpha_diag[idx]
+        if not (d0 or d1):
             raise AssertionError(
                 f"eigenvalue collision below {lam}: {basis.parts[idx]}")
-        quo = _div_exact(acc, [e0 - f0, e1 - f1] if e1 != f1 else [e0 - f0])
-        if quo is None:
+        # acc / (d0 + d1*alpha), from the top: acc[e] = d0*quo[e] +
+        # d1*quo[e-1]; r is the first remainder, or what is left at alpha^0.
+        if d1:
+            quo, q, r = [0] * (len(acc) - 1), 0, 0
+            for e in range(len(acc) - 1, 0, -1):
+                q, r = divmod(acc[e] - d0 * q, d1)
+                if r:
+                    break
+                quo[e - 1] = q
+            r = r or acc[0] - d0 * q
+        else:
+            quo = [x // d0 for x in acc]
+            r = any(x % d0 for x in acc)
+        if r:
             raise AssertionError(
                 f"non-polynomial coefficient at {basis.parts[idx]} in {lam}")
         v[idx] = quo
@@ -417,10 +434,11 @@ def _jack_m_vector(lam: Partition) -> list[list[int]]:
 _POWERSUM_CACHE: dict[Partition, dict[Partition, AlphaPoly]] = {}
 
 
-def _check_bound(lam: Partition, bound: int | None) -> None:
+def _check_bound(n: int, bound: int | None) -> None:
+    """Raise BoundExceeded when a diagram of size n is over the bound."""
     limit = DEFAULT_SIZE_BOUND if bound is None else bound
-    if size(lam) > limit:
-        raise BoundExceeded(f"|lambda| = {size(lam)} exceeds bound {limit}")
+    if n > limit:
+        raise BoundExceeded(f"|lambda| = {n} exceeds bound {limit}")
 
 
 def jack_powersum(lam: Partition, bound: int | None = None) -> dict[Partition, AlphaPoly]:
@@ -430,7 +448,8 @@ def jack_powersum(lam: Partition, bound: int | None = None) -> dict[Partition, A
     these coefficients are the unnormalized characters.
     """
     lam = partition(lam)
-    _check_bound(lam, bound)
+    n = size(lam)
+    _check_bound(n, bound)
     hit = _POWERSUM_CACHE.get(lam)
     if hit is not None:
         return hit
@@ -441,7 +460,6 @@ def jack_powersum(lam: Partition, bound: int | None = None) -> dict[Partition, A
             _POWERSUM_CACHE[lam] = stored
             return stored
 
-    n = size(lam)
     if n == 0:
         result = {(): AlphaPoly.const(1)}
     else:
@@ -529,18 +547,19 @@ def jack_character(pi: Partition, lam: Partition, bound: int | None = None) -> L
     """
     pi = partition(pi)
     lam = partition(lam)
-    if size(lam) < size(pi):
+    s, n = size(pi), size(lam)
+    if n < s:
         return Laurent.zero()
-    _check_bound(lam, bound)
-    extra = size(lam) - size(pi)
-    padded = tuple(sorted(pi + (1,) * extra, reverse=True))
-    m1 = multiplicities(pi).get(1, 0)
-    factor = binom(extra + m1, m1) * z_factor(pi)
-    shift = size(pi) - length(pi)
+    _check_bound(n, bound)
+    # pi is decreasing, so padding it with fixed points keeps it sorted.
+    padded = pi + (1,) * (n - s)
+    m1 = pi.count(1)
+    factor = binom(n - s + m1, m1) * z_factor(pi)
+    shift = s - len(pi)
     if cache.ACTIVE is None and lam and lam not in _POWERSUM_CACHE:
-        basis = _basis(size(lam))
+        basis = _basis(n)
         nums, den = basis.theta_column(basis.m_vector(lam), basis.index[padded])
-        return Laurent({2 * e - shift: Fraction(x * factor, den)
-                        for e, x in enumerate(nums) if x})
+        return Laurent._of({2 * e - shift: Fraction(x * factor, den)
+                            for e, x in enumerate(nums) if x})
     theta = jack_powersum(lam, bound=bound).get(padded)
     return theta.at_A_squared(-shift, factor) if theta else Laurent.zero()

@@ -1,13 +1,16 @@
 import hashlib
+import random
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, gcd
 
 import pytest
 
 from jacktop import cache, jackref
 from jacktop.exact import AlphaPoly, Laurent, RatFunc, alpha_to_A
-from jacktop.jackref import (BoundExceeded, _apply_U, _basis, _collect_m,
-                             _j_leading, _m_expand, _mul_power_sum, _p_row,
+from jacktop.jackref import (BoundExceeded, _add_scaled, _apply_U, _basis,
+                             _collect_m, _j_leading, _jack_m_vector,
+                             _m_expand, _mul_power_sum, _p_row,
                              jack_character, jack_m_expansion,
                              jack_m_expansion_gram_schmidt, jack_powersum)
 from jacktop.young import (binom, enumerate_partitions, length,
@@ -35,6 +38,77 @@ def invert_rational(matrix):
     return [row[k:] for row in m]
 
 
+def u_columns(basis):
+    """U by columns, read off the stored rows and diagonal: column nu as
+    {row: coefficient}, the m-expansion of U(m_nu)."""
+    cols = [{ci: c} if c else {} for ci, c in enumerate(basis.u_diag)]
+    for ri, row in enumerate(basis.u_rows):
+        for ci, c in row:
+            cols[ci][ri] = c
+    return cols
+
+
+def eigenvalue(basis, i):
+    """The eigenvalue on m_nu, nu = basis.parts[i], as the integer pair
+    (d0, d1) of d0 + d1*alpha."""
+    return basis.u_diag[i], basis.alpha_diag[i]
+
+
+def div_exact(acc, div):
+    """acc / div in Z[alpha] by synthetic division from the top (div
+    trimmed), or None when some step leaves a remainder."""
+    top = len(div) - 1
+    rem = acc[:]
+    quo = [0] * (len(acc) - top)
+    for i in range(len(quo) - 1, -1, -1):
+        q, r = divmod(rem[i + top], div[top])
+        if r:
+            return None
+        quo[i] = q
+        for j in range(top):
+            rem[i + j] -= q * div[j]
+    return None if any(rem[:top]) else quo
+
+
+def lookup_m_vector(lam):
+    """Reference back-substitution in Z[alpha], as `_jack_m_vector` did it
+    before U was stored by rows: one column lookup per (row, column) pair,
+    each product added by `_add_scaled`, each quotient taken by
+    `div_exact`."""
+    n = size(lam)
+    basis = _basis(n)
+    cols = u_columns(basis)
+    li = basis.index[lam]
+    e0, e1 = eigenvalue(basis, li)
+    k = len(basis.parts)
+    v = [[] for _ in range(k)]
+    v[li] = list(_j_leading(lam))
+    for idx in range(li + 1, k):
+        acc = []
+        for nu_idx in range(li, idx):
+            c = cols[nu_idx].get(idx, 0)
+            if c and v[nu_idx]:
+                _add_scaled(acc, c, v[nu_idx])
+        if not acc:
+            continue
+        f0, f1 = eigenvalue(basis, idx)
+        assert (e0, e1) != (f0, f1), (lam, idx)
+        quo = div_exact(acc, [e0 - f0, e1 - f1] if e1 != f1 else [e0 - f0])
+        assert quo is not None, (lam, idx)
+        v[idx] = quo
+    assert v[basis.index[tuple([1] * n)]] == [factorial(n)], lam
+    return v
+
+
+def test_row_kernel_matches_column_lookups():
+    rng = random.Random(11)
+    lams = [lam for s in range(1, 11) for lam in partitions_of(s)]
+    lams += rng.sample(list(partitions_of(11)), 12)
+    lams += rng.sample(list(partitions_of(12)), 12)
+    for lam in lams:
+        assert _jack_m_vector(lam) == lookup_m_vector(lam), lam
+
+
 def ratfunc_m_vector(lam):
     """Reference back-substitution in Q(alpha): P-normalized (coefficient 1
     at m_lambda), every entry a reduced RatFunc quotient, then scaled so the
@@ -42,9 +116,10 @@ def ratfunc_m_vector(lam):
     n = size(lam)
     basis = _basis(n)
     li = basis.index[lam]
+    cols = u_columns(basis)
 
-    def eigenvalue(i):
-        return RatFunc(AlphaPoly({0: basis.u_cols[i].get(i, 0),
+    def rat_eigenvalue(i):
+        return RatFunc(AlphaPoly({0: cols[i].get(i, 0),
                                   1: basis.alpha_diag[i]}))
 
     k = len(basis.parts)
@@ -53,11 +128,11 @@ def ratfunc_m_vector(lam):
     for idx in range(li + 1, k):
         acc = RatFunc(0)
         for nu_idx in range(li, idx):
-            c = basis.u_cols[nu_idx].get(idx, 0)
+            c = cols[nu_idx].get(idx, 0)
             if c and v[nu_idx]:
                 acc = acc + Fraction(c) * v[nu_idx]
         if acc:
-            v[idx] = acc / (eigenvalue(li) - eigenvalue(idx))
+            v[idx] = acc / (rat_eigenvalue(li) - rat_eigenvalue(idx))
     scale = RatFunc(factorial(n)) / v[basis.index[tuple([1] * n)]]
     return {mu: v[i] * scale for i, mu in enumerate(basis.parts) if v[i]}
 
@@ -111,13 +186,75 @@ def test_wrong_leading_coefficient_fails_bottom_check(monkeypatch):
         jack_m_expansion((2, 1))
 
 
+def patch_entry(monkeypatch, basis, name, i, value):
+    """Entry i of the list basis.<name> reads value, for one test."""
+    seq = list(getattr(basis, name))
+    seq[i] = value
+    monkeypatch.setattr(basis, name, seq)
+
+
 def test_remainder_fails_exact_division(monkeypatch):
     # (4) -> (2,2) is 4 in U; 5 leaves a remainder at (2,2).
     basis = _basis(4)
-    col = basis.u_cols[basis.index[(4,)]]
-    monkeypatch.setitem(col, basis.index[(2, 2)], 5)
-    with pytest.raises(AssertionError, match="non-polynomial coefficient"):
+    top, row = basis.index[(4,)], basis.index[(2, 2)]
+    assert (top, 4) in basis.u_rows[row]
+    patch_entry(monkeypatch, basis, "u_rows", row,
+                [(ci, 5 if ci == top else c) for ci, c in basis.u_rows[row]])
+    with pytest.raises(AssertionError,
+                       match=r"non-polynomial coefficient at \(2, 2\)"):
         jack_m_expansion((4,))
+
+
+def test_remainder_at_constant_term_fails(monkeypatch):
+    # J_(2) = (1 + alpha) m_2 + 2 m_11: the entry at (1,1) is U's 2 times
+    # 1 + alpha, over the eigenvalue difference 1 + alpha.
+    basis = _basis(2)
+    assert basis.u_rows[1] == [(0, 2)]
+    assert (eigenvalue(basis, 0), eigenvalue(basis, 1)) == ((2, 1), (1, 0))
+    # Over 2 + alpha the alpha coefficient divides (by 1) and 2 - 2*2 is
+    # left at alpha^0.
+    patch_entry(monkeypatch, basis, "u_diag", 1, 0)
+    with pytest.raises(AssertionError,
+                       match=r"non-polynomial coefficient at \(1, 1\)"):
+        jack_m_expansion((2,))
+
+
+def test_remainder_at_top_fails(monkeypatch):
+    # J_(3) starts 1 + 3*alpha + 2*alpha^2.  With U's 3 at (2,1) made 1 and
+    # the divisor 1 + 3*alpha, the top step (2 over 3) leaves a remainder,
+    # while floor quotients would pass every later step.
+    basis = _basis(3)
+    assert basis.u_rows[1] == [(0, 3)] and _j_leading((3,)) == (1, 3, 2)
+    patch_entry(monkeypatch, basis, "u_rows", 1, [(0, 1)])
+    patch_entry(monkeypatch, basis, "alpha_diag", 1, 0)
+    assert basis.u_diag[0] - basis.u_diag[1] == 1
+    with pytest.raises(AssertionError,
+                       match=r"non-polynomial coefficient at \(2, 1\)"):
+        jack_m_expansion((3,))
+
+
+def test_remainder_without_alpha_fails(monkeypatch):
+    # With the alpha diagonals equal, the divisor is the integer d0 alone;
+    # 3 does not divide 2 + 2*alpha.
+    basis = _basis(2)
+    patch_entry(monkeypatch, basis, "alpha_diag", 1, basis.alpha_diag[0])
+    patch_entry(monkeypatch, basis, "u_diag", 1, basis.u_diag[0] - 3)
+    with pytest.raises(AssertionError,
+                       match=r"non-polynomial coefficient at \(1, 1\)"):
+        jack_m_expansion((2,))
+    # Over 1 (d0 = 1) it divides, and the bottom check catches 2 + 2*alpha.
+    patch_entry(monkeypatch, basis, "u_diag", 1, basis.u_diag[0] - 1)
+    with pytest.raises(AssertionError, match="bottom coefficient"):
+        jack_m_expansion((2,))
+
+
+def test_eigenvalue_collision_raises(monkeypatch):
+    basis = _basis(2)
+    patch_entry(monkeypatch, basis, "u_diag", 1, basis.u_diag[0])
+    patch_entry(monkeypatch, basis, "alpha_diag", 1, basis.alpha_diag[0])
+    with pytest.raises(AssertionError,
+                       match=r"eigenvalue collision below \(2,\): \(1, 1\)"):
+        jack_m_expansion((2,))
 
 
 def test_p_in_m_is_lower_triangular_with_factorial_diagonal():
@@ -138,7 +275,8 @@ def test_triangular_inverse_matches_gauss_jordan():
         k = len(basis.parts)
         ref = invert_rational(basis.p_in_m)
         # The integer columns: reduced, and equal to the Gauss-Jordan inverse.
-        for pi, (entries, den) in enumerate(basis._theta_solver):
+        for pi in range(k):
+            entries, den = basis.inverse_column(pi)
             nums = [x for _, x in entries]
             assert den > 0 and gcd(den, *nums) == 1, (n, pi)
             assert all(type(x) is int and x for x in nums), (n, pi)
@@ -188,7 +326,7 @@ def test_u_matrix_matches_dense_oracle():
             img = _apply_U(_m_expand(nu, n), n)
             dense = {basis.index[mu]: c
                      for mu, c in _collect_m(img, basis.parts, n).items()}
-            assert dense == basis.u_cols[ci], (n, nu)
+            assert dense == u_columns(basis)[ci], (n, nu)
 
 
 def test_p_in_m_matches_dense_oracle():
@@ -279,10 +417,16 @@ def test_basis_matches_pairwise_reference():
     # basis was once built, against the generated entries.
     for n in range(1, 11):
         basis = _basis(n)
+        cols = u_columns(basis)
         for ci, nu in enumerate(basis.parts):
             col = {ri: c for ri, mu in enumerate(basis.parts)
                    if (c := u_matrix_entry(nu, mu, n))}
-            assert col == basis.u_cols[ci], (n, nu)
+            assert col == cols[ci], (n, nu)
+        # Each row: its entries left of the diagonal, by increasing column.
+        for ri, row in enumerate(basis.u_rows):
+            columns = [ci for ci, _ in row]
+            assert columns == sorted(set(columns)) and \
+                all(ci < ri for ci in columns), (n, ri)
         assert basis.p_in_m == [[count_assignments(pi, mu)
                                  for mu in basis.parts]
                                 for pi in basis.parts], n
@@ -437,6 +581,25 @@ def test_cold_character_never_converts_whole_expansion(empty_memos,
         jack_character(pi, lam)
     # Only the empty diagram goes through jack_powersum.
     assert list(jackref._POWERSUM_CACHE) == [()]
+
+
+def test_cold_character_builds_only_its_column(monkeypatch):
+    # Each column of the power-sum inverse is built when first read.
+    built = []
+    real = jackref._lower_inverse_column
+    monkeypatch.setattr(jackref, "_lower_inverse_column",
+                        lambda low, below, j: built.append(j)
+                        or real(low, below, j))
+    monkeypatch.setattr(jackref, "_basis", lru_cache(jackref._Basis))
+    monkeypatch.setattr(jackref, "_POWERSUM_CACHE", {})
+    monkeypatch.setattr(cache, "ACTIVE", None)
+    values = [jack_character((2,), lam) for lam in [(3, 2, 1), (4, 2)]]
+    # One column for both diagrams: (2,1,1,1,1) of degree 6.
+    assert built == [jackref._basis(6).index[(2, 1, 1, 1, 1)]]
+    # The whole expansion reads every column.
+    assert values == [whole_expansion_character((2,), lam)
+                      for lam in [(3, 2, 1), (4, 2)]]
+    assert sorted(built) == list(range(len(jackref._basis(6).parts)))
 
 
 def test_second_pi_reuses_the_m_vector(empty_memos, monkeypatch):
