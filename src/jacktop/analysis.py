@@ -100,10 +100,7 @@ class RowPolynomial:
     def evaluate(self, xs: Sequence[int]) -> Laurent:
         total = Laurent.zero()
         for e, c in self.coeffs.items():
-            m = 1
-            for x, p in zip(xs, e):
-                m *= x ** p
-            total = total + c.scale(m)
+            total = total + c.scale(_mono_value(e, xs))
         return total
 
     def __repr__(self) -> str:

@@ -27,11 +27,11 @@ oracle.
 The embedding count of a graph in a diagram is a chain sum: the step
 sequences of the smaller side (_step_sequences), each weighted by its
 number of chains of level sets, summed over increasing levels of the
-diagram in one pass over a tree of the sequences (_chain_sums).
-count_embeddings takes the sequences of one class, each on its own
-nodes (_sequence_tree); topdegree.ch_top_eval reads the same sums for a
-whole census from a prefix tree (_prefix_tree), which shares their
-prefixes.
+diagram in one pass over a tree of the sequences that shares their
+prefixes (_chain_tree, read by _chain_sums).  count_embeddings builds the
+tree of one class's sequences, topdegree.ch_top_eval that of a whole
+census.  A color swap counts the reversed sequences on the levels of the
+conjugate diagram, in both.
 """
 
 from __future__ import annotations
@@ -399,9 +399,10 @@ def count_embeddings(g: BicoloredGraph, lam: Partition) -> int:
     which one _chain_sums pass over the levels adds up.  Exchanging whites
     and blacks exchanges columns and rows, so when whites < blacks it is
     the same sum over the whites' sequences on the levels of lam';
-    young.conjugate_levels gives those in reverse, so they are read
-    backwards.  Either way only the smaller side is enumerated.  Counts are
-    cached per (class, lam).
+    young.conjugate_levels gives those in reverse, so the sequences are
+    reversed, as for the color swaps of topdegree._chain_expansion.  Either
+    way only the smaller side is enumerated.  Counts are cached per (class,
+    lam).
 
     These counts serve moment_M and cumulant_K, through
     normalized_embeddings, and the labeled oracle; topdegree.ch_top_eval
@@ -416,17 +417,17 @@ def count_embeddings(g: BicoloredGraph, lam: Partition) -> int:
     if g.has_isolated_vertex():
         raise IsolatedVertex(repr(g))
 
+    shape = (g.whites, g.blacks)
     if g.whites >= g.blacks:
         chains = _step_sequences(g.blacks, g.adjacency)
+        coeffs = {seq: {shape: c} for seq, c in chains.items()}
         values, mult = levels(lam)
     else:
         chains = _step_sequences(g.whites, g.black_neighbors())
+        coeffs = {seq[::-1]: {shape: c} for seq, c in chains.items()}
         values, mult = conjugate_levels(lam)
-        values.reverse()
-        mult.reverse()
-    shape = (g.whites, g.blacks)
     total: dict[tuple[int, int], int] = {}
-    _chain_sums(_sequence_tree(chains, shape), mult, values, total)
+    _chain_sums(_chain_tree(coeffs), mult, values, total)
     result = total.get(shape, 0)
 
     _EMBED_CACHE[key] = result
@@ -460,49 +461,40 @@ def _step_sequences(small: int, sets: Sequence[Iterable[int]]
 
 # Step sequences as a tree, (parent, step, steps, ends, terms): node 0 is
 # the empty sequence, and node i > 0 appends the step steps[step[i]] =
-# (a, c) to node parent[i] < i; every node of depth <= d comes before
-# ends[min(d, len(ends) - 1)]; terms lists (node, shape, coefficient) for
-# each sequence of a shape.  _prefix_tree shares prefixes and orders the
-# nodes by depth, so ends[d] is one past the last node of depth <= d;
-# _sequence_tree gives each sequence its own nodes, and ends is (number of
-# nodes,).
+# (a, c) to node parent[i] < i; nodes are numbered by depth, and ends[d] is
+# one past the last node of depth <= d; terms lists (node, shape,
+# coefficient) for each sequence of a shape.
 _Chains = tuple
 
 
-def _prefix_tree(coeffs: dict[tuple, dict[tuple[int, int], int]]) -> _Chains:
-    """The _Chains of {sequence: {shape: coefficient}}."""
-    prefixes = sorted({()} | {seq[:k] for seq in coeffs
-                              for k in range(len(seq) + 1)},
-                      key=lambda seq: (len(seq), seq))
-    node = {seq: i for i, seq in enumerate(prefixes)}
-    depth = len(prefixes[-1])
-    parent = (0,) + tuple(node[seq[:-1]] for seq in prefixes[1:])
+def _chain_tree(coeffs: dict[tuple, dict[tuple[int, int], int]]) -> _Chains:
+    """The _Chains of {sequence: {shape: coefficient}}, one node per
+    distinct prefix, built one depth at a time: the sequences longer than
+    the depth move to the child of their node for their next step, made
+    the first time it is asked for."""
+    seqs = list(coeffs)
+    at = [0] * len(seqs)
+    parent, step, ends = [0], [0], [1]
     steps: dict[tuple[int, int], int] = {}
-    step = (0,) + tuple(steps.setdefault(seq[-1], len(steps))
-                        for seq in prefixes[1:])
-    ends = tuple(sum(1 for seq in prefixes if len(seq) <= d)
-                 for d in range(depth + 1))
-    terms = tuple((node[seq], shape, coeff)
-                  for seq, by_shape in coeffs.items()
+    live = [i for i, seq in enumerate(seqs) if seq]
+    depth = 0
+    while live:
+        children: dict[tuple[int, int], int] = {}
+        for i in live:
+            key = (at[i], steps.setdefault(seqs[i][depth], len(steps)))
+            child = children.get(key)
+            if child is None:
+                child = children[key] = len(parent)
+                parent.append(key[0])
+                step.append(key[1])
+            at[i] = child
+        depth += 1
+        ends.append(len(parent))
+        live = [i for i in live if len(seqs[i]) > depth]
+    terms = tuple((node, shape, coeff)
+                  for node, by_shape in zip(at, coeffs.values())
                   for shape, coeff in by_shape.items())
-    return parent, step, tuple(steps), ends, terms
-
-
-def _sequence_tree(chains: dict[tuple, int], shape: tuple[int, int]
-                   ) -> _Chains:
-    """The _Chains of one shape's {sequence: coefficient}, one sequence
-    after another with no prefix shared: the sequences of one class share
-    few, and this skips the sort of _prefix_tree."""
-    parent, step, terms = [0], [0], []
-    steps: dict[tuple[int, int], int] = {}
-    for seq, coeff in chains.items():
-        node = 0
-        for s in seq:
-            parent.append(node)
-            node = len(step)
-            step.append(steps.setdefault(s, len(steps)))
-        terms.append((node, shape, coeff))
-    return parent, step, tuple(steps), (len(parent),), terms
+    return parent, step, tuple(steps), tuple(ends), terms
 
 
 def _chain_sums(chains: _Chains, x: list[int], y: list[int],

@@ -39,7 +39,7 @@ from typing import Iterator, Sequence
 
 from . import cache
 from .exact import KLPoly, Laurent, gamma_power_A
-from .maps import (BicoloredGraph, Perm, _chain_sums, _Chains, _prefix_tree,
+from .maps import (BicoloredGraph, Perm, _chain_sums, _Chains, _chain_tree,
                    _step_sequences, compose, cycles, graph_census, inverse,
                    is_transitive_pair, normalized_embeddings)
 from .young import Partition, conjugate_levels, levels
@@ -66,12 +66,12 @@ def ch_top_eval(n: int, lam: Partition) -> Laurent:
     its coefficient times the sum over levels l_1 < ... < l_j of lam of
     prod_i x[l_i]**a_i * y[l_i]**c_i: (x, y) = (m, v) on the first tree.
     The second, the color swaps, counts on the conjugate diagram: its
-    sequences are reversed, and (x, y) = (v_l - v_{l+1}, M_l) are the
-    levels of lam' in reverse (young.conjugate_levels).  Each shape total
-    times its integer weight, from the same memo, is added into one
-    exponent -> int dict, and the Laurent polynomial is built from it
-    once.  Values are memoised per (n, lam); n < 1 is a ValueError before
-    the memo is read."""
+    sequences are reversed, since (x, y) = (v_l - v_{l+1}, M_l) are the
+    levels of lam' in reverse (young.conjugate_levels), as in
+    maps.count_embeddings.  Each shape total times its integer weight,
+    from the same memo, is added into one exponent -> int dict, and the
+    Laurent polynomial is built from it once.  Values are memoised per
+    (n, lam); n < 1 is a ValueError before the memo is read."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     hit = _CH_TOP_CACHE.get((n, lam))
@@ -97,15 +97,16 @@ def ch_top_eval(n: int, lam: Partition) -> Laurent:
 def _chain_expansion(n: int
                      ) -> tuple[_Chains, _Chains, dict[tuple[int, int], dict]]:
     """The embedding counts of every class of size n as level polynomials:
-    a prefix tree for _census(n), whose classes have whites >= blacks, and
-    one for their color swaps; and the weight of each of their shapes.
+    a maps._chain_tree for _census(n), whose classes have whites >= blacks,
+    and one for their color swaps; and the weight of each of their shapes.
 
     A class of shape (w, b) counts sum over its step sequences of their
     chain counts times sum_{l_1 < ... < l_j} prod_i x[l_i]**a_i *
     y[l_i]**c_i (maps.count_embeddings), and a shape's coefficient of a
     sequence is the sum of count_G times chain count over its classes.  A
     color swap counts on the conjugate diagram, whose levels come in
-    reverse, so it takes the swapped shape and the reversed sequences."""
+    reverse, so it takes the swapped shape and the reversed sequences, the
+    one reading of a swap that maps.count_embeddings shares."""
     stored: dict[tuple, Counter] = defaultdict(Counter)
     swaps: dict[tuple, Counter] = defaultdict(Counter)
     weights: dict[tuple[int, int], dict[int, int]] = {}
@@ -117,7 +118,7 @@ def _chain_expansion(n: int
                 swaps[seq[::-1]][b, w] += count * chains
         weights[w, b] = _shape_weight(n, w, b)
         weights[b, w] = _shape_weight(n, b, w)
-    return _prefix_tree(stored), _prefix_tree(swaps), weights
+    return _chain_tree(stored), _chain_tree(swaps), weights
 
 
 def _shape_weight(n: int, w: int, b: int) -> dict[int, int]:

@@ -155,20 +155,22 @@ def stanley_ch3(p_prime, q_prime) -> Laurent:
 
 
 def stanley_test_diagrams(max_entry: int) -> list[tuple[tuple, tuple]]:
-    """Multirectangular pairs of at most 3 rectangles, of size 1..8."""
+    """Multirectangular pairs of at most 3 rectangles, of size 1..8.  The
+    size is sum p*q, so a branch stops at the first p that takes it past 8
+    (p only grows in the loop)."""
     out = []
     rng = range(1, max_entry + 1)
     for ell in range(1, 4):
-        def rec(idx, p_acc, q_acc, last_q):
+        def rec(idx, p_acc, q_acc, last_q, total):
             if idx == ell:
-                lam = to_partition(p_acc, q_acc)
-                if 0 < size(lam) <= 8:
-                    out.append((tuple(p_acc), tuple(q_acc)))
+                out.append((tuple(p_acc), tuple(q_acc)))
                 return
             for q in range(min(last_q, max_entry), 0, -1):
                 for p in rng:
-                    rec(idx + 1, p_acc + [p], q_acc + [q], q)
-        rec(0, [], [], max_entry)
+                    if total + p * q > 8:
+                        break
+                    rec(idx + 1, p_acc + [p], q_acc + [q], q, total + p * q)
+        rec(0, [], [], max_entry, 0)
     return out
 
 

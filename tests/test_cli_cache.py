@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -441,6 +442,27 @@ def test_jack_examples_beyond_the_default_bound(capsys):
     report = json.loads(out)
     assert code == 0 and report["pass"] is True
     assert report["params"] == {"max_size": 9}
+
+
+def test_stanley_cases_stop_at_size_8():
+    # The suite checks diagrams of at most 8 boxes, so entries past 8 add
+    # no case: the lists grow to 218 cases at 8 and stay the same after.
+    counts = [len(verify.stanley_test_diagrams(n)) for n in range(2, 9)]
+    assert counts == [42, 110, 167, 197, 211, 216, 218]
+    at_8 = verify.stanley_test_diagrams(8)
+    for n in range(9, 13):
+        assert verify.stanley_test_diagrams(n) == at_8, n
+
+
+def test_verify_stanley_20_is_quick(capsys):
+    # A branch stops once its size passes 8, so a large entry bound costs
+    # what 8 does.
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "verify", "stanley", "20")
+    assert time.perf_counter() - start < 1.0
+    report = json.loads(out)
+    assert code == 0 and report["pass"] is True
+    assert report["params"] == {"max_entry": 20, "cases": 218}
 
 
 # Cache-file fuzzing: truncated or byte-damaged copies of a valid Jack and a

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from jacktop import maps
 from jacktop.exact import Laurent
 from jacktop.maps import (BicoloredGraph, IsolatedVertex, NotTransitive,
-                          SizeMismatch, _chain_sums, _prefix_tree,
-                          _sequence_tree, canonical_orbit_rep, compose,
-                          count_embeddings, count_embeddings_naive, cycles,
-                          cycle_type, enumerate_transitive_pairs, full_cycle,
+                          SizeMismatch, _chain_sums, _chain_tree,
+                          canonical_orbit_rep, compose, count_embeddings,
+                          count_embeddings_naive, cycles, cycle_type,
+                          enumerate_transitive_pairs, full_cycle,
                           graph_of_pair, identity, inverse, is_transitive_pair,
                           normalized_embeddings, orbit_census, pair_orbit,
                           parse_perm, perm_from_cycle_type)
@@ -261,13 +261,14 @@ CHAIN_DIAGRAMS = [(), (4,), (3, 3, 3), (2, 2, 1), (5, 3, 3, 1), (6, 4, 2, 1),
 
 
 def test_chain_sums_match_brute_force():
-    # The prefix tree holds every prefix once, by depth, and its chain sums
-    # equal the sums over increasing level tuples: on the levels of the
-    # empty diagram, of one-level diagrams, of lam and of lam' in reverse
-    # (young.conjugate_levels), and on random level lists.  The tree of one
-    # shape's sequences on their own nodes (_sequence_tree) holds each
-    # sequence on a path of new nodes, parents first, and gives the same
-    # sums for that shape.
+    # The tree holds one node per distinct prefix, numbered by depth with
+    # each parent first, ends[d] one past the last node of depth <= d, and
+    # a term per (sequence, shape, coefficient) at the node whose path is
+    # the sequence.  Its chain sums equal the sums over increasing level
+    # tuples: on the levels of the empty diagram, of one-level diagrams,
+    # of lam and of lam' in reverse (young.conjugate_levels), and on
+    # random level lists.
+    from tests_support_graphs import chain_paths
     rng = random.Random(28)
     level_lists = [f(lam) for lam in CHAIN_DIAGRAMS
                    for f in (levels, conjugate_levels)]
@@ -276,32 +277,20 @@ def test_chain_sums_match_brute_force():
                     for t in range(6) for _ in range(3)]
     for _ in range(60):
         coeffs = random_sequences(rng)
-        tree = _prefix_tree(coeffs)
+        tree = _chain_tree(coeffs)
         parent, step, steps, ends, terms = tree
-        prefixes = [()]
-        for i in range(1, len(parent)):
-            prefixes.append(prefixes[parent[i]] + (steps[step[i]],))
-        assert prefixes == sorted({seq[:k] for seq in coeffs
-                                   for k in range(len(seq) + 1)},
-                                  key=lambda seq: (len(seq), seq))
-        assert list(ends) == [sum(len(p) <= d for p in prefixes)
-                              for d in range(len(prefixes[-1]) + 1)]
-        by_shape_trees = {}
-        for shape in {shape for by_shape in coeffs.values()
-                      for shape in by_shape}:
-            one = {seq: by_shape[shape] for seq, by_shape in coeffs.items()
-                   if shape in by_shape}
-            one_tree = _sequence_tree(one, shape)
-            parent, step, steps, ends, terms = one_tree
-            assert all(parent[i] < i for i in range(1, len(parent)))
-            assert ends == (len(parent),)
-            paths = [()]
-            for i in range(1, len(parent)):
-                paths.append(paths[parent[i]] + (steps[step[i]],))
-            assert len(parent) == 1 + sum(len(seq) for seq in one)
-            assert [(paths[i], sh, c) for i, sh, c in terms] == \
-                [(seq, shape, c) for seq, c in one.items()]
-            by_shape_trees[shape] = one_tree
+        assert len(set(steps)) == len(steps)
+        assert all(parent[i] < i for i in range(1, len(parent)))
+        paths = chain_paths(tree)
+        assert sorted(paths) == sorted({seq[:k] for seq in coeffs
+                                        for k in range(len(seq) + 1)})
+        depths = list(map(len, paths))
+        assert depths == sorted(depths)
+        assert list(ends) == [sum(x <= d for x in depths)
+                              for d in range(depths[-1] + 1)]
+        assert sorted((paths[i], shape, c) for i, shape, c in terms) == \
+            sorted((seq, shape, c) for seq, by_shape in coeffs.items()
+                   for shape, c in by_shape.items())
         for values, mult in level_lists:
             expected = {}
             for seq, by_shape in coeffs.items():
@@ -312,10 +301,6 @@ def test_chain_sums_match_brute_force():
             _chain_sums(tree, mult, values, shapes)
             assert {k: v for k, v in shapes.items() if v} == \
                 {k: v for k, v in expected.items() if v}, (coeffs, mult)
-            for shape, one_tree in by_shape_trees.items():
-                one_shape = {}
-                _chain_sums(one_tree, mult, values, one_shape)
-                assert one_shape.get(shape, 0) == expected[shape]
 
 
 def test_empty_graph_and_empty_diagram(monkeypatch):

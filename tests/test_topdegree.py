@@ -6,14 +6,15 @@ from jacktop import exact, maps, topdegree
 from jacktop.exact import (GAMMA_A, KLPoly, Laurent, gamma_power_A,
                            int_coeffs)
 from jacktop.functionals import kl_evaluate
-from jacktop.maps import (BicoloredGraph, _prefix_tree, _step_sequences,
+from jacktop.maps import (BicoloredGraph, _chain_tree, _step_sequences,
                           perm_from_cycle_type)
 from jacktop.topdegree import (DomainMismatch, _chain_expansion, ch_top_eval,
                                ch_top_eval_labeled, cumulant_K,
                                expander_weights, is_expander, kl_top,
                                moment_M, restricted_perm, set_partitions_above)
 from jacktop.young import enumerate_partitions, partitions_of, size
-from tests_support_graphs import count_embeddings_level_sum, full_census
+from tests_support_graphs import (chain_paths, count_embeddings_level_sum,
+                                  full_census)
 
 
 def test_ch_top_n1_is_size():
@@ -114,10 +115,12 @@ def test_chain_expansion_matches_both_sides_of_every_class():
     # side: first covered for whites >= blacks, first met for whites <
     # blacks.  _chain_expansion steps only the first, and reverses the
     # sequences of whites > blacks into the second at the swapped shape.
-    # The order of terms follows the classes, so they are compared sorted.
-    def in_order(tree):
-        *nodes, terms = tree
-        return (*nodes, sorted(terms))
+    # Node and term order follow the classes, so the trees are compared by
+    # their node paths, ends and terms, sorted.
+    def by_paths(tree):
+        paths = chain_paths(tree)
+        return (sorted(paths), tree[3],
+                sorted((paths[i], shape, c) for i, shape, c in tree[4]))
 
     for n in range(1, 9):
         sides = ({}, {})
@@ -128,8 +131,8 @@ def test_chain_expansion_matches_both_sides_of_every_class():
                 shape = (g.whites, g.blacks)
                 by_shape[shape] = by_shape.get(shape, 0) + count * chains
         *trees, _ = _chain_expansion(n)
-        assert [in_order(t) for t in trees] == \
-            [in_order(_prefix_tree(side)) for side in sides], n
+        assert [by_paths(t) for t in trees] == \
+            [by_paths(_chain_tree(side)) for side in sides], n
 
 
 def test_ch_top_eval_memo(monkeypatch):

@@ -1,7 +1,8 @@
 """Shared test helpers: brute enumeration of small bicolored graphs, two
 embedding counts that production replaced (the black-side recursion and
 the smaller-side variable elimination), as references, the color swap
-and the full class list of the census, the tree pairs of the free
+and the full class list of the census, the node paths of a chain-sum
+tree, the tree pairs of the free
 cumulants with their graph classes, and the unpruned vector partitions
 with the connectivity test that the census enumerator replaced."""
 
@@ -154,6 +155,16 @@ def full_census(n: int) -> list[tuple[BicoloredGraph, int]]:
     swaps = [(color_swap(g), count) for g, count in census
              if g.whites > g.blacks]
     return sorted(census + swaps, key=lambda entry: entry[0].canonical_key())
+
+
+def chain_paths(tree) -> list[tuple]:
+    """The step sequence of each node of a maps._chain_tree, read off the
+    path from the root."""
+    parent, step, steps, _, _ = tree
+    paths = [()]
+    for i in range(1, len(parent)):
+        paths.append(paths[parent[i]] + (steps[step[i]],))
+    return paths
 
 
 def tree_pairs(k: int) -> list[tuple]:
