@@ -11,7 +11,8 @@ so iterated differences make sense on arbitrary integer tuples.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, product as _itproduct
+from itertools import (chain, combinations_with_replacement,
+                       product as _itproduct)
 from math import gcd, lcm
 from typing import Callable, Sequence
 
@@ -108,17 +109,6 @@ class RowPolynomial:
         return f"RowPolynomial({{{inner}}})"
 
 
-def _sorted_tuples(m: int, max_entry: int):
-    """Weakly decreasing m-tuples with entries in 0..max_entry."""
-    def rec(prefix: tuple, bound: int):
-        if len(prefix) == m:
-            yield prefix
-            return
-        for x in range(bound, -1, -1):
-            yield from rec(prefix + (x,), x)
-    yield from rec((), max_entry)
-
-
 def fit_row_polynomial(f: Evaluator, m: int, degree_bound: int) -> RowPolynomial:
     """Interpolate the row polynomial of f on m-row diagrams.
 
@@ -128,7 +118,8 @@ def fit_row_polynomial(f: Evaluator, m: int, degree_bound: int) -> RowPolynomial
     """
     monomials = [e for e in _itproduct(range(degree_bound + 1), repeat=m)
                  if sum(e) <= degree_bound]
-    nodes = list(_sorted_tuples(m, degree_bound + m))
+    nodes = list(combinations_with_replacement(range(degree_bound + m, -1, -1),
+                                               m))
     rows = [[_mono_value(e, node) for e in monomials] for node in nodes]
     values = [sym_eval(f, node) for node in nodes]
     # One system per power of A; at least one, so that the rank is checked

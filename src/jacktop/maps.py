@@ -25,13 +25,14 @@ graph_census's oracle; a test-side flood of every pair's orbit is its own
 oracle.
 
 The embedding count of a graph in a diagram is a chain sum: the step
-sequences of the smaller side (_step_sequences), each weighted by its
-number of chains of level sets, summed over increasing levels of the
-diagram in one pass over a tree of the sequences that shares their
-prefixes (_chain_tree, read by _chain_sums).  count_embeddings builds the
-tree of one class's sequences, topdegree.ch_top_eval that of a whole
-census.  A color swap counts the reversed sequences on the levels of the
-conjugate diagram, in both.
+sequences of the smaller side, each weighted by its number of chains of
+level sets, summed over increasing levels of the diagram in one pass over
+a tree of the sequences that shares their prefixes (_chain_sums).
+_chain_tree grows that tree as a trie during one walk over the pairs of
+nested subsets of each class: of one class for count_embeddings, of a
+whole census for topdegree.ch_top_eval.  A color swap counts the reversed
+sequences on the levels of the conjugate diagram, in both: the walk
+counts the sets first met instead of first covered.
 """
 
 from __future__ import annotations
@@ -250,7 +251,7 @@ def orbit_reps(n: int) -> list[tuple[Perm, Perm]]:
 class BicoloredGraph:
     """Bipartite graph with colored sides, as white -> {black} adjacency."""
 
-    __slots__ = ("whites", "blacks", "adjacency", "_key")
+    __slots__ = ("whites", "blacks", "adjacency")
 
     def __init__(self, whites: int, blacks: int,
                  adjacency: Sequence[frozenset | set]):
@@ -259,7 +260,6 @@ class BicoloredGraph:
         self.whites = whites
         self.blacks = blacks
         self.adjacency = tuple(frozenset(s) for s in adjacency)
-        self._key = None
         for s in self.adjacency:
             for v in s:
                 if not 0 <= v < blacks:
@@ -301,15 +301,12 @@ class BicoloredGraph:
         the larger side over the degree-preserving relabelings of the
         smaller side (the blacks when whites > blacks, else the whites);
         see _least_masks.  The side is fixed by (whites, blacks), so keys
-        of one shape compare like with like.  It is computed once per
-        graph."""
-        if self._key is None:
-            if self.whites > self.blacks:
-                best = _least_masks(self.blacks, self.adjacency)
-            else:
-                best = _least_masks(self.whites, self.black_neighbors())
-            self._key = (self.whites, self.blacks, best)
-        return self._key
+        of one shape compare like with like."""
+        if self.whites > self.blacks:
+            best = _least_masks(self.blacks, self.adjacency)
+        else:
+            best = _least_masks(self.whites, self.black_neighbors())
+        return (self.whites, self.blacks, best)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BicoloredGraph):
@@ -394,15 +391,15 @@ def count_embeddings(g: BicoloredGraph, lam: Partition) -> int:
     U_1 < ... < U_j of the level sets U_i = f^-1{l_1..l_i}: a_i = |U_i| -
     |U_{i-1}| blacks take level l_i, and so do the c_i whites whose
     neighborhood U_i covers first.  So the count is the sum over the step
-    sequences ((a_i, c_i)) of the blacks (_step_sequences) of their chain
-    counts times sum_{l_1 < ... < l_j} prod_i m[l_i]**a_i * v[l_i]**c_i,
-    which one _chain_sums pass over the levels adds up.  Exchanging whites
-    and blacks exchanges columns and rows, so when whites < blacks it is
-    the same sum over the whites' sequences on the levels of lam';
+    sequences ((a_i, c_i)) of the blacks of their chain counts times
+    sum_{l_1 < ... < l_j} prod_i m[l_i]**a_i * v[l_i]**c_i, which one
+    _chain_sums pass over the _chain_tree of the class adds up.  Exchanging
+    whites and blacks exchanges columns and rows, so when whites < blacks
+    it is the same sum over the whites' sequences on the levels of lam';
     young.conjugate_levels gives those in reverse, so the sequences are
-    reversed, as for the color swaps of topdegree._chain_expansion.  Either
-    way only the smaller side is enumerated.  Counts are cached per (class,
-    lam).
+    reversed: the tree counts the blacks that U_i first meets, as for the
+    color swaps of topdegree._chain_expansion.  Either way only the
+    smaller side is walked.  Counts are cached per (class, lam).
 
     These counts serve moment_M and cumulant_K, through
     normalized_embeddings, and the labeled oracle; topdegree.ch_top_eval
@@ -419,44 +416,17 @@ def count_embeddings(g: BicoloredGraph, lam: Partition) -> int:
 
     shape = (g.whites, g.blacks)
     if g.whites >= g.blacks:
-        chains = _step_sequences(g.blacks, g.adjacency)
-        coeffs = {seq: {shape: c} for seq, c in chains.items()}
+        side = (g.blacks, g.adjacency, False, shape, 1)
         values, mult = levels(lam)
     else:
-        chains = _step_sequences(g.whites, g.black_neighbors())
-        coeffs = {seq[::-1]: {shape: c} for seq, c in chains.items()}
+        side = (g.whites, g.black_neighbors(), True, shape, 1)
         values, mult = conjugate_levels(lam)
     total: dict[tuple[int, int], int] = {}
-    _chain_sums(_chain_tree(coeffs), mult, values, total)
+    _chain_sums(_chain_tree([side]), mult, values, total)
     result = total.get(shape, 0)
 
     _EMBED_CACHE[key] = result
     return result
-
-
-def _step_sequences(small: int, sets: Sequence[Iterable[int]]
-                    ) -> dict[tuple[tuple[int, int], ...], int]:
-    """The number of strict chains {} < U_1 < ... < U_j = range(small) of
-    each step sequence ((a_i, c_i)): a_i vertices join at step i, and c_i
-    of the sets are first covered by U_i.  One pass over the pairs U < U'
-    of subsets."""
-    full = (1 << small) - 1
-    masks = [sum(1 << v for v in s) for s in sets]
-    reached = [sum(1 for m in masks if not m & ~u) for u in range(full + 1)]
-    ending: list[dict] = [{} for _ in range(full + 1)]
-    ending[0][()] = 1
-    for u in range(full):
-        rest = full ^ u
-        step = rest
-        while step:
-            v = u | step
-            key = (step.bit_count(), reached[v] - reached[u])
-            into = ending[v]
-            for seq, chains in ending[u].items():
-                seq += (key,)
-                into[seq] = into.get(seq, 0) + chains
-            step = (step - 1) & rest
-    return ending[full]
 
 
 # Step sequences as a tree, (parent, step, steps, ends, terms): node 0 is
@@ -467,34 +437,60 @@ def _step_sequences(small: int, sets: Sequence[Iterable[int]]
 _Chains = tuple
 
 
-def _chain_tree(coeffs: dict[tuple, dict[tuple[int, int], int]]) -> _Chains:
-    """The _Chains of {sequence: {shape: coefficient}}, one node per
-    distinct prefix, built one depth at a time: the sequences longer than
-    the depth move to the child of their node for their next step, made
-    the first time it is asked for."""
-    seqs = list(coeffs)
-    at = [0] * len(seqs)
-    parent, step, ends = [0], [0], [1]
-    steps: dict[tuple[int, int], int] = {}
-    live = [i for i, seq in enumerate(seqs) if seq]
-    depth = 0
-    while live:
-        children: dict[tuple[int, int], int] = {}
-        for i in live:
-            key = (at[i], steps.setdefault(seqs[i][depth], len(steps)))
-            child = children.get(key)
-            if child is None:
-                child = children[key] = len(parent)
-                parent.append(key[0])
-                step.append(key[1])
-            at[i] = child
-        depth += 1
-        ends.append(len(parent))
-        live = [i for i in live if len(seqs[i]) > depth]
-    terms = tuple((node, shape, coeff)
-                  for node, by_shape in zip(at, coeffs.values())
-                  for shape, coeff in by_shape.items())
-    return parent, step, tuple(steps), tuple(ends), terms
+def _chain_tree(classes: Iterable[tuple[int, Sequence[Iterable[int]], bool,
+                                         tuple[int, int], int]]) -> _Chains:
+    """The _Chains of the classes (small, sets, met, shape, weight): weight
+    times the number of strict chains {} < U_1 < ... < U_j = range(small)
+    of a step sequence ((a_i, c_i)) is its coefficient of shape, where a_i
+    vertices join at step i and c_i of the sets are first covered by U_i,
+    or first met if met (the complements of the chains, in reverse order,
+    make those the first covered sequences reversed).  One pass over the
+    pairs U < U' of subsets per class keeps the chains that end at U per
+    node of one trie that all classes share, so a step is a child lookup;
+    nodes are numbered by depth at the end."""
+    parent, step, depth = [0], [None], [0]
+    children: dict[tuple[int, int], dict[int, int]] = {}
+    coeffs: dict[tuple[int, tuple[int, int]], int] = {}
+    for small, sets, met, shape, weight in classes:
+        full = (1 << small) - 1
+        masks = [sum(1 << v for v in s) for s in sets]
+        reached = [sum(1 for m in masks if (m & u if met else not m & ~u))
+                   for u in range(full + 1)]
+        ending: list[dict[int, int]] = [{} for _ in range(full + 1)]
+        ending[0][0] = 1
+        for u in range(full):
+            rest = full ^ u
+            sub = rest
+            while sub:
+                v = u | sub
+                key = (sub.bit_count(), reached[v] - reached[u])
+                kids = children.get(key)
+                if kids is None:
+                    kids = children[key] = {}
+                into = ending[v]
+                for node, chains in ending[u].items():
+                    child = kids.get(node)
+                    if child is None:
+                        child = kids[node] = len(parent)
+                        parent.append(node)
+                        step.append(key)
+                        depth.append(depth[node] + 1)
+                    into[child] = into.get(child, 0) + chains
+                sub = (sub - 1) & rest
+        for node, chains in ending[full].items():
+            key = (node, shape)
+            coeffs[key] = coeffs.get(key, 0) + weight * chains
+    ids = {key: i for i, key in enumerate(children)}
+    order = sorted(range(len(parent)), key=depth.__getitem__)
+    new = [0] * len(order)
+    ends = [0] * (depth[order[-1]] + 1)
+    for i, node in enumerate(order):
+        new[node] = i
+        ends[depth[node]] = i + 1
+    return ([new[parent[node]] for node in order],
+            [ids.get(step[node], 0) for node in order], tuple(children),
+            tuple(ends), tuple((new[node], shape, coeff)
+                               for (node, shape), coeff in coeffs.items()))
 
 
 def _chain_sums(chains: _Chains, x: list[int], y: list[int],

@@ -11,8 +11,8 @@ with whites >= blacks; the others are their color swaps (s1 and s2
 exchanged), at the same orbit count.
 Direct evaluation on a diagram reads the chain expansion of the census,
 built once per n on the first query: per shape (whites, blacks), the
-integer coefficients of the step sequences (maps._step_sequences) of its
-classes, weighted by their orbit counts.  A step sequence stands for a sum
+integer coefficients of the step sequences of its classes, weighted by
+their orbit counts (maps._chain_tree).  A step sequence stands for a sum
 over increasing levels of the diagram of a product of level factors, and
 the embedding counts of a class are such chain sums (maps.count_embeddings
 takes them one class at a time); its color swap's are the reversed sums
@@ -30,7 +30,6 @@ formula, live here as well.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _itperms
@@ -40,8 +39,8 @@ from typing import Iterator, Sequence
 from . import cache
 from .exact import KLPoly, Laurent, gamma_power_A
 from .maps import (BicoloredGraph, Perm, _chain_sums, _Chains, _chain_tree,
-                   _step_sequences, compose, cycles, graph_census, inverse,
-                   is_transitive_pair, normalized_embeddings)
+                   compose, cycles, graph_census, inverse, is_transitive_pair,
+                   normalized_embeddings)
 from .young import Partition, conjugate_levels, levels
 
 
@@ -65,10 +64,10 @@ def ch_top_eval(n: int, lam: Partition) -> Laurent:
     each step sequence ((a_1, c_1), ..., (a_j, c_j)) of a shape contributes
     its coefficient times the sum over levels l_1 < ... < l_j of lam of
     prod_i x[l_i]**a_i * y[l_i]**c_i: (x, y) = (m, v) on the first tree.
-    The second, the color swaps, counts on the conjugate diagram: its
-    sequences are reversed, since (x, y) = (v_l - v_{l+1}, M_l) are the
-    levels of lam' in reverse (young.conjugate_levels), as in
-    maps.count_embeddings.  Each shape total times its integer weight,
+    The second, the color swaps, counts the whites first met on the
+    conjugate diagram: its sequences are reversed, since (x, y) = (v_l -
+    v_{l+1}, M_l) are the levels of lam' in reverse (conjugate_levels), as
+    in maps.count_embeddings.  Each shape total times its integer weight,
     from the same memo, is added into one exponent -> int dict, and the
     Laurent polynomial is built from it once.  Values are memoised per
     (n, lam); n < 1 is a ValueError before the memo is read."""
@@ -105,20 +104,17 @@ def _chain_expansion(n: int
     y[l_i]**c_i (maps.count_embeddings), and a shape's coefficient of a
     sequence is the sum of count_G times chain count over its classes.  A
     color swap counts on the conjugate diagram, whose levels come in
-    reverse, so it takes the swapped shape and the reversed sequences, the
-    one reading of a swap that maps.count_embeddings shares."""
-    stored: dict[tuple, Counter] = defaultdict(Counter)
-    swaps: dict[tuple, Counter] = defaultdict(Counter)
-    weights: dict[tuple[int, int], dict[int, int]] = {}
-    for g, count in _census(n):
-        w, b = g.whites, g.blacks
-        for seq, chains in _step_sequences(b, g.adjacency).items():
-            stored[seq][w, b] += count * chains
-            if w > b:
-                swaps[seq[::-1]][b, w] += count * chains
-        weights[w, b] = _shape_weight(n, w, b)
-        weights[b, w] = _shape_weight(n, b, w)
-    return _chain_tree(stored), _chain_tree(swaps), weights
+    reverse, so it takes the swapped shape and the reversed sequences: the
+    walk over the blacks counts the whites first met, not first covered,
+    the one reading of a swap that maps.count_embeddings shares."""
+    census = _census(n)
+    weights = {shape: _shape_weight(n, *shape) for g, _ in census
+               for shape in ((g.whites, g.blacks), (g.blacks, g.whites))}
+    stored = _chain_tree((g.blacks, g.adjacency, False, (g.whites, g.blacks),
+                          count) for g, count in census)
+    swaps = _chain_tree((g.blacks, g.adjacency, True, (g.blacks, g.whites),
+                         count) for g, count in census if g.whites > g.blacks)
+    return stored, swaps, weights
 
 
 def _shape_weight(n: int, w: int, b: int) -> dict[int, int]:

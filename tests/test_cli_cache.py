@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import time
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from jacktop import cache, cli, jackref, verify
-from jacktop.cache import Cache
+from jacktop.cache import SCHEMA_VERSION, Cache
 from jacktop.exact import KLPoly
 from jacktop.jackref import jack_powersum
 from jacktop.topdegree import kl_top
@@ -21,6 +22,16 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def sealed(doc: dict) -> str:
+    """A cache file's text for doc, with the current schema version unless
+    doc names one, and the SHA-256 of its canonical JSON (sorted keys,
+    compact separators) under "sha256", as Cache writes it."""
+    doc = {"schema": SCHEMA_VERSION, **doc}
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return json.dumps({**doc, "sha256": hashlib.sha256(text.encode())
+                       .hexdigest()})
 
 
 def test_kl_top_text(capsys):
@@ -175,19 +186,67 @@ def test_cache_schema_versioning(tmp_path):
     cache.store_kl_top(2, kl_top(2))
     path = tmp_path / "kltop_2.json"
     doc = json.loads(path.read_text())
-    assert doc["schema"] == 1
-    doc["schema"] = 0
-    path.write_text(json.dumps(doc))
+    assert doc["schema"] == SCHEMA_VERSION
+    digest = doc.pop("sha256")
+    assert json.loads(sealed(doc))["sha256"] == digest
+    doc["schema"] = SCHEMA_VERSION - 1
+    path.write_text(sealed(doc))
     assert cache.load_kl_top(2) is None
 
 
-def test_warm_cache_identical_output(tmp_path, capsys):
-    argv = ["--cache-dir", str(tmp_path), "kl-top", "3"]
-    code1, out1 = run_cli(capsys, *argv)
-    code2, out2 = run_cli(capsys, *argv)
-    assert code1 == code2 == 0
-    assert out1 == out2
-    assert (tmp_path / "kltop_3.json").exists()
+def test_warm_cache_identical_output(tmp_path, capsys, monkeypatch):
+    # A warm read of an untouched file is a hit: the same stdout, and
+    # nothing is written again.
+    runs = [["kl-top", "3"], ["eval", "ch", "2", "2,1"]]
+    cold = []
+    for argv in runs:
+        jackref._POWERSUM_CACHE.clear()
+        cold.append(run_cli(capsys, "--cache-dir", str(tmp_path), *argv))
+    assert [code for code, _ in cold] == [0, 0]
+    disk = Cache(str(tmp_path))
+    assert disk.load_kl_top(3) == kl_top(3)
+    assert disk.load_jack((2, 1)) == jack_powersum((2, 1))
+    writes = []
+    monkeypatch.setattr(Cache, "_write", lambda *args: writes.append(args))
+    for argv, expected in zip(runs, cold):
+        jackref._POWERSUM_CACHE.clear()
+        assert run_cli(capsys, "--cache-dir", str(tmp_path), *argv) == \
+            expected
+    assert writes == []
+
+
+def triple_g_r3(doc):
+    term, = [t for t in doc["terms"] if t["mu"] == [3]]
+    assert term == {"gamma": 1, "mu": [3], "coeff": "3"}
+    term["coeff"] = "5"
+
+
+def flip_jack_2_1(doc):
+    assert doc["coeffs"]["2,1"] == "a - 1"
+    doc["coeffs"]["2,1"] = "a + 1"
+
+
+@pytest.mark.parametrize("argv,name,edit,expected", [
+    (["kl-top", "3", "--format", "text"], "kltop_3.json", triple_g_r3,
+     "R4 + 3*R3*g + 2*R2*g^2\n"),
+    (["eval", "ch", "2", "2,1"], "jack_2-1.json", flip_jack_2_1,
+     '{"-1": "-2", "1": "2"}\n'),
+], ids=["kl-top", "jack"])
+def test_hand_edited_cache_file_is_a_miss(tmp_path, capsys, argv, name,
+                                          edit, expected):
+    # A value edited by hand, with the old digest left in place, is a miss:
+    # it is recomputed, printed right and the file written again.
+    argv = ["--cache-dir", str(tmp_path), *argv]
+    jackref._POWERSUM_CACHE.clear()
+    assert run_cli(capsys, *argv) == (0, expected)
+    path = tmp_path / name
+    before = path.read_bytes()
+    doc = json.loads(before)
+    edit(doc)
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True))
+    jackref._POWERSUM_CACHE.clear()
+    assert run_cli(capsys, *argv) == (0, expected)
+    assert path.read_bytes() == before
 
 
 def test_jobs_do_not_change_output(capsys):
@@ -252,7 +311,10 @@ def test_verify_param_below_one_is_usage_error(capsys, argv):
                             f"got {argv[1]}\n")
 
 
-@pytest.mark.parametrize("bad", ['{"schema": 1}', "[1, 2]"])
+@pytest.mark.parametrize("bad", [
+    '{"schema": 1}', "[1, 2]", pytest.param(sealed({}), id="sealed"),
+    # Python reads no integer of more than 4300 digits by default.
+    pytest.param('{"n": %s}' % ("1" * 5000), id="long-integer")])
 def test_wrong_shape_kl_top_file_is_a_miss(tmp_path, capsys, bad):
     path = tmp_path / "kltop_3.json"
     path.write_text(bad)
@@ -300,7 +362,7 @@ def test_deeply_nested_jack_file_is_a_miss(tmp_path, capsys, bad):
 ])
 def test_implausible_kl_top_file_is_a_miss(tmp_path, capsys, n, terms):
     path = tmp_path / "kltop_3.json"
-    path.write_text(json.dumps({"schema": 1, "n": n, "terms": terms}))
+    path.write_text(sealed({"n": n, "terms": terms}))
     code, out = run_cli(capsys, "--cache-dir", str(tmp_path),
                         "kl-top", "3", "--format", "text")
     assert code == 0
@@ -317,7 +379,7 @@ def test_coefficient_not_in_written_form_is_a_miss(tmp_path, capsys, coeff):
     terms = kl_top(3).to_json()
     terms[0]["coeff"] = coeff
     path = tmp_path / "kltop_3.json"
-    path.write_text(json.dumps({"schema": 1, "n": 3, "terms": terms}))
+    path.write_text(sealed({"n": 3, "terms": terms}))
     code, out = run_cli(capsys, "--cache-dir", str(tmp_path),
                         "kl-top", "3", "--format", "text")
     assert code == 0
@@ -325,7 +387,8 @@ def test_coefficient_not_in_written_form_is_a_miss(tmp_path, capsys, coeff):
     assert json.loads(path.read_text())["terms"] == kl_top(3).to_json()
 
 
-@pytest.mark.parametrize("bad", ['{"schema": 1}', "[1, 2]"])
+@pytest.mark.parametrize("bad", ['{"schema": 1}', "[1, 2]",
+                                 pytest.param(sealed({}), id="sealed")])
 def test_wrong_shape_jack_file_is_a_miss(tmp_path, capsys, bad):
     def run_cold():
         jackref._POWERSUM_CACHE.clear()
@@ -357,7 +420,7 @@ def test_wrong_shape_jack_file_is_a_miss(tmp_path, capsys, bad):
 ])
 def test_implausible_jack_file_is_a_miss(tmp_path, capsys, coeffs, lam):
     path = tmp_path / "jack_2.json"
-    path.write_text(json.dumps({"schema": 1, "lambda": lam, "coeffs": coeffs}))
+    path.write_text(sealed({"lambda": lam, "coeffs": coeffs}))
     jackref._POWERSUM_CACHE.clear()
     code, out = run_cli(capsys, "--cache-dir", str(tmp_path),
                         "eval", "ch", "2", "2")

@@ -523,7 +523,7 @@ ROUTE_PAIRS = [(pi, lam) for lam in enumerate_partitions(8)
 # SHA-256 of the jack_*.json files that the whole-expansion route writes
 # for the diagrams of ROUTE_PAIRS, hashed as in `cache_digest`.
 JACK_FILES_DIGEST = \
-    "85aa9d81508a1a6279b9464d1ff1338ac4435c8588ebbacd04d223e6a305d5f0"
+    "df50bb03aab35102b2c49ad526c84f96e83ddeccd9f5ed74f08112da7d2873ee"
 
 
 def cache_digest(directory):

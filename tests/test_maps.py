@@ -179,15 +179,15 @@ def test_census_embeddings_match_black_side_reference(monkeypatch):
     # Every graph class of the census for n <= 6, counted afresh on every
     # diagram with at most ten boxes, against the black-side recursion the
     # smaller-side count replaced, and against the raw enumeration up to
-    # five boxes.  Each count enumerates the step sequences of the smaller
-    # side once, on the empty diagram too.
+    # five boxes.  Each count builds one chain tree, of one class on its
+    # smaller side, on the empty diagram too.
     from tests_support_graphs import count_embeddings_black_side, full_census
     sizes = []
-    real = maps._step_sequences
+    real = maps._chain_tree
     monkeypatch.setattr(maps, "_EMBED_CACHE", {})
-    monkeypatch.setattr(maps, "_step_sequences",
-                        lambda size, *rest: sizes.append(size) or
-                        real(size, *rest))
+    monkeypatch.setattr(maps, "_chain_tree",
+                        lambda classes: sizes.append([c[0] for c in classes])
+                        or real(classes))
     classes = {g.canonical_key(): g for n in range(1, 7)
                for g, _ in full_census(n)}
     shapes = {(g.whites > g.blacks) - (g.whites < g.blacks)
@@ -197,7 +197,7 @@ def test_census_embeddings_match_black_side_reference(monkeypatch):
         for lam in enumerate_partitions(10):
             sizes.clear()
             got = count_embeddings(g, lam)
-            assert sizes == [min(g.whites, g.blacks)]
+            assert sizes == [[min(g.whites, g.blacks)]]
             assert got == count_embeddings_black_side(g, lam), (g, lam)
             if sum(lam) <= 5:
                 assert got == count_embeddings_naive(g, lam), (g, lam)
@@ -260,15 +260,45 @@ CHAIN_DIAGRAMS = [(), (4,), (3, 3, 3), (2, 2, 1), (5, 3, 3, 1), (6, 4, 2, 1),
                   (7, 5, 4, 2, 2, 1)]
 
 
+def test_chain_tree_of_one_class_matches_reference():
+    # The trie of one class of size n <= 7 on its smaller side, weighted by
+    # its orbit count, against the reference tree of that side's
+    # tuple-keyed sequences: first covered, reversed when whites < blacks
+    # (the first met sequences).  Nodes are numbered by depth with each
+    # parent first, and each step is listed once.
+    from tests_support_graphs import (chain_paths, chain_signature,
+                                      full_census, sequence_tree,
+                                      step_sequences)
+    for n in range(1, 8):
+        for g, count in full_census(n):
+            shape = (g.whites, g.blacks)
+            if g.whites >= g.blacks:
+                side = (g.blacks, g.adjacency, False, shape, count)
+                seqs = step_sequences(g.blacks, g.adjacency)
+            else:
+                side = (g.whites, g.black_neighbors(), True, shape, count)
+                seqs = {seq[::-1]: chains for seq, chains in
+                        step_sequences(g.whites, g.black_neighbors()).items()}
+            tree = _chain_tree([side])
+            reference = sequence_tree({seq: {shape: count * chains}
+                                       for seq, chains in seqs.items()})
+            assert chain_signature(tree) == chain_signature(reference), g
+            parent, _, steps, _, _ = tree
+            assert len(set(steps)) == len(steps)
+            assert all(parent[i] < i for i in range(1, len(parent)))
+            depths = list(map(len, chain_paths(tree)))
+            assert depths == sorted(depths)
+
+
 def test_chain_sums_match_brute_force():
-    # The tree holds one node per distinct prefix, numbered by depth with
-    # each parent first, ends[d] one past the last node of depth <= d, and
-    # a term per (sequence, shape, coefficient) at the node whose path is
-    # the sequence.  Its chain sums equal the sums over increasing level
-    # tuples: on the levels of the empty diagram, of one-level diagrams,
-    # of lam and of lam' in reverse (young.conjugate_levels), and on
-    # random level lists.
-    from tests_support_graphs import chain_paths
+    # The reference tree holds one node per distinct prefix, numbered by
+    # depth with each parent first, ends[d] one past the last node of depth
+    # <= d, and a term per (sequence, shape, coefficient) at the node whose
+    # path is the sequence.  Its chain sums equal the sums over increasing
+    # level tuples: on the levels of the empty diagram, of one-level
+    # diagrams, of lam and of lam' in reverse (young.conjugate_levels), and
+    # on random level lists.
+    from tests_support_graphs import chain_paths, sequence_tree
     rng = random.Random(28)
     level_lists = [f(lam) for lam in CHAIN_DIAGRAMS
                    for f in (levels, conjugate_levels)]
@@ -277,7 +307,7 @@ def test_chain_sums_match_brute_force():
                     for t in range(6) for _ in range(3)]
     for _ in range(60):
         coeffs = random_sequences(rng)
-        tree = _chain_tree(coeffs)
+        tree = sequence_tree(coeffs)
         parent, step, steps, ends, terms = tree
         assert len(set(steps)) == len(steps)
         assert all(parent[i] < i for i in range(1, len(parent)))

@@ -6,15 +6,14 @@ from jacktop import exact, maps, topdegree
 from jacktop.exact import (GAMMA_A, KLPoly, Laurent, gamma_power_A,
                            int_coeffs)
 from jacktop.functionals import kl_evaluate
-from jacktop.maps import (BicoloredGraph, _chain_tree, _step_sequences,
-                          perm_from_cycle_type)
+from jacktop.maps import BicoloredGraph, perm_from_cycle_type
 from jacktop.topdegree import (DomainMismatch, _chain_expansion, ch_top_eval,
                                ch_top_eval_labeled, cumulant_K,
                                expander_weights, is_expander, kl_top,
                                moment_M, restricted_perm, set_partitions_above)
 from jacktop.young import enumerate_partitions, partitions_of, size
-from tests_support_graphs import (chain_paths, count_embeddings_level_sum,
-                                  full_census)
+from tests_support_graphs import (chain_signature, count_embeddings_level_sum,
+                                  full_census, sequence_tree, step_sequences)
 
 
 def test_ch_top_n1_is_size():
@@ -64,7 +63,7 @@ def test_chain_route_matches_class_sum_n8(lam):
 def step_sequences_first_met(small, sets):
     """The number of strict chains {} < U_1 < ... < U_j = range(small) of
     each step sequence ((a_i, c_i)): a_i vertices join at step i, and c_i
-    of the sets first meet U_i.  _step_sequences counts the sets first
+    of the sets first meet U_i.  step_sequences counts the sets first
     covered instead; the complements of a chain, in reverse order, turn
     one into the other with the sequence reversed."""
     full = (1 << small) - 1
@@ -91,7 +90,7 @@ def chain_sequences(g):
     and their step sequences: first covered when whites >= blacks, first
     met otherwise."""
     if g.whites >= g.blacks:
-        return g.blacks, g.adjacency, _step_sequences(g.blacks, g.adjacency)
+        return g.blacks, g.adjacency, step_sequences(g.blacks, g.adjacency)
     sets = g.black_neighbors()
     return g.whites, sets, step_sequences_first_met(g.whites, sets)
 
@@ -111,17 +110,13 @@ def test_chain_counts_are_ordered_set_partitions():
 
 
 def test_chain_expansion_matches_both_sides_of_every_class():
-    # The two trees from the sequences of every class on its own smaller
-    # side: first covered for whites >= blacks, first met for whites <
-    # blacks.  _chain_expansion steps only the first, and reverses the
-    # sequences of whites > blacks into the second at the swapped shape.
-    # Node and term order follow the classes, so the trees are compared by
-    # their node paths, ends and terms, sorted.
-    def by_paths(tree):
-        paths = chain_paths(tree)
-        return (sorted(paths), tree[3],
-                sorted((paths[i], shape, c) for i, shape, c in tree[4]))
-
+    # The two reference trees from the tuple-keyed sequences of every
+    # class on its own smaller side: first covered for whites >= blacks,
+    # first met for whites < blacks.  _chain_expansion walks the blacks of
+    # the census classes only: first covered for the first tree, first met
+    # at the swapped shape for the second.  Node and term order follow the
+    # walk, so the trees are compared by their node paths, ends and terms,
+    # sorted.
     for n in range(1, 9):
         sides = ({}, {})
         for g, count in full_census(n):
@@ -131,8 +126,8 @@ def test_chain_expansion_matches_both_sides_of_every_class():
                 shape = (g.whites, g.blacks)
                 by_shape[shape] = by_shape.get(shape, 0) + count * chains
         *trees, _ = _chain_expansion(n)
-        assert [by_paths(t) for t in trees] == \
-            [by_paths(_chain_tree(side)) for side in sides], n
+        assert [chain_signature(t) for t in trees] == \
+            [chain_signature(sequence_tree(side)) for side in sides], n
 
 
 def test_ch_top_eval_memo(monkeypatch):
@@ -202,15 +197,18 @@ def test_kl_top_and_ch_top_eval_build_one_census(monkeypatch):
 
 
 def test_repeated_moment_counts_no_embedding_again(monkeypatch):
-    # Embedding counts are memoised per (class, diagram) in maps._EMBED_CACHE.
+    # Embedding counts are memoised per (class, diagram) in maps._EMBED_CACHE:
+    # a miss builds one chain tree, of one class on its smaller side.
     calls = []
-    real = maps._step_sequences
+    real = maps._chain_tree
     monkeypatch.setattr(maps, "_EMBED_CACHE", {})
-    monkeypatch.setattr(maps, "_step_sequences",
-                        lambda *args: calls.append(args) or real(*args))
+    monkeypatch.setattr(maps, "_chain_tree",
+                        lambda classes: calls.append([c[0] for c in classes])
+                        or real(classes))
     perm, lam = perm_from_cycle_type((3, 1)), (3, 2)
     first = moment_M(perm, lam)
     assert calls
+    assert calls == [[min(w, b)] for (w, b, _), _ in maps._EMBED_CACHE]
     count = len(calls)
     assert moment_M(perm, lam) == first
     assert len(calls) == count

@@ -1,8 +1,10 @@
 """Shared test helpers: brute enumeration of small bicolored graphs, two
 embedding counts that production replaced (the black-side recursion and
 the smaller-side variable elimination), as references, the color swap
-and the full class list of the census, the node paths of a chain-sum
-tree, the tree pairs of the free
+and the full class list of the census, the tuple-keyed step sequences and
+the tree built from them that the chain-tree trie replaced, as
+references, the node paths of a chain-sum tree and its signature up to
+node order, the tree pairs of the free
 cumulants with their graph classes, and the unpruned vector partitions
 with the connectivity test that the census enumerator replaced."""
 
@@ -157,6 +159,61 @@ def full_census(n: int) -> list[tuple[BicoloredGraph, int]]:
     return sorted(census + swaps, key=lambda entry: entry[0].canonical_key())
 
 
+def step_sequences(small: int, sets: Sequence[Iterable[int]]
+                   ) -> dict[tuple[tuple[int, int], ...], int]:
+    """Reference: the number of strict chains {} < U_1 < ... < U_j =
+    range(small) of each step sequence ((a_i, c_i)): a_i vertices join at
+    step i, and c_i of the sets are first covered by U_i.  One pass over
+    the pairs U < U' of subsets, each sequence a tuple."""
+    full = (1 << small) - 1
+    masks = [sum(1 << v for v in s) for s in sets]
+    reached = [sum(1 for m in masks if not m & ~u) for u in range(full + 1)]
+    ending: list[dict] = [{} for _ in range(full + 1)]
+    ending[0][()] = 1
+    for u in range(full):
+        rest = full ^ u
+        step = rest
+        while step:
+            v = u | step
+            key = (step.bit_count(), reached[v] - reached[u])
+            into = ending[v]
+            for seq, chains in ending[u].items():
+                seq += (key,)
+                into[seq] = into.get(seq, 0) + chains
+            step = (step - 1) & rest
+    return ending[full]
+
+
+def sequence_tree(coeffs: dict[tuple, dict[tuple[int, int], int]]) -> tuple:
+    """Reference: the maps._Chains of {sequence: {shape: coefficient}}, one
+    node per distinct prefix, built one depth at a time: the sequences
+    longer than the depth move to the child of their node for their next
+    step, made the first time it is asked for."""
+    seqs = list(coeffs)
+    at = [0] * len(seqs)
+    parent, step, ends = [0], [0], [1]
+    steps: dict[tuple[int, int], int] = {}
+    live = [i for i, seq in enumerate(seqs) if seq]
+    depth = 0
+    while live:
+        children: dict[tuple[int, int], int] = {}
+        for i in live:
+            key = (at[i], steps.setdefault(seqs[i][depth], len(steps)))
+            child = children.get(key)
+            if child is None:
+                child = children[key] = len(parent)
+                parent.append(key[0])
+                step.append(key[1])
+            at[i] = child
+        depth += 1
+        ends.append(len(parent))
+        live = [i for i in live if len(seqs[i]) > depth]
+    terms = tuple((node, shape, coeff)
+                  for node, by_shape in zip(at, coeffs.values())
+                  for shape, coeff in by_shape.items())
+    return parent, step, tuple(steps), tuple(ends), terms
+
+
 def chain_paths(tree) -> list[tuple]:
     """The step sequence of each node of a maps._chain_tree, read off the
     path from the root."""
@@ -165,6 +222,14 @@ def chain_paths(tree) -> list[tuple]:
     for i in range(1, len(parent)):
         paths.append(paths[parent[i]] + (steps[step[i]],))
     return paths
+
+
+def chain_signature(tree) -> tuple:
+    """A chain-sum tree up to the order of its nodes, steps and terms: its
+    node paths sorted, its ends, and its terms by node path, sorted."""
+    paths = chain_paths(tree)
+    return (sorted(paths), tuple(tree[3]),
+            sorted((paths[i], shape, c) for i, shape, c in tree[4]))
 
 
 def tree_pairs(k: int) -> list[tuple]:
