@@ -1,10 +1,11 @@
 """File cache: one JSON document per artifact, with schema version and digest.
 
-Artifacts are the per-diagram power-sum expansions of the oracle and the
-per-index g/R expansions of the top-degree part.  Documents that do not
-match their digest (edited by hand, say), stale schema versions, documents
-of the wrong shape, and Jack and top-degree documents that cannot belong
-to their diagram or index are ignored, which forces a recompute.
+Artifacts are the per-diagram Jack vectors of the oracle (monomial-basis
+coefficients as integer coefficient lists in alpha) and the per-index g/R
+expansions of the top-degree part.  Documents that do not match their
+digest (edited by hand, say), stale schema versions, documents of the
+wrong shape, and Jack and top-degree documents that cannot belong to their
+diagram or index are ignored, which forces a recompute.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ import os
 import sys
 from contextlib import suppress
 
-from .exact import AlphaPoly, KLPoly
-from .young import Partition, format_partition, parse_partition, size
+from .exact import KLPoly
+from .young import Partition, format_partition
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class Cache:
@@ -74,31 +75,27 @@ class Cache:
     def _jack_name(lam: Partition) -> str:
         return "jack_" + format_partition(lam).replace(",", "-") + ".json"
 
-    def load_jack(self, lam: Partition) -> dict[Partition, AlphaPoly] | None:
-        """The stored expansion of lam, or None (a miss) when the document
-        names another diagram, a key is not a partition of |lam| in its
-        written form, or a value is not a nonzero polynomial in alpha in
-        its written form."""
+    def load_jack(self, lam: Partition, check) -> list[list[int]] | None:
+        """The stored vector of lam, or None (a miss) when the document
+        names another diagram, an entry is not a list of ints with a
+        nonzero last one, or check(lam, vector) raises ValueError."""
         def decode(doc):
             if doc["lambda"] != format_partition(lam):
                 raise ValueError("another diagram")
-            out = {}
-            for k, v in doc["coeffs"].items():
-                pi = parse_partition(k)
-                value = AlphaPoly.parse(v)
-                if (format_partition(pi) != k or size(pi) != size(lam)
-                        or value.text() != v or not value):
-                    raise ValueError(f"bad entry {k}: {v}")
-                out[pi] = value
-            return out
+            vector = doc["vector"]
+            if type(vector) is not list or any(
+                    type(entry) is not list or entry and not entry[-1]
+                    or any(type(x) is not int for x in entry)
+                    for entry in vector):
+                raise ValueError("not a list of integer coefficient lists")
+            check(lam, vector)
+            return vector
 
         return self._read(self._jack_name(lam), decode)
 
-    def store_jack(self, lam: Partition, coeffs: dict[Partition, AlphaPoly]) -> None:
-        doc = {"lambda": format_partition(lam),
-               "coeffs": {format_partition(pi): c.text()
-                          for pi, c in sorted(coeffs.items())}}
-        self._write(self._jack_name(lam), doc)
+    def store_jack(self, lam: Partition, vector: list[list[int]]) -> None:
+        self._write(self._jack_name(lam),
+                    {"lambda": format_partition(lam), "vector": vector})
 
     def load_kl_top(self, n: int) -> KLPoly | None:
         """The stored top-degree expansion of index n, or None (a miss) when
@@ -130,6 +127,6 @@ def _digest(doc: dict) -> str:
     return sha256(text.encode()).hexdigest()
 
 
-#: The cache that jackref.jack_powersum and topdegree.kl_top read and write:
+#: The cache that jackref._Basis.m_vector and topdegree.kl_top read and write:
 #: cli.main sets it for the length of one call, None means no disk cache.
 ACTIVE: Cache | None = None

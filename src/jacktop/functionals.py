@@ -20,12 +20,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _itperms
-from math import lcm
+from math import comb, lcm
 
 from .exact import (GammaPoly, KLPoly, Laurent, addmul_ints, gamma_power_A,
                     gamma_recover, int_coeffs)
 from .maps import compose, cycles, full_cycle, inverse
-from .young import Partition, binom, boxes, content
+from .young import Partition, boxes, content
 
 
 class BadIndex(ValueError):
@@ -81,7 +81,7 @@ def conversion_P(n: int) -> dict[int, GammaPoly]:
         bracket = a_inv_j + neg_a_j - gamma_power_A(j)
         if j == 0:
             bracket = bracket - Laurent.const(1)
-        d_k = bracket.scale(Fraction(binom(n, k - 2), n * (k - 1)))
+        d_k = bracket.scale(Fraction(comb(n, k - 2), n * (k - 1)))
         p_k = gamma_recover(d_k)
         if p_k:
             out[k] = p_k

@@ -28,10 +28,10 @@ coefficients are the unnormalized characters, which the normalized
 character wraps per the classical
 binomial/z-factor prescription: an integer factor, and alpha**e carried to
 A**(2e).  A character reads only the one column it needs, against the
-diagram's vector (kept on the basis of its degree), and builds its Laurent
-polynomial from the integer numerators; the whole expansion, as AlphaPoly
-polynomials in alpha, is built only by `jack_powersum`, which the disk
-cache stores.
+diagram's vector (kept on the basis of its degree, and with a disk cache
+stored as `jack_*.json`), and builds its Laurent polynomial from the
+integer numerators; the whole expansion, as AlphaPoly polynomials in
+alpha, is built only by `jack_powersum`, the reference for that column.
 
 A Gram-Schmidt construction against the deformed power-sum inner product
 is provided as an independent cross-check of the same polynomials.
@@ -41,12 +41,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
 from . import cache
 from .exact import AlphaPoly, Laurent, RatFunc
-from .young import (Partition, binom, length, partition,
-                    partitions_of, size, transpose, z_factor)
+from .young import (Partition, length, partition, partitions_of, size,
+                    transpose, z_factor)
 
 DEFAULT_SIZE_BOUND = 8
 
@@ -278,11 +278,31 @@ class _Basis:
         return hit
 
     def m_vector(self, lam: Partition) -> list[list[int]]:
-        """`_jack_m_vector(lam)`, computed once per diagram of this degree."""
+        """`_jack_m_vector(lam)`, once per diagram of this degree: from the
+        memo, else from the disk cache (`cache.ACTIVE`, if set) when it
+        holds a plausible vector, else computed and stored there."""
         v = self._m_vectors.get(lam)
+        if v is not None:
+            return v
+        disk = cache.ACTIVE
+        if disk is not None:
+            v = disk.load_jack(lam, self.check_vector)
         if v is None:
-            v = self._m_vectors[lam] = _jack_m_vector(lam)
+            v = _jack_m_vector(lam)
+            if disk is not None:
+                disk.store_jack(lam, v)
+        self._m_vectors[lam] = v
         return v
+
+    def check_vector(self, lam: Partition, v: list[list[int]]) -> None:
+        """Raise ValueError unless v, a list of integer coefficient lists,
+        can be lam's vector: one entry per partition, none before lam's,
+        c_lambda(alpha) at lam and n! at 1^n (the last)."""
+        li = self.index[lam]
+        if (len(v) != len(self.parts) or any(v[:li])
+                or v[li] != list(_j_leading(lam))
+                or v[-1] != [factorial(self.n)]):
+            raise ValueError(f"not the Jack vector of {lam}")
 
     def theta_column(self, rhs: list[list[int]], col: int
                      ) -> tuple[list[int], int]:
@@ -351,7 +371,8 @@ def _add_scaled(acc: list[int], c: int, poly: list[int]) -> None:
         acc.pop()
 
 
-# Hit 144 times per oracle-full round and 62 per cli-session pass.
+# Hit 144 times per oracle-full round; called 73 times in a cold and 56 in a
+# warm cli-session pass (seed 1, one interpreter per command).
 @lru_cache(maxsize=None)
 def _basis(n: int) -> _Basis:
     return _Basis(n)
@@ -430,10 +451,6 @@ def _jack_m_vector(lam: Partition) -> list[list[int]]:
     return v
 
 
-# Hit 39 times per cli-session pass, all by `verify jack-examples 4`.
-_POWERSUM_CACHE: dict[Partition, dict[Partition, AlphaPoly]] = {}
-
-
 def _check_bound(n: int, bound: int | None) -> None:
     """Raise BoundExceeded when a diagram of size n is over the bound."""
     limit = DEFAULT_SIZE_BOUND if bound is None else bound
@@ -445,33 +462,14 @@ def jack_powersum(lam: Partition, bound: int | None = None) -> dict[Partition, A
     """Power-sum expansion of the J-normalized Jack polynomial of lam.
 
     Returns a map from power-sum index partitions to coefficients in alpha;
-    these coefficients are the unnormalized characters.
+    these coefficients are the unnormalized characters.  Every column
+    converted, with no memo: the reference for `jack_character`'s one.
     """
     lam = partition(lam)
-    n = size(lam)
-    _check_bound(n, bound)
-    hit = _POWERSUM_CACHE.get(lam)
-    if hit is not None:
-        return hit
-    disk = cache.ACTIVE
-    if disk is not None:
-        stored = disk.load_jack(lam)
-        if stored is not None:
-            _POWERSUM_CACHE[lam] = stored
-            return stored
-
-    if n == 0:
-        result = {(): AlphaPoly.const(1)}
-    else:
-        basis = _basis(n)
-        theta = basis.theta_from_m(_jack_m_vector(lam))
-        result = {pi: theta[i] for i, pi in enumerate(basis.parts)
-                  if not theta[i].is_zero()}
-
-    _POWERSUM_CACHE[lam] = result
-    if disk is not None:
-        disk.store_jack(lam, result)
-    return result
+    _check_bound(size(lam), bound)
+    basis = _basis(size(lam))
+    theta = basis.theta_from_m(basis.m_vector(lam))
+    return {pi: c for pi, c in zip(basis.parts, theta) if not c.is_zero()}
 
 
 def jack_m_expansion(lam: Partition) -> dict[Partition, AlphaPoly]:
@@ -541,9 +539,8 @@ def jack_character(pi: Partition, lam: Partition, bound: int | None = None) -> L
 
     Zero when the diagram is smaller than pi; otherwise the power-sum
     coefficient at pi padded with fixed points, times the binomial and
-    z-factor normalizations, carried to A via alpha = A**2.  With no disk
-    cache, and lam's expansion not built yet, only that one coefficient is
-    computed, from the diagram's monomial-basis vector.
+    z-factor normalizations, carried to A via alpha = A**2.  Only that one
+    coefficient is computed, from the diagram's monomial-basis vector.
     """
     pi = partition(pi)
     lam = partition(lam)
@@ -554,12 +551,9 @@ def jack_character(pi: Partition, lam: Partition, bound: int | None = None) -> L
     # pi is decreasing, so padding it with fixed points keeps it sorted.
     padded = pi + (1,) * (n - s)
     m1 = pi.count(1)
-    factor = binom(n - s + m1, m1) * z_factor(pi)
+    factor = comb(n - s + m1, m1) * z_factor(pi)
     shift = s - len(pi)
-    if cache.ACTIVE is None and lam and lam not in _POWERSUM_CACHE:
-        basis = _basis(n)
-        nums, den = basis.theta_column(basis.m_vector(lam), basis.index[padded])
-        return Laurent._of({2 * e - shift: Fraction(x * factor, den)
-                            for e, x in enumerate(nums) if x})
-    theta = jack_powersum(lam, bound=bound).get(padded)
-    return theta.at_A_squared(-shift, factor) if theta else Laurent.zero()
+    basis = _basis(n)
+    nums, den = basis.theta_column(basis.m_vector(lam), basis.index[padded])
+    return Laurent._of({2 * e - shift: Fraction(x * factor, den)
+                        for e, x in enumerate(nums) if x})

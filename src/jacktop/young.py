@@ -162,9 +162,3 @@ def to_partition(p_prime, q_prime) -> Partition:
         if row > 0:
             rows.extend([row] * reps)
     return tuple(rows)
-
-
-def binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return factorial(n) // (factorial(k) * factorial(n - k))

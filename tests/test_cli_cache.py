@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from jacktop import cache, cli, jackref, verify
 from jacktop.cache import SCHEMA_VERSION, Cache
 from jacktop.exact import KLPoly
-from jacktop.jackref import jack_powersum
+from jacktop.jackref import _basis, _jack_m_vector
 from jacktop.topdegree import kl_top
 from jacktop.verify import SUITES
 from jacktop.young import format_partition, partitions_of
@@ -172,9 +172,14 @@ def test_census_output(capsys):
 
 def test_cache_roundtrip(tmp_path):
     cache = Cache(str(tmp_path))
-    value = jack_powersum((2, 1))
+    value = _jack_m_vector((2, 1))
     cache.store_jack((2, 1), value)
-    assert cache.load_jack((2, 1)) == value
+    assert cache.load_jack((2, 1), _basis(3).check_vector) == value
+
+    def reject(lam, vector):
+        raise ValueError("implausible")
+
+    assert cache.load_jack((2, 1), reject) is None
     table = kl_top(3)
     cache.store_kl_top(3, table)
     assert cache.load_kl_top(3) == table
@@ -194,25 +199,45 @@ def test_cache_schema_versioning(tmp_path):
     assert cache.load_kl_top(2) is None
 
 
-def test_warm_cache_identical_output(tmp_path, capsys, monkeypatch):
-    # A warm read of an untouched file is a hit: the same stdout, and
-    # nothing is written again.
-    runs = [["kl-top", "3"], ["eval", "ch", "2", "2,1"]]
-    cold = []
-    for argv in runs:
-        jackref._POWERSUM_CACHE.clear()
-        cold.append(run_cli(capsys, "--cache-dir", str(tmp_path), *argv))
-    assert [code for code, _ in cold] == [0, 0]
+# One `eval ch` per diagram size 0-9, with the oracle's own suite.
+WARM_RUNS = [["kl-top", "3"], ["eval", "ch", "0", "0"], ["eval", "ch", "1", "1"],
+             ["eval", "ch", "2", "1,1"], ["eval", "ch", "2,1", "2,1"],
+             ["eval", "ch", "3", "2,2"], ["eval", "ch", "2,2", "3,1,1"],
+             ["eval", "ch", "4", "3,2,1"], ["eval", "ch", "3,1", "4,2,1"],
+             ["eval", "ch", "2,1,1", "3,3,2"], ["eval", "ch", "4", "4,3,2"],
+             ["verify", "jack-examples", "4"]]
+
+
+def test_warm_cache_identical_output(tmp_path, capsys, monkeypatch,
+                                     forget_jack_vectors):
+    # The same stdout without a cache, cold and warm; a warm read of an
+    # untouched file is a hit, so nothing is written again; and no command
+    # converts a whole power-sum expansion.
+    conversions = []
+    real = jackref._Basis.theta_from_m
+    monkeypatch.setattr(jackref._Basis, "theta_from_m",
+                        lambda self, rhs: conversions.append(rhs)
+                        or real(self, rhs))
+
+    def run_all(*flags):
+        outs = []
+        for argv in WARM_RUNS:
+            forget_jack_vectors()
+            outs.append(run_cli(capsys, *flags, *argv))
+        return outs
+
+    plain = run_all()
+    assert [code for code, _ in plain] == [0] * len(WARM_RUNS)
+    assert run_all("--cache-dir", str(tmp_path)) == plain
     disk = Cache(str(tmp_path))
     assert disk.load_kl_top(3) == kl_top(3)
-    assert disk.load_jack((2, 1)) == jack_powersum((2, 1))
+    assert disk.load_jack((4, 3, 2), _basis(9).check_vector) == \
+        _jack_m_vector((4, 3, 2))
     writes = []
     monkeypatch.setattr(Cache, "_write", lambda *args: writes.append(args))
-    for argv, expected in zip(runs, cold):
-        jackref._POWERSUM_CACHE.clear()
-        assert run_cli(capsys, "--cache-dir", str(tmp_path), *argv) == \
-            expected
+    assert run_all("--cache-dir", str(tmp_path)) == plain
     assert writes == []
+    assert conversions == []
 
 
 def triple_g_r3(doc):
@@ -221,30 +246,31 @@ def triple_g_r3(doc):
     term["coeff"] = "5"
 
 
-def flip_jack_2_1(doc):
-    assert doc["coeffs"]["2,1"] == "a - 1"
-    doc["coeffs"]["2,1"] = "a + 1"
+def flip_jack_3_1(doc):
+    # The entry at 2,1,1, which no plausibility check reads.
+    assert doc["vector"][3] == [10, 6]
+    doc["vector"][3] = [10, 7]
 
 
 @pytest.mark.parametrize("argv,name,edit,expected", [
     (["kl-top", "3", "--format", "text"], "kltop_3.json", triple_g_r3,
      "R4 + 3*R3*g + 2*R2*g^2\n"),
-    (["eval", "ch", "2", "2,1"], "jack_2-1.json", flip_jack_2_1,
-     '{"-1": "-2", "1": "2"}\n'),
+    (["eval", "ch", "2", "3,1"], "jack_3-1.json", flip_jack_3_1,
+     '{"-1": "-2", "1": "6"}\n'),
 ], ids=["kl-top", "jack"])
-def test_hand_edited_cache_file_is_a_miss(tmp_path, capsys, argv, name,
+def test_hand_edited_cache_file_is_a_miss(tmp_path, capsys,
+                                          forget_jack_vectors, argv, name,
                                           edit, expected):
     # A value edited by hand, with the old digest left in place, is a miss:
     # it is recomputed, printed right and the file written again.
     argv = ["--cache-dir", str(tmp_path), *argv]
-    jackref._POWERSUM_CACHE.clear()
     assert run_cli(capsys, *argv) == (0, expected)
     path = tmp_path / name
     before = path.read_bytes()
     doc = json.loads(before)
     edit(doc)
     path.write_text(json.dumps(doc, indent=1, sort_keys=True))
-    jackref._POWERSUM_CACHE.clear()
+    forget_jack_vectors()
     assert run_cli(capsys, *argv) == (0, expected)
     assert path.read_bytes() == before
 
@@ -342,16 +368,16 @@ def test_deeply_nested_kl_top_file_is_a_miss(tmp_path, capsys, bad):
 
 
 @pytest.mark.parametrize(
-    "bad", [DEEP, '{"schema": 1, "lambda": "2", "coeffs": {"2": %s}}' % DEEP],
+    "bad", [DEEP, '{"schema": 1, "lambda": "2", "vector": %s}' % DEEP],
     ids=["bare", "in-document"])
-def test_deeply_nested_jack_file_is_a_miss(tmp_path, capsys, bad):
+def test_deeply_nested_jack_file_is_a_miss(tmp_path, capsys,
+                                           forget_jack_vectors, bad):
     path = tmp_path / "jack_2.json"
     path.write_text(bad)
-    jackref._POWERSUM_CACHE.clear()
     code, out = run_cli(capsys, "--cache-dir", str(tmp_path),
                         "eval", "ch", "2", "2")
     assert code == 0 and json.loads(out) == {"1": "2"}
-    assert json.loads(path.read_text())["coeffs"] == {"1,1": "1", "2": "a"}
+    assert json.loads(path.read_text())["vector"] == [[1, 1], [2]]
 
 
 @pytest.mark.parametrize("n,terms", [
@@ -389,9 +415,10 @@ def test_coefficient_not_in_written_form_is_a_miss(tmp_path, capsys, coeff):
 
 @pytest.mark.parametrize("bad", ['{"schema": 1}', "[1, 2]",
                                  pytest.param(sealed({}), id="sealed")])
-def test_wrong_shape_jack_file_is_a_miss(tmp_path, capsys, bad):
+def test_wrong_shape_jack_file_is_a_miss(tmp_path, capsys,
+                                         forget_jack_vectors, bad):
     def run_cold():
-        jackref._POWERSUM_CACHE.clear()
+        forget_jack_vectors()
         return run_cli(capsys, "--cache-dir", str(tmp_path),
                        "eval", "ch", "2", "3,1")
 
@@ -405,29 +432,54 @@ def test_wrong_shape_jack_file_is_a_miss(tmp_path, capsys, bad):
     assert code == 0
     assert out == expected
     for path in files:
-        assert "coeffs" in json.loads(path.read_text())
+        assert "vector" in json.loads(path.read_text())
 
 
+def fresh_jack_file(tmp_path, lam):
+    """The bytes of lam's jack file as Cache writes it, in a directory of
+    its own."""
+    disk = Cache(str(tmp_path / "fresh"))
+    disk.store_jack(lam, _jack_m_vector(lam))
+    return (tmp_path / "fresh" / disk._jack_name(lam)).read_bytes()
+
+
+# J_2 = (a + 1) m_2 + 2 m_1,1, its vector [[1, 1], [2]] in `parts` order.
 @pytest.mark.parametrize("coeffs,lam", [
-    ({"1,1": "1", "2": "-1"}, "1,1"),        # the expansion of another diagram
-    ({"7": "1", "1,1": "1"}, "2"),           # a key that is not a partition of 2
-    ({"1,1": "1", "2": "(a)/(a + 1)"}, "2"),  # a value with a denominator
-    ({"1,1": "1", "2": "a^-1"}, "2"),         # a negative power of alpha
-    ({"1,1": "1", "2": "a^-1 + 1"}, "2"),
-    ({"1,1": "1", "2": "2*a^0"}, "2"),        # values not in written form
-    ({"1,1": "1", "2": "a + a"}, "2"),
-    ({"1,1": "1", "2": "0"}, "2"),            # a zero value, never written
+    ([[1, 1], [2]], "1,1"),         # a document that names another diagram
+    ([[1, 1]], "2"),                # fewer entries than partitions of 2
+    ([[1, 1], [2], [2]], "2"),      # more
+    ([[True, 1], [2]], "2"),        # a bool, equal to 1 but not an int
+    ([[1, 1.0], [2]], "2"),         # a float
+    ([[1, 1], 2], "2"),             # an entry that is not a list
+    ([[1, 2], [2]], "2"),           # a leading entry other than c_lambda
+    ([[1, 1], [4]], "2"),           # a bottom entry other than n!
 ])
-def test_implausible_jack_file_is_a_miss(tmp_path, capsys, coeffs, lam):
+def test_implausible_jack_file_is_a_miss(tmp_path, capsys, forget_jack_vectors,
+                                         coeffs, lam):
     path = tmp_path / "jack_2.json"
-    path.write_text(sealed({"lambda": lam, "coeffs": coeffs}))
-    jackref._POWERSUM_CACHE.clear()
+    path.write_text(sealed({"lambda": lam, "vector": coeffs}))
     code, out = run_cli(capsys, "--cache-dir", str(tmp_path),
                         "eval", "ch", "2", "2")
     assert code == 0 and json.loads(out) == {"1": "2"}
-    doc = json.loads(path.read_text())
-    assert doc["lambda"] == "2"
-    assert doc["coeffs"] == {"1,1": "1", "2": "a"}
+    assert path.read_bytes() == fresh_jack_file(tmp_path, (2,))
+
+
+# J_3,1 in `parts` order 4 > 3,1 > 2,2 > 2,1,1 > 1^4 is [[], [2, 4, 2],
+# [4, 4], [10, 6], [24]]: the entries at 2,2 and 2,1,1 are checked only
+# for their written form.
+@pytest.mark.parametrize("vector", [
+    [[1], [2, 4, 2], [4, 4], [10, 6], [24]],
+    [[], [2, 4, 2], [4, 4, 0], [10, 6], [24]],
+    [[], [2, 4, 2], [24]],  # the character would read entry 2,1,1
+], ids=["entry-before-the-diagram", "trailing-zero", "short"])
+def test_implausible_jack_vector_of_3_1_is_a_miss(tmp_path, capsys,
+                                                  forget_jack_vectors, vector):
+    path = tmp_path / "jack_3-1.json"
+    path.write_text(sealed({"lambda": "3,1", "vector": vector}))
+    code, out = run_cli(capsys, "--cache-dir", str(tmp_path),
+                        "eval", "ch", "2", "3,1")
+    assert code == 0 and json.loads(out) == {"-1": "-2", "1": "6"}
+    assert path.read_bytes() == fresh_jack_file(tmp_path, (3, 1))
 
 
 @pytest.mark.parametrize("sub", ["", "sub"])
@@ -529,38 +581,66 @@ def test_verify_stanley_20_is_quick(capsys):
 
 
 # Cache-file fuzzing: truncated or byte-damaged copies of a valid Jack and a
-# valid top-degree document, each read by the command that uses it.  A
-# damaged file is a miss or a plausible hit, never a failed command.
+# valid top-degree document, each read by the command that uses it; or, in
+# half of the cases, a copy with one value replaced, at any depth, that
+# still parses as a JSON object and is sealed again, so that it passes the
+# digest and reaches its decoder.  A damaged file is a miss or a plausible
+# hit, never a failed command.
 CACHE_COMMANDS = {"jack_3-1.json": ["eval", "ch", "2", "3,1"],
                   "kltop_3.json": ["kl-top", "3"]}
 CACHE_BYTES = st.binary(min_size=1, max_size=4) | st.lists(
     st.sampled_from(list(b'0123456789-e.,:[]{}"a^*/ \xff')),
     min_size=1, max_size=4).map(bytes)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-30, 30) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5)
 
 
 @pytest.fixture(scope="module")
 def valid_cache_files(tmp_path_factory):
     directory = tmp_path_factory.mktemp("valid")
     cache = Cache(str(directory))
-    cache.store_jack((3, 1), jack_powersum((3, 1)))
+    cache.store_jack((3, 1), _jack_m_vector((3, 1)))
     cache.store_kl_top(3, kl_top(3))
     return {name: (directory / name).read_bytes() for name in CACHE_COMMANDS}
+
+
+def replace_a_value(data, value, root=False):
+    """value with one part, at a drawn depth, replaced by a drawn JSON
+    value; the root stays a JSON object."""
+    if root or value and isinstance(value, (list, dict)) and \
+            data.draw(st.booleans()):
+        keys = sorted(value) if isinstance(value, dict) else range(len(value))
+        key = data.draw(st.sampled_from(keys))
+        copy = value.copy()
+        copy[key] = replace_a_value(data, value[key])
+        return copy
+    return data.draw(JSON_VALUES)
 
 
 @given(data=st.data())
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_damaged_cache_file_exits_cleanly(tmp_path, valid_cache_files, data):
+def test_damaged_cache_file_exits_cleanly(tmp_path, valid_cache_files,
+                                          forget_jack_vectors, data):
     name = data.draw(st.sampled_from(sorted(CACHE_COMMANDS)))
     valid = valid_cache_files[name]
-    i = data.draw(st.integers(0, len(valid) - 1))
     if data.draw(st.booleans()):
-        damaged = valid[:i]
+        doc = json.loads(valid)
+        del doc["sha256"]
+        damaged = sealed(replace_a_value(data, doc, root=True)).encode()
     else:
-        j = data.draw(st.integers(i, min(i + 3, len(valid))))
-        damaged = valid[:i] + data.draw(CACHE_BYTES) + valid[j:]
+        i = data.draw(st.integers(0, len(valid) - 1))
+        if data.draw(st.booleans()):
+            damaged = valid[:i]
+        else:
+            j = data.draw(st.integers(i, min(i + 3, len(valid))))
+            damaged = valid[:i] + data.draw(CACHE_BYTES) + valid[j:]
     (tmp_path / name).write_bytes(damaged)
-    jackref._POWERSUM_CACHE.pop((3, 1), None)
+    forget_jack_vectors()
     argv = ["--cache-dir", str(tmp_path), *CACHE_COMMANDS[name]]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

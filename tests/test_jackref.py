@@ -2,7 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
 import pytest
 
@@ -13,8 +13,8 @@ from jacktop.jackref import (BoundExceeded, _add_scaled, _apply_U, _basis,
                              _m_expand, _mul_power_sum, _p_row,
                              jack_character, jack_m_expansion,
                              jack_m_expansion_gram_schmidt, jack_powersum)
-from jacktop.young import (binom, enumerate_partitions, length,
-                           multiplicities, partitions_of, size, z_factor)
+from jacktop.young import (enumerate_partitions, length, multiplicities,
+                           partitions_of, size, z_factor)
 
 ALPHA = AlphaPoly.var()
 ONE = AlphaPoly.const(1)
@@ -490,7 +490,7 @@ def ratfunc_character(pi, lam):
     padded = tuple(sorted(pi + (1,) * extra, reverse=True))
     theta = RatFunc(jack_powersum(lam, bound=9).get(padded, 0))
     m1 = multiplicities(pi).get(1, 0)
-    value = alpha_to_A(theta * (binom(extra + m1, m1) * z_factor(pi)))
+    value = alpha_to_A(theta * (comb(extra + m1, m1) * z_factor(pi)))
     shift = size(pi) - length(pi)
     return Laurent({e - shift: c for e, c in value.items()})
 
@@ -511,7 +511,7 @@ def whole_expansion_character(pi, lam):
     padded = tuple(sorted(pi + (1,) * extra, reverse=True))
     theta = jack_powersum(lam).get(padded)
     m1 = multiplicities(pi).get(1, 0)
-    factor = binom(extra + m1, m1) * z_factor(pi)
+    factor = comb(extra + m1, m1) * z_factor(pi)
     shift = size(pi) - length(pi)
     return theta.at_A_squared(-shift, factor) if theta else Laurent.zero()
 
@@ -520,10 +520,10 @@ def whole_expansion_character(pi, lam):
 ROUTE_PAIRS = [(pi, lam) for lam in enumerate_partitions(8)
                for s in range(size(lam) + 1) for pi in partitions_of(s)]
 
-# SHA-256 of the jack_*.json files that the whole-expansion route writes
-# for the diagrams of ROUTE_PAIRS, hashed as in `cache_digest`.
+# SHA-256 of the jack_*.json files (each diagram's vector) that the
+# characters of ROUTE_PAIRS write, hashed as in `cache_digest`.
 JACK_FILES_DIGEST = \
-    "df50bb03aab35102b2c49ad526c84f96e83ddeccd9f5ed74f08112da7d2873ee"
+    "18be509d8906361b3b12efec53cded0674b1b5d2930f7378f60fdb8ba9e711fa"
 
 
 def cache_digest(directory):
@@ -533,28 +533,19 @@ def cache_digest(directory):
     return digest.hexdigest()
 
 
-@pytest.fixture
-def empty_memos(monkeypatch):
-    """No expansion or monomial-basis vector known yet (the
-    module's memos come back after the test)."""
-    monkeypatch.setattr(jackref, "_POWERSUM_CACHE", {})
-    for n in range(1, 9):
-        monkeypatch.setattr(_basis(n), "_m_vectors", {})
-
-
 @pytest.fixture(scope="module")
 def whole_expansion_characters():
     return {pair: whole_expansion_character(*pair) for pair in ROUTE_PAIRS}
 
 
-def test_one_column_route_matches_whole_expansion(empty_memos,
+def test_one_column_route_matches_whole_expansion(forget_jack_vectors,
                                                   whole_expansion_characters):
     for pi, lam in ROUTE_PAIRS:
         assert jack_character(pi, lam) == \
             whole_expansion_characters[pi, lam], (pi, lam)
 
 
-def test_character_after_jack_powersum(empty_memos,
+def test_character_after_jack_powersum(forget_jack_vectors,
                                        whole_expansion_characters):
     for pi, lam in ROUTE_PAIRS:
         jack_powersum(lam)
@@ -562,25 +553,33 @@ def test_character_after_jack_powersum(empty_memos,
             whole_expansion_characters[pi, lam], (pi, lam)
 
 
-def test_character_with_disk_cache_writes_whole_expansion(
-        empty_memos, whole_expansion_characters, tmp_path, monkeypatch):
+def test_character_with_disk_cache_writes_jack_vectors(
+        forget_jack_vectors, whole_expansion_characters, tmp_path,
+        monkeypatch):
     monkeypatch.setattr(cache, "ACTIVE", cache.Cache(str(tmp_path)))
     for pi, lam in ROUTE_PAIRS:
         assert jack_character(pi, lam) == \
             whole_expansion_characters[pi, lam], (pi, lam)
     assert cache_digest(tmp_path) == JACK_FILES_DIGEST
+    for lam in {lam for _, lam in ROUTE_PAIRS}:
+        assert cache.ACTIVE.load_jack(lam, _basis(size(lam)).check_vector) \
+            == _jack_m_vector(lam)
 
 
-def test_cold_character_never_converts_whole_expansion(empty_memos,
-                                                       monkeypatch):
+def test_cold_character_never_converts_whole_expansion(
+        forget_jack_vectors, whole_expansion_characters, tmp_path,
+        monkeypatch):
+    # Without a disk cache, and with a cold and a warm one alike.
     def whole_conversion(self, rhs):
         raise AssertionError("theta_from_m called")
 
     monkeypatch.setattr(jackref._Basis, "theta_from_m", whole_conversion)
-    for pi, lam in ROUTE_PAIRS:
-        jack_character(pi, lam)
-    # Only the empty diagram goes through jack_powersum.
-    assert list(jackref._POWERSUM_CACHE) == [()]
+    for disk in [None, cache.Cache(str(tmp_path)), cache.Cache(str(tmp_path))]:
+        monkeypatch.setattr(cache, "ACTIVE", disk)
+        forget_jack_vectors()
+        for pi, lam in ROUTE_PAIRS:
+            assert jack_character(pi, lam) == \
+                whole_expansion_characters[pi, lam], (pi, lam)
 
 
 def test_cold_character_builds_only_its_column(monkeypatch):
@@ -591,7 +590,6 @@ def test_cold_character_builds_only_its_column(monkeypatch):
                         lambda low, below, j: built.append(j)
                         or real(low, below, j))
     monkeypatch.setattr(jackref, "_basis", lru_cache(jackref._Basis))
-    monkeypatch.setattr(jackref, "_POWERSUM_CACHE", {})
     monkeypatch.setattr(cache, "ACTIVE", None)
     values = [jack_character((2,), lam) for lam in [(3, 2, 1), (4, 2)]]
     # One column for both diagrams: (2,1,1,1,1) of degree 6.
@@ -602,7 +600,7 @@ def test_cold_character_builds_only_its_column(monkeypatch):
     assert sorted(built) == list(range(len(jackref._basis(6).parts)))
 
 
-def test_second_pi_reuses_the_m_vector(empty_memos, monkeypatch):
+def test_second_pi_reuses_the_m_vector(forget_jack_vectors, monkeypatch):
     calls = []
     real = jackref._jack_m_vector
     monkeypatch.setattr(jackref, "_jack_m_vector",
@@ -613,13 +611,14 @@ def test_second_pi_reuses_the_m_vector(empty_memos, monkeypatch):
     assert calls == [lam]
 
 
-def test_disk_cache_is_read_once_per_diagram(empty_memos, tmp_path,
+def test_disk_cache_is_read_once_per_diagram(forget_jack_vectors, tmp_path,
                                              monkeypatch):
-    # With a disk cache the expansion is kept in jackref._POWERSUM_CACHE.
+    # With a disk cache the vector is kept on the basis as well.
     loads = []
     real = cache.Cache.load_jack
     monkeypatch.setattr(cache.Cache, "load_jack",
-                        lambda self, lam: loads.append(lam) or real(self, lam))
+                        lambda self, lam, check: loads.append(lam)
+                        or real(self, lam, check))
     monkeypatch.setattr(cache, "ACTIVE", cache.Cache(str(tmp_path)))
     lam = (3, 2, 1)
     for pi in [(1,), (2,), (1, 1), (3,), (2, 1)]:
