@@ -183,6 +183,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     finally:
         cache.ACTIVE = None
+        jackref.M_VECTORS.clear()
         set_jobs(1)
 
 

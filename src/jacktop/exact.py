@@ -14,11 +14,10 @@ Five value spaces, all over the rationals:
 The first four share one sparse core, with no zero coefficients stored (the
 empty map is the canonical zero): ``_Sparse`` (key -> nonzero Fraction, with
 add, neg, sub, scale, eq and hash) and, for the three univariate ones,
-``_Univariate`` (mul, pow, degree, coeff, long division and the parser of
-its text form); ``_Polynomial`` keeps the exponents of g and alpha
-nonnegative.  ``RatFunc`` is a numerator and a monic denominator in
-``AlphaPoly``, reduced by a gcd from the same long division.  One printer,
-``_signed_sum``, writes every text form.
+``_Univariate`` (mul, pow, degree, coeff and long division); ``_Polynomial``
+keeps the exponents of g and alpha nonnegative.  ``RatFunc`` is a numerator
+and a monic denominator in ``AlphaPoly``, reduced by a gcd from the same
+long division.  One printer, ``_signed_sum``, writes every text form.
 
 Plus the substitution calculus between them: g -> -A + 1/A, its inverse on
 (A <-> -1/A)-invariant Laurent polynomials, and alpha -> A**2.
@@ -57,9 +56,8 @@ def _power(name: str, e: int) -> list[str]:
     return [name if e == 1 else f"{name}^{e}"]
 
 
-#: An unsigned integer or fraction as ``str(Fraction)`` prints it.
-_UNSIGNED = r"\d+(?:/\d*[1-9]\d*)?"
-_SIGNED = re.compile(rf"-?{_UNSIGNED}")
+#: An integer or fraction as ``str(Fraction)`` prints it.
+_SIGNED = re.compile(r"-?\d+(?:/\d*[1-9]\d*)?")
 
 
 def _written_fraction(s) -> Fraction:
@@ -250,24 +248,6 @@ class _Univariate(_Sparse):
     def text(self) -> str:
         return _signed_sum((v, _power(self._VAR, e))
                            for e, v in sorted(self._c.items(), reverse=True))
-
-    @classmethod
-    def parse(cls, s: str):
-        """Inverse of text(); raises ValueError on other forms and on an
-        exponent that ``_key`` refuses."""
-        x = re.escape(cls._VAR)
-        term = re.compile(
-            rf"(-?)(?:(?:({_UNSIGNED})\*)?{x}(?:\^(-?\d+))?|({_UNSIGNED}))")
-        out: dict[int, Fraction] = {}
-        for piece in s.replace(" - ", " + -").split(" + "):
-            m = term.fullmatch(piece)
-            if m is None:
-                raise ValueError(f"not a term of {cls.__name__}: {piece!r}")
-            sign, coeff, exp, const = m.groups()
-            e, v = ((0, Fraction(const)) if const
-                    else (int(exp or 1), Fraction(coeff or 1)))
-            out[e] = out.get(e, 0) + (-v if sign else v)
-        return cls(out)
 
 
 class Laurent(_Univariate):
@@ -482,14 +462,6 @@ class RatFunc:
         if not self.den.degree():
             return self.num.text()
         return f"({self.num.text()})/({self.den.text()})"
-
-    @staticmethod
-    def parse(s: str) -> "RatFunc":
-        """Inverse of text()."""
-        if s.startswith("(") and ")/(" in s:
-            n, d = s[1:-1].split(")/(", 1)
-            return RatFunc(AlphaPoly.parse(n), AlphaPoly.parse(d))
-        return RatFunc(AlphaPoly.parse(s))
 
     def __repr__(self) -> str:
         return f"RatFunc({self.text()})"

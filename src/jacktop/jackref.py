@@ -28,8 +28,8 @@ coefficients are the unnormalized characters, which the normalized
 character wraps per the classical
 binomial/z-factor prescription: an integer factor, and alpha**e carried to
 A**(2e).  A character reads only the one column it needs, against the
-diagram's vector (kept on the basis of its degree, and with a disk cache
-stored as `jack_*.json`), and builds its Laurent polynomial from the
+diagram's vector (kept in `M_VECTORS`, and with a disk cache stored as
+`jack_*.json`), and builds its Laurent polynomial from the
 integer numerators; the whole expansion, as AlphaPoly polynomials in
 alpha, is built only by `jack_powersum`, the reference for that column.
 
@@ -49,6 +49,11 @@ from .young import (Partition, length, partition, partitions_of, size,
                     transpose, z_factor)
 
 DEFAULT_SIZE_BOUND = 8
+
+# The Jack vectors in the monomial basis read so far, by diagram; hit 36
+# times by the character queries of an oracle-full round.  cli.main empties
+# it after each call, so the next call's --cache-dir sees every vector.
+M_VECTORS: dict[Partition, list[list[int]]] = {}
 
 
 class BoundExceeded(ValueError):
@@ -255,9 +260,6 @@ class _Basis:
         self._p_below = [[(m, x) for m, x in enumerate(row[:i]) if x]
                          for i, row in enumerate(self.p_in_m)]
         self._inverse_columns: dict[int, tuple[list[tuple[int, int]], int]] = {}
-        # The Jack vectors in the monomial basis read so far, by diagram;
-        # hit 36 times by the character queries of an oracle-full round.
-        self._m_vectors: dict[Partition, list[list[int]]] = {}
 
     @cached_property
     def m_in_p(self) -> list[list[Fraction]]:
@@ -278,10 +280,10 @@ class _Basis:
         return hit
 
     def m_vector(self, lam: Partition) -> list[list[int]]:
-        """`_jack_m_vector(lam)`, once per diagram of this degree: from the
-        memo, else from the disk cache (`cache.ACTIVE`, if set) when it
+        """`_jack_m_vector(lam)`, once per diagram of this degree: from
+        `M_VECTORS`, else from the disk cache (`cache.ACTIVE`, if set) when it
         holds a plausible vector, else computed and stored there."""
-        v = self._m_vectors.get(lam)
+        v = M_VECTORS.get(lam)
         if v is not None:
             return v
         disk = cache.ACTIVE
@@ -291,7 +293,7 @@ class _Basis:
             v = _jack_m_vector(lam)
             if disk is not None:
                 disk.store_jack(lam, v)
-        self._m_vectors[lam] = v
+        M_VECTORS[lam] = v
         return v
 
     def check_vector(self, lam: Partition, v: list[list[int]]) -> None:

@@ -26,13 +26,13 @@ oracle.
 
 The embedding count of a graph in a diagram is a chain sum: the step
 sequences of the smaller side, each weighted by its number of chains of
-level sets, summed over increasing levels of the diagram in one pass over
-a tree of the sequences that shares their prefixes (_chain_sums).
-_chain_tree grows that tree as a trie during one walk over the pairs of
-nested subsets of each class: of one class for count_embeddings, of a
-whole census for topdegree.ch_top_eval.  A color swap counts the reversed
-sequences on the levels of the conjugate diagram, in both: the walk
-counts the sets first met instead of first covered.
+level sets, summed over the levels of the diagram from the shortest row
+in one pass over a tree of the sequences that shares their prefixes
+(_chain_sums).  _chain_tree grows that tree as a trie during one walk
+over the pairs of nested subsets of each class, counting the sets each
+level set first meets: of one class for count_embeddings, of a whole
+census for topdegree.ch_top_eval.  A color swap is read the same way on
+the levels of the conjugate diagram.
 """
 
 from __future__ import annotations
@@ -380,26 +380,26 @@ def count_embeddings(g: BicoloredGraph, lam: Partition) -> int:
     """Number of embeddings of g into lam: a column c_w <= lam[0] for each
     white and a row r_b for each black, with c_w <= lam[r_b] on every edge.
 
-    Equal rows form levels: v_1 > ... > v_t are the distinct row lengths
-    and m_i rows have length v_i.  When whites >= blacks the count is the
-    sum over f: blacks -> levels of
+    Equal rows form levels: v_1 < ... < v_t are the distinct row lengths,
+    from the shortest row, and m_i rows have length v_i (young.levels).
+    When whites >= blacks the count is the sum over f: blacks -> levels of
 
-        prod_b m[f(b)] * prod_w v[max f(N(w))],
+        prod_b m[f(b)] * prod_w v[min f(N(w))],
 
     since a white may take exactly the columns of the shortest row among
     its neighbors.  An f with used levels l_1 < ... < l_j is a strict chain
     U_1 < ... < U_j of the level sets U_i = f^-1{l_1..l_i}: a_i = |U_i| -
     |U_{i-1}| blacks take level l_i, and so do the c_i whites whose
-    neighborhood U_i covers first.  So the count is the sum over the step
+    neighborhood U_i first meets.  So the count is the sum over the step
     sequences ((a_i, c_i)) of the blacks of their chain counts times
     sum_{l_1 < ... < l_j} prod_i m[l_i]**a_i * v[l_i]**c_i, which one
     _chain_sums pass over the _chain_tree of the class adds up.  Exchanging
     whites and blacks exchanges columns and rows, so when whites < blacks
-    it is the same sum over the whites' sequences on the levels of lam';
-    young.conjugate_levels gives those in reverse, so the sequences are
-    reversed: the tree counts the blacks that U_i first meets, as for the
-    color swaps of topdegree._chain_expansion.  Either way only the
-    smaller side is walked.  Counts are cached per (class, lam).
+    the graph is the color swap of one with whites > blacks, and the count
+    is that graph's on lam': the same sum over the whites' sequences on
+    young.conjugate_levels(lam), the levels of lam', as for the color swaps
+    of topdegree._chain_expansion.  Either way only the smaller side is
+    walked.  Counts are cached per (class, lam).
 
     These counts serve moment_M and cumulant_K, through
     normalized_embeddings, and the labeled oracle; topdegree.ch_top_eval
@@ -416,10 +416,10 @@ def count_embeddings(g: BicoloredGraph, lam: Partition) -> int:
 
     shape = (g.whites, g.blacks)
     if g.whites >= g.blacks:
-        side = (g.blacks, g.adjacency, False, shape, 1)
+        side = (g.blacks, g.adjacency, shape, 1)
         values, mult = levels(lam)
     else:
-        side = (g.whites, g.black_neighbors(), True, shape, 1)
+        side = (g.whites, g.black_neighbors(), shape, 1)
         values, mult = conjugate_levels(lam)
     total: dict[tuple[int, int], int] = {}
     _chain_sums(_chain_tree([side]), mult, values, total)
@@ -437,25 +437,22 @@ def count_embeddings(g: BicoloredGraph, lam: Partition) -> int:
 _Chains = tuple
 
 
-def _chain_tree(classes: Iterable[tuple[int, Sequence[Iterable[int]], bool,
+def _chain_tree(classes: Iterable[tuple[int, Sequence[Iterable[int]],
                                          tuple[int, int], int]]) -> _Chains:
-    """The _Chains of the classes (small, sets, met, shape, weight): weight
-    times the number of strict chains {} < U_1 < ... < U_j = range(small)
-    of a step sequence ((a_i, c_i)) is its coefficient of shape, where a_i
-    vertices join at step i and c_i of the sets are first covered by U_i,
-    or first met if met (the complements of the chains, in reverse order,
-    make those the first covered sequences reversed).  One pass over the
-    pairs U < U' of subsets per class keeps the chains that end at U per
-    node of one trie that all classes share, so a step is a child lookup;
-    nodes are numbered by depth at the end."""
+    """The _Chains of the classes (small, sets, shape, weight): weight times
+    the number of strict chains {} < U_1 < ... < U_j = range(small) of a
+    step sequence ((a_i, c_i)) is its coefficient of shape, where a_i
+    vertices join at step i and c_i of the sets first meet U_i.  One pass
+    over the pairs U < U' of subsets per class keeps the chains that end at
+    U per node of one trie that all classes share, so a step is a child
+    lookup; nodes are numbered by depth at the end."""
     parent, step, depth = [0], [None], [0]
     children: dict[tuple[int, int], dict[int, int]] = {}
     coeffs: dict[tuple[int, tuple[int, int]], int] = {}
-    for small, sets, met, shape, weight in classes:
+    for small, sets, shape, weight in classes:
         full = (1 << small) - 1
         masks = [sum(1 << v for v in s) for s in sets]
-        reached = [sum(1 for m in masks if (m & u if met else not m & ~u))
-                   for u in range(full + 1)]
+        reached = [sum(1 for m in masks if m & u) for u in range(full + 1)]
         ending: list[dict[int, int]] = [{} for _ in range(full + 1)]
         ending[0][0] = 1
         for u in range(full):

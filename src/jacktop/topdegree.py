@@ -13,16 +13,16 @@ Direct evaluation on a diagram reads the chain expansion of the census,
 built once per n on the first query: per shape (whites, blacks), the
 integer coefficients of the step sequences of its classes, weighted by
 their orbit counts (maps._chain_tree).  A step sequence stands for a sum
-over increasing levels of the diagram of a product of level factors, and
-the embedding counts of a class are such chain sums (maps.count_embeddings
-takes them one class at a time); its color swap's are the reversed sums
-on the conjugate diagram.  The same memo holds the integer weight of each
-shape, its sign, power of A and power of g = -A + 1/A expanded.  A query
-evaluates the sequences in one pass over the levels, adds each shape
-total times its weight as ints, builds one Laurent polynomial, and is
-memoised per (n, diagram); the class-by-class sum of a test-side
-embedding count is its oracle.  The symbolic expansion in the g/R ring
-adds up orbit counts as ints, one total per power of g and sorted
+over increasing levels of the diagram, from the shortest row, of a product
+of level factors, and the embedding counts of a class are such chain sums
+(maps.count_embeddings takes them one class at a time); its color swap's
+are the same sums on the conjugate diagram.  The same memo holds the
+integer weight of each shape, its sign, power of A and power of g = -A +
+1/A expanded.  A query evaluates the sequences in one pass over the
+levels, adds each shape total times its weight as ints, builds one Laurent
+polynomial, and is memoised per (n, diagram); the class-by-class sum of a
+test-side embedding count is its oracle.  The symbolic expansion in the
+g/R ring adds up orbit counts as ints, one total per power of g and sorted
 expander weight.  The labeled pair sum is kept as an oracle.  The moment
 and cumulant functions over permutations, related by the set-partition
 formula, live here as well.
@@ -62,15 +62,15 @@ def ch_top_eval(n: int, lam: Partition) -> Laurent:
     count_G its number of orbits and N_G(lam) its embedding count.  The
     shape totals of count_G * N_G(lam) are read off _chain_expansion(n):
     each step sequence ((a_1, c_1), ..., (a_j, c_j)) of a shape contributes
-    its coefficient times the sum over levels l_1 < ... < l_j of lam of
-    prod_i x[l_i]**a_i * y[l_i]**c_i: (x, y) = (m, v) on the first tree.
-    The second, the color swaps, counts the whites first met on the
-    conjugate diagram: its sequences are reversed, since (x, y) = (v_l -
-    v_{l+1}, M_l) are the levels of lam' in reverse (conjugate_levels), as
-    in maps.count_embeddings.  Each shape total times its integer weight,
-    from the same memo, is added into one exponent -> int dict, and the
-    Laurent polynomial is built from it once.  Values are memoised per
-    (n, lam); n < 1 is a ValueError before the memo is read."""
+    its coefficient times the sum over levels l_1 < ... < l_j of
+    prod_i x[l_i]**a_i * y[l_i]**c_i, with (y, x) the row lengths and
+    multiplicities from the shortest row: those of lam (young.levels) on
+    the first tree, and those of lam' (young.conjugate_levels) on the
+    second, the color swaps, as in maps.count_embeddings.  Each shape total
+    times its integer weight, from the same memo, is added into one
+    exponent -> int dict, and the Laurent polynomial is built from it once.
+    Values are memoised per (n, lam); n < 1 is a ValueError before the
+    memo is read."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     hit = _CH_TOP_CACHE.get((n, lam))
@@ -103,17 +103,16 @@ def _chain_expansion(n: int
     chain counts times sum_{l_1 < ... < l_j} prod_i x[l_i]**a_i *
     y[l_i]**c_i (maps.count_embeddings), and a shape's coefficient of a
     sequence is the sum of count_G times chain count over its classes.  A
-    color swap counts on the conjugate diagram, whose levels come in
-    reverse, so it takes the swapped shape and the reversed sequences: the
-    walk over the blacks counts the whites first met, not first covered,
-    the one reading of a swap that maps.count_embeddings shares."""
+    color swap counts what its class counts on the conjugate diagram, so
+    the second tree walks the same blacks at the swapped shape, and holds
+    the classes with whites > blacks only: a sub-trie of the first."""
     census = _census(n)
     weights = {shape: _shape_weight(n, *shape) for g, _ in census
                for shape in ((g.whites, g.blacks), (g.blacks, g.whites))}
-    stored = _chain_tree((g.blacks, g.adjacency, False, (g.whites, g.blacks),
-                          count) for g, count in census)
-    swaps = _chain_tree((g.blacks, g.adjacency, True, (g.blacks, g.whites),
-                         count) for g, count in census if g.whites > g.blacks)
+    stored = _chain_tree((g.blacks, g.adjacency, (g.whites, g.blacks), count)
+                         for g, count in census)
+    swaps = _chain_tree((g.blacks, g.adjacency, (g.blacks, g.whites), count)
+                        for g, count in census if g.whites > g.blacks)
     return stored, swaps, weights
 
 

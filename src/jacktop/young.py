@@ -8,7 +8,6 @@ iff x <= lam[y-1].
 
 from __future__ import annotations
 
-from itertools import accumulate
 from math import factorial
 from typing import Iterator
 
@@ -55,11 +54,11 @@ def format_partition(p: Partition) -> str:
 
 
 def levels(p: Partition) -> tuple[list[int], list[int]]:
-    """The distinct row lengths v_1 > ... > v_t of p and their
-    multiplicities m_1, ..., m_t."""
+    """The distinct row lengths v_1 < ... < v_t of p and their
+    multiplicities m_1, ..., m_t, read from the shortest row."""
     values: list[int] = []
     mult: list[int] = []
-    for row in p:
+    for row in reversed(p):
         if values and values[-1] == row:
             mult[-1] += 1
         else:
@@ -69,11 +68,17 @@ def levels(p: Partition) -> tuple[list[int], list[int]]:
 
 
 def conjugate_levels(p: Partition) -> tuple[list[int], list[int]]:
-    """levels(p') in the reverse order, read off levels(p) = (v, m): rows
-    of length M_l = m_1 + ... + m_l, v_l - v_{l+1} of each (v_{t+1} = 0)."""
-    values, mult = levels(p)
-    return (list(accumulate(mult)),
-            [v - w for v, w in zip(values, values[1:] + [0])])
+    """levels(p'), without building p': the rows of p' of length i are the
+    p_i - p_{i+1} columns of p that reach row i and no further (p_{k+1} =
+    0), so one pass over the rows of p, longest first, lists the levels of
+    p' from the shortest row, one for each row i with p_i > p_{i+1}."""
+    values: list[int] = []
+    mult: list[int] = []
+    for i, (row, below) in enumerate(zip(p, p[1:] + (0,)), start=1):
+        if row > below:
+            values.append(i)
+            mult.append(row - below)
+    return values, mult
 
 
 def size(p: Partition) -> int:

@@ -117,6 +117,16 @@ def test_cache_dir_does_not_outlive_its_call(tmp_path, capsys):
     assert sorted(tmp_path.iterdir()) == written
 
 
+def test_cache_dir_sees_vectors_of_earlier_calls(tmp_path, capsys):
+    # A Jack vector computed by an earlier call without a cache is not
+    # kept past that call, so a later call's --cache-dir stores it.
+    assert cli.main(["eval", "ch", "2", "2,1"]) == 0
+    assert cli.main(["--cache-dir", str(tmp_path), "eval", "ch", "2",
+                     "2,1"]) == 0
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "jack_2-1.json"]
+    assert jackref.M_VECTORS == {}
+
+
 def test_eval_examples(capsys):
     code, out = run_cli(capsys, "eval", "ch", "2", "2")
     assert code == 0 and json.loads(out) == {"1": "2"}

@@ -263,23 +263,18 @@ CHAIN_DIAGRAMS = [(), (4,), (3, 3, 3), (2, 2, 1), (5, 3, 3, 1), (6, 4, 2, 1),
 def test_chain_tree_of_one_class_matches_reference():
     # The trie of one class of size n <= 7 on its smaller side, weighted by
     # its orbit count, against the reference tree of that side's
-    # tuple-keyed sequences: first covered, reversed when whites < blacks
-    # (the first met sequences).  Nodes are numbered by depth with each
-    # parent first, and each step is listed once.
+    # tuple-keyed first met sequences, on either side of the whites/blacks
+    # split.  Nodes are numbered by depth with each parent first, and each
+    # step is listed once.
     from tests_support_graphs import (chain_paths, chain_signature,
                                       full_census, sequence_tree,
-                                      step_sequences)
+                                      smaller_side, step_sequences)
     for n in range(1, 8):
         for g, count in full_census(n):
             shape = (g.whites, g.blacks)
-            if g.whites >= g.blacks:
-                side = (g.blacks, g.adjacency, False, shape, count)
-                seqs = step_sequences(g.blacks, g.adjacency)
-            else:
-                side = (g.whites, g.black_neighbors(), True, shape, count)
-                seqs = {seq[::-1]: chains for seq, chains in
-                        step_sequences(g.whites, g.black_neighbors()).items()}
-            tree = _chain_tree([side])
+            small, sets = smaller_side(g)
+            seqs = step_sequences(small, sets)
+            tree = _chain_tree([(small, sets, shape, count)])
             reference = sequence_tree({seq: {shape: count * chains}
                                        for seq, chains in seqs.items()})
             assert chain_signature(tree) == chain_signature(reference), g
@@ -290,14 +285,30 @@ def test_chain_tree_of_one_class_matches_reference():
             assert depths == sorted(depths)
 
 
+def test_first_met_sequences_are_first_covered_reversed():
+    # A chain U_1 < ... < U_j and the chain of the complements of its sets,
+    # in reverse order, pair up the two readings: a set first met by U_i is
+    # first covered by the complement of U_{i-1}.  So the first met
+    # sequences of a side are its first covered ones reversed, with the
+    # same chain counts, on every class of size n <= 7.
+    from tests_support_graphs import (full_census, smaller_side,
+                                      step_sequences)
+    for n in range(1, 8):
+        for g, _ in full_census(n):
+            small, sets = smaller_side(g)
+            covered = step_sequences(small, sets, covered=True)
+            assert step_sequences(small, sets) == \
+                {seq[::-1]: chains for seq, chains in covered.items()}, g
+
+
 def test_chain_sums_match_brute_force():
     # The reference tree holds one node per distinct prefix, numbered by
     # depth with each parent first, ends[d] one past the last node of depth
     # <= d, and a term per (sequence, shape, coefficient) at the node whose
     # path is the sequence.  Its chain sums equal the sums over increasing
     # level tuples: on the levels of the empty diagram, of one-level
-    # diagrams, of lam and of lam' in reverse (young.conjugate_levels), and
-    # on random level lists.
+    # diagrams, of lam and of lam' (young.conjugate_levels), and on random
+    # level lists.
     from tests_support_graphs import chain_paths, sequence_tree
     rng = random.Random(28)
     level_lists = [f(lam) for lam in CHAIN_DIAGRAMS

@@ -12,8 +12,9 @@ from jacktop.topdegree import (DomainMismatch, _chain_expansion, ch_top_eval,
                                expander_weights, is_expander, kl_top,
                                moment_M, restricted_perm, set_partitions_above)
 from jacktop.young import enumerate_partitions, partitions_of, size
-from tests_support_graphs import (chain_signature, count_embeddings_level_sum,
-                                  full_census, sequence_tree, step_sequences)
+from tests_support_graphs import (chain_paths, chain_signature,
+                                  count_embeddings_level_sum, full_census,
+                                  sequence_tree, smaller_side, step_sequences)
 
 
 def test_ch_top_n1_is_size():
@@ -60,39 +61,11 @@ def test_chain_route_matches_class_sum_n8(lam):
     assert ch_top_eval(8, lam) == ch_top_by_class(8, lam)
 
 
-def step_sequences_first_met(small, sets):
-    """The number of strict chains {} < U_1 < ... < U_j = range(small) of
-    each step sequence ((a_i, c_i)): a_i vertices join at step i, and c_i
-    of the sets first meet U_i.  step_sequences counts the sets first
-    covered instead; the complements of a chain, in reverse order, turn
-    one into the other with the sequence reversed."""
-    full = (1 << small) - 1
-    masks = [sum(1 << v for v in s) for s in sets]
-    reached = [sum(1 for m in masks if m & u) for u in range(full + 1)]
-    ending = [{} for _ in range(full + 1)]
-    ending[0][()] = 1
-    for u in range(full):
-        rest = full ^ u
-        step = rest
-        while step:
-            v = u | step
-            key = (step.bit_count(), reached[v] - reached[u])
-            into = ending[v]
-            for seq, chains in ending[u].items():
-                seq += (key,)
-                into[seq] = into.get(seq, 0) + chains
-            step = (step - 1) & rest
-    return ending[full]
-
-
 def chain_sequences(g):
     """The smaller side of a class, its larger side's neighborhoods in it,
-    and their step sequences: first covered when whites >= blacks, first
-    met otherwise."""
-    if g.whites >= g.blacks:
-        return g.blacks, g.adjacency, step_sequences(g.blacks, g.adjacency)
-    sets = g.black_neighbors()
-    return g.whites, sets, step_sequences_first_met(g.whites, sets)
+    and their first met step sequences."""
+    small, sets = smaller_side(g)
+    return small, sets, step_sequences(small, sets)
 
 
 def test_chain_counts_are_ordered_set_partitions():
@@ -110,13 +83,12 @@ def test_chain_counts_are_ordered_set_partitions():
 
 
 def test_chain_expansion_matches_both_sides_of_every_class():
-    # The two reference trees from the tuple-keyed sequences of every
-    # class on its own smaller side: first covered for whites >= blacks,
-    # first met for whites < blacks.  _chain_expansion walks the blacks of
-    # the census classes only: first covered for the first tree, first met
-    # at the swapped shape for the second.  Node and term order follow the
-    # walk, so the trees are compared by their node paths, ends and terms,
-    # sorted.
+    # The two reference trees from the tuple-keyed first met sequences of
+    # every class on its own smaller side: those with whites >= blacks,
+    # and those with whites < blacks.  _chain_expansion walks the blacks of
+    # the census classes only, at the swapped shape for the second tree.
+    # Node and term order follow the walk, so the trees are compared by
+    # their node paths, ends and terms, sorted.
     for n in range(1, 9):
         sides = ({}, {})
         for g, count in full_census(n):
@@ -128,6 +100,24 @@ def test_chain_expansion_matches_both_sides_of_every_class():
         *trees, _ = _chain_expansion(n)
         assert [chain_signature(t) for t in trees] == \
             [chain_signature(sequence_tree(side)) for side in sides], n
+
+
+def test_swaps_tree_is_a_sub_trie_of_the_stored_tree():
+    # The second tree of _chain_expansion(n) walks the classes with whites
+    # > blacks of the first, so each of its node paths is one of the
+    # first's.  The first, read first met, has no more nodes than the tree
+    # of the same classes' first covered sequences.  Node counts at n = 6
+    # and 8: stored 59 and 307, swaps 46 and 244.
+    sizes = {}
+    for n in range(1, 10):
+        stored, swaps, _ = _chain_expansion(n)
+        assert set(chain_paths(swaps)) <= set(chain_paths(stored)), n
+        covered = sequence_tree({seq: {} for g, _ in topdegree._census(n)
+                                 for seq in step_sequences(
+                                     g.blacks, g.adjacency, covered=True)})
+        assert len(stored[0]) <= len(covered[0]), n
+        sizes[n] = (len(stored[0]), len(swaps[0]))
+    assert (sizes[6], sizes[8]) == ((59, 46), (307, 244))
 
 
 def test_ch_top_eval_memo(monkeypatch):

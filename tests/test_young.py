@@ -56,16 +56,26 @@ def test_partition_stats():
 
 
 def test_levels():
-    assert levels((4, 4, 2, 1, 1, 1)) == ([4, 2, 1], [2, 1, 3])
+    # The distinct row lengths, from the shortest row, with multiplicities.
+    assert levels((4, 4, 2, 1, 1, 1)) == ([1, 2, 4], [3, 1, 2])
     assert levels(()) == ([], [])
-
-
-def test_conjugate_levels_are_those_of_the_transpose_reversed():
-    assert conjugate_levels((4, 4, 2, 1, 1, 1)) == ([2, 3, 6], [2, 1, 1])
-    for n in range(9):
+    for n in range(13):
         for p in partitions_of(n):
-            values, mult = conjugate_levels(p)
-            assert (values[::-1], mult[::-1]) == levels(transpose(p)), p
+            values, mult = levels(p)
+            assert values == sorted(set(p)), p
+            assert mult == [p.count(v) for v in values], p
+
+
+def test_conjugate_levels_are_those_of_the_transpose():
+    assert conjugate_levels((4, 4, 2, 1, 1, 1)) == ([2, 3, 6], [2, 1, 1])
+    for n in range(13):
+        for p in partitions_of(n):
+            assert conjugate_levels(p) == levels(transpose(p)), p
+    # A long row and a long column, without building their transposes.
+    assert levels((10 ** 6,)) == ([10 ** 6], [1])
+    assert conjugate_levels((10 ** 6,)) == ([1], [10 ** 6])
+    assert levels((1,) * 1000) == ([1], [1000])
+    assert conjugate_levels((1,) * 1000) == ([1000], [1])
 
 
 def test_boxes_row_major():

@@ -1,12 +1,13 @@
 """Shared test helpers: brute enumeration of small bicolored graphs, two
 embedding counts that production replaced (the black-side recursion and
-the smaller-side variable elimination), as references, the color swap
-and the full class list of the census, the tuple-keyed step sequences and
-the tree built from them that the chain-tree trie replaced, as
-references, the node paths of a chain-sum tree and its signature up to
-node order, the tree pairs of the free
-cumulants with their graph classes, and the unpruned vector partitions
-with the connectivity test that the census enumerator replaced."""
+the smaller-side variable elimination), as references, the color swap,
+the full class list of the census and the smaller side of a class, the
+tuple-keyed step sequences (first met, as production reads them, or first
+covered) and the tree built from them that the chain-tree trie replaced,
+as references, the node paths of a chain-sum tree and its signature up to
+node order, the tree pairs of the free cumulants with their graph
+classes, and the unpruned vector partitions with the connectivity test
+that the census enumerator replaced."""
 
 from functools import lru_cache
 from itertools import permutations, product
@@ -159,15 +160,27 @@ def full_census(n: int) -> list[tuple[BicoloredGraph, int]]:
     return sorted(census + swaps, key=lambda entry: entry[0].canonical_key())
 
 
-def step_sequences(small: int, sets: Sequence[Iterable[int]]
+def smaller_side(g: BicoloredGraph) -> tuple[int, Sequence[Iterable[int]]]:
+    """The smaller side of a class and its larger side's neighborhoods in
+    it: the blacks when whites >= blacks, else the whites."""
+    if g.whites >= g.blacks:
+        return g.blacks, g.adjacency
+    return g.whites, g.black_neighbors()
+
+
+def step_sequences(small: int, sets: Sequence[Iterable[int]],
+                   covered: bool = False
                    ) -> dict[tuple[tuple[int, int], ...], int]:
     """Reference: the number of strict chains {} < U_1 < ... < U_j =
     range(small) of each step sequence ((a_i, c_i)): a_i vertices join at
-    step i, and c_i of the sets are first covered by U_i.  One pass over
-    the pairs U < U' of subsets, each sequence a tuple."""
+    step i, and c_i of the sets first meet U_i, or are first covered by
+    U_i if covered (the complements of the chains, in reverse order, turn
+    one reading into the other with the sequences reversed).  One pass
+    over the pairs U < U' of subsets, each sequence a tuple."""
     full = (1 << small) - 1
     masks = [sum(1 << v for v in s) for s in sets]
-    reached = [sum(1 for m in masks if not m & ~u) for u in range(full + 1)]
+    reached = [sum(1 for m in masks if (not m & ~u if covered else m & u))
+               for u in range(full + 1)]
     ending: list[dict] = [{} for _ in range(full + 1)]
     ending[0][()] = 1
     for u in range(full):
